@@ -53,12 +53,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  ParallelForChunked(n, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
 void ThreadPool::ParallelForChunked(
     size_t n, const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;

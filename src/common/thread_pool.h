@@ -38,16 +38,10 @@ class ThreadPool {
     return fut;
   }
 
-  // Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  // Chunks indices so small n does not oversubscribe. Each index still
-  // dispatches through the std::function — for tight loops prefer
-  // ParallelForChunked, which makes one call per contiguous range.
-  void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
   // Runs fn(begin, end) over a partition of [0, n) — one call per chunk,
   // one chunk per task — and waits for completion. The callee owns the
-  // inner loop, so the per-index indirect-call overhead of ParallelFor
-  // disappears and the body can keep per-chunk state in registers.
+  // inner loop, so there is one indirect call per range, not per index,
+  // and the body can keep per-chunk state in registers.
   void ParallelForChunked(size_t n,
                           const std::function<void(size_t, size_t)>& fn);
 

@@ -1,10 +1,14 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
 #include "common/logging.h"
+#include "obs/metrics.h"
 
 namespace oltap {
 
@@ -141,18 +145,51 @@ std::vector<Row> CollectRows(PhysicalOp* op) {
   return rows;
 }
 
+// -------------------------------------------------------------- MorselOp
+
+void MorselOp::Drive(const MorselSink& sink) {
+  PrepareMorsels();
+  std::atomic<size_t> rows{0};
+  std::atomic<size_t> batches{0};
+  auto t0 = std::chrono::steady_clock::now();
+  DriveSlots([&](size_t slot, Batch&& batch) {
+    rows.fetch_add(batch.num_rows(), std::memory_order_relaxed);
+    batches.fetch_add(1, std::memory_order_relaxed);
+    sink(slot, std::move(batch));
+  });
+  auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+  AccountDriven(rows.load(), batches.load(), static_cast<uint64_t>(ns));
+}
+
+void MorselOp::DriveSlots(const MorselSink& sink) {
+  Open();
+  Batch batch;
+  while (NextBatch(&batch)) sink(0, std::move(batch));
+}
+
+void MorselOp::DriveIntoSlotBuffer() {
+  PrepareMorsels();
+  slot_buf_.Reset(slots());
+  DriveSlots(
+      [this](size_t slot, Batch&& b) { slot_buf_.Append(slot, std::move(b)); });
+}
+
 // ---------------------------------------------------------------- ScanOp
 
 std::string ScanOp::Describe() const {
-  std::string out = "Scan(" + table_->name() + " [" +
+  std::string out = (parallel() ? "ParallelScan(" : "Scan(") +
+                    table_->name() + " [" +
                     TableFormatToString(table_->format()) + "]";
-  if (!pushed_.empty() || residual_ != nullptr) {
-    if (predicate_ != nullptr) out += ", pred=" + predicate_->ToString();
-  } else if (predicate_ != nullptr) {
-    out += ", pred=" + predicate_->ToString();
+  if (predicate_ != nullptr) out += ", pred=" + predicate_->ToString();
+  if (parallel()) {
+    out += ", path=column, dop=" + std::to_string(ctx_.dop);
+  } else if (path_ == Path::kRow) {
+    out += ", path=row";
+  } else if (path_ == Path::kColumn) {
+    out += ", path=column";
   }
-  if (path_ == Path::kRow) out += ", path=row";
-  if (path_ == Path::kColumn) out += ", path=column";
   out += ")";
   return out;
 }
@@ -160,12 +197,16 @@ std::vector<const PhysicalOp*> ScanOp::Children() const { return {}; }
 
 
 ScanOp::ScanOp(const Table* table, Timestamp read_ts, ExprPtr predicate,
-               std::vector<int> projection, Path path)
-    : table_(table),
+               std::vector<int> projection, Path path, ParallelContext ctx)
+    : MorselOp(ctx),
+      table_(table),
       read_ts_(read_ts),
       predicate_(std::move(predicate)),
       projection_(std::move(projection)),
       path_(path) {
+  // Morsels split the main fragment: DOP >= 2 reads the column side.
+  OLTAP_CHECK(!parallel() || (table_->column_table() != nullptr &&
+                              path_ != Path::kRow));
   const Schema& schema = table_->schema();
   if (projection_.empty()) {
     projection_.resize(schema.num_columns());
@@ -180,13 +221,20 @@ ScanOp::ScanOp(const Table* table, Timestamp read_ts, ExprPtr predicate,
 std::vector<ValueType> ScanOp::OutputTypes() const { return out_types_; }
 
 void ScanOp::Open() {
+  prepared_ = false;
+  PrepareMorsels();
+  main_pos_ = 0;
+  pending_pos_ = 0;
+  if (parallel()) DriveIntoSlotBuffer();
+}
+
+void ScanOp::PrepareMorsels() {
+  if (prepared_) return;
+  prepared_ = true;
   rows_scanned_ = 0;
   zones_pruned_ = 0;
-  main_pos_ = 0;
   pending_rows_.clear();
-  pending_pos_ = 0;
-  delta_done_ = false;
-  row_scan_done_ = false;
+  num_main_morsels_ = 0;
 
   // Resolve the physical side: column whenever one exists (historical
   // behavior), unless a forced path overrides it and the table actually
@@ -195,17 +243,21 @@ void ScanOp::Open() {
   if (path_ == Path::kRow && table_->row_table() != nullptr) {
     columnar_ = false;
   }
+  // Delta, frozen-delta and row-engine rows: row-at-a-time with the full
+  // predicate, collected in serial iteration order.
+  auto consume = [&](const Row& row) {
+    ++rows_scanned_;
+    if (predicate_ != nullptr) {
+      Value v = predicate_->EvalRow(row);
+      if (v.is_null() || !v.AsBool()) return;
+    }
+    pending_rows_.push_back(row);
+  };
   if (!columnar_) {
     // Row engine (or forced row mirror of a dual table): materialize
     // passing rows once (OLTP-sized tables).
-    table_->row_table()->ScanVisible(read_ts_, [&](const Row& row) {
-      ++rows_scanned_;
-      if (predicate_ != nullptr) {
-        Value v = predicate_->EvalRow(row);
-        if (v.is_null() || !v.AsBool()) return;
-      }
-      pending_rows_.push_back(row);
-    });
+    table_->row_table()->ScanVisible(read_ts_, consume);
+    num_slots_ = pending_rows_.empty() ? 0 : 1;
     return;
   }
 
@@ -245,19 +297,14 @@ void ScanOp::Open() {
 
   PrepareMainSelection();
 
-  // Delta (and frozen delta) rows: row-at-a-time with the full predicate.
-  auto consume = [&](uint32_t, const Row& row) {
-    ++rows_scanned_;
-    if (predicate_ != nullptr) {
-      Value v = predicate_->EvalRow(row);
-      if (v.is_null() || !v.AsBool()) return;
-    }
-    pending_rows_.push_back(row);
-  };
+  auto consume_delta = [&](uint32_t, const Row& row) { consume(row); };
   if (snap_->frozen != nullptr) {
-    snap_->frozen->ForEachVisible(read_ts_, consume);
+    snap_->frozen->ForEachVisible(read_ts_, consume_delta);
   }
-  snap_->delta->ForEachVisible(read_ts_, consume);
+  snap_->delta->ForEachVisible(read_ts_, consume_delta);
+
+  num_main_morsels_ = (main_sel_.size() + kMorselRows - 1) / kMorselRows;
+  num_slots_ = num_main_morsels_ + (pending_rows_.empty() ? 0 : 1);
 }
 
 void ScanOp::PrepareMainSelection() {
@@ -277,18 +324,18 @@ void ScanOp::PrepareMainSelection() {
   }
 }
 
-bool ScanOp::EmitMainBatch(Batch* out) {
+bool ScanOp::GatherMain(size_t* pos, size_t end, Batch* out) const {
   const MainFragment& main = *snap_->main;
   const Schema& schema = table_->schema();
   // Gather the next chunk of selected rowids.
   std::vector<uint32_t> rids;
   rids.reserve(kDefaultBatchRows);
-  size_t i = main_sel_.FindNextSet(main_pos_);
-  while (i < main_sel_.size() && rids.size() < kDefaultBatchRows) {
+  size_t i = main_sel_.FindNextSet(*pos);
+  while (i < end && rids.size() < kDefaultBatchRows) {
     rids.push_back(static_cast<uint32_t>(i));
     i = main_sel_.FindNextSet(i + 1);
   }
-  main_pos_ = i;
+  *pos = i;
   if (rids.empty()) return false;
 
   // Gather the needed columns (projection ∪ residual refs), then filter,
@@ -342,16 +389,16 @@ bool ScanOp::EmitMainBatch(Batch* out) {
   return true;
 }
 
-bool ScanOp::EmitDeltaRows(Batch* out) {
-  if (pending_pos_ >= pending_rows_.size()) return false;
+bool ScanOp::EmitPending(size_t* pos, Batch* out) const {
+  if (*pos >= pending_rows_.size()) return false;
   out->columns.clear();
   out->columns.reserve(projection_.size());
   for (size_t p = 0; p < projection_.size(); ++p) {
     out->columns.emplace_back(out_types_[p]);
   }
-  size_t end = std::min(pending_rows_.size(), pending_pos_ + kDefaultBatchRows);
-  for (; pending_pos_ < end; ++pending_pos_) {
-    const Row& row = pending_rows_[pending_pos_];
+  size_t end = std::min(pending_rows_.size(), *pos + kDefaultBatchRows);
+  for (; *pos < end; ++*pos) {
+    const Row& row = pending_rows_[*pos];
     for (size_t p = 0; p < projection_.size(); ++p) {
       out->columns[p].AppendValue(row[projection_[p]]);
     }
@@ -361,22 +408,57 @@ bool ScanOp::EmitDeltaRows(Batch* out) {
 
 bool ScanOp::NextBatch(Batch* out) {
   out->columns.clear();
+  if (parallel()) return slot_buf_.Next(out);
   if (columnar_) {
-    while (true) {
-      if (EmitMainBatch(out)) {
-        if (out->num_rows() > 0) return true;
-        continue;  // fully filtered batch; try the next chunk
-      }
-      break;
+    while (GatherMain(&main_pos_, main_sel_.size(), out)) {
+      if (out->num_rows() > 0) return true;
+      // fully filtered batch; try the next chunk
     }
-    return EmitDeltaRows(out);
   }
-  return EmitDeltaRows(out);  // pending_rows_ holds the row-engine result
+  // Pending rows: the delta tail, or the whole row-engine result.
+  return EmitPending(&pending_pos_, out);
+}
+
+void ScanOp::DriveSlots(const MorselSink& sink) {
+  static obs::Counter* dispatched =
+      obs::MetricsRegistry::Default()->GetCounter("exec.morsel.dispatched");
+  static obs::Counter* morsel_rows =
+      obs::MetricsRegistry::Default()->GetCounter("exec.morsel.rows");
+
+  std::atomic<size_t> cursor{0};
+  std::atomic<size_t> rows{0};
+  RunOnWorkers(ctx_.pool, ctx_.dop, [&](size_t) {
+    for (size_t m = cursor.fetch_add(1, std::memory_order_relaxed);
+         m < num_slots_; m = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      Batch batch;
+      if (m < num_main_morsels_) {
+        size_t pos = m * kMorselRows;
+        size_t end = std::min(main_sel_.size(), pos + kMorselRows);
+        while (GatherMain(&pos, end, &batch)) {
+          if (batch.num_rows() == 0) continue;
+          rows.fetch_add(batch.num_rows(), std::memory_order_relaxed);
+          sink(m, std::move(batch));
+        }
+      } else {
+        size_t pos = 0;  // the trailing slot: pending delta rows
+        while (EmitPending(&pos, &batch)) {
+          rows.fetch_add(batch.num_rows(), std::memory_order_relaxed);
+          sink(m, std::move(batch));
+        }
+      }
+    }
+  });
+  dispatched->Add(num_slots_);
+  morsel_rows->Add(rows.load());
 }
 
 // --------------------------------------------------------------- FilterOp
 
 std::string FilterOp::Describe() const {
+  if (parallel()) {
+    return "ParallelFilter(" + predicate_->ToString() +
+           ", dop=" + std::to_string(ctx_.dop) + ")";
+  }
   return "Filter(" + predicate_->ToString() + ")";
 }
 std::vector<const PhysicalOp*> FilterOp::Children() const {
@@ -384,34 +466,62 @@ std::vector<const PhysicalOp*> FilterOp::Children() const {
 }
 
 
-FilterOp::FilterOp(PhysicalOpPtr child, ExprPtr predicate)
-    : child_(std::move(child)), predicate_(std::move(predicate)) {}
+FilterOp::FilterOp(PhysicalOpPtr child, ExprPtr predicate,
+                   ParallelContext ctx)
+    : MorselOp(ctx),
+      child_(std::move(child)),
+      predicate_(std::move(predicate)) {
+  child_src_ = dynamic_cast<MorselSource*>(child_.get());
+  OLTAP_CHECK(!parallel() || child_src_ != nullptr);
+}
 
-void FilterOp::Open() { child_->OpenTimed(); }
+void FilterOp::Open() {
+  if (parallel()) {
+    DriveIntoSlotBuffer();
+  } else {
+    child_->OpenTimed();
+  }
+}
+
+void FilterOp::PrepareMorsels() { child_src_->PrepareMorsels(); }
+
+size_t FilterOp::slots() const { return child_src_->slots(); }
 
 std::vector<ValueType> FilterOp::OutputTypes() const {
   return child_->OutputTypes();
 }
 
+bool FilterOp::FilterBatch(const Batch& in, Batch* out) const {
+  BitVector keep;
+  predicate_->EvalPredicate(in, &keep);
+  if (keep.CountSet() == 0) return false;
+  out->columns.clear();
+  out->columns.reserve(in.num_columns());
+  for (size_t c = 0; c < in.num_columns(); ++c) {
+    ColumnVector cv(in.columns[c].type());
+    for (size_t r = keep.FindNextSet(0); r < keep.size();
+         r = keep.FindNextSet(r + 1)) {
+      cv.AppendValue(in.columns[c].GetValue(r));
+    }
+    out->columns.push_back(std::move(cv));
+  }
+  return true;
+}
+
 bool FilterOp::NextBatch(Batch* out) {
+  if (parallel()) return slot_buf_.Next(out);
   Batch in;
   while (child_->NextBatchTimed(&in)) {
-    BitVector keep;
-    predicate_->EvalPredicate(in, &keep);
-    if (keep.CountSet() == 0) continue;
-    out->columns.clear();
-    out->columns.reserve(in.num_columns());
-    for (size_t c = 0; c < in.num_columns(); ++c) {
-      ColumnVector cv(in.columns[c].type());
-      for (size_t r = keep.FindNextSet(0); r < keep.size();
-           r = keep.FindNextSet(r + 1)) {
-        cv.AppendValue(in.columns[c].GetValue(r));
-      }
-      out->columns.push_back(std::move(cv));
-    }
-    return true;
+    if (FilterBatch(in, out)) return true;
   }
   return false;
+}
+
+void FilterOp::DriveSlots(const MorselSink& sink) {
+  child_src_->Drive([&](size_t slot, Batch&& in) {
+    Batch out;
+    if (FilterBatch(in, &out)) sink(slot, std::move(out));
+  });
 }
 
 // -------------------------------------------------------------- ProjectOp
@@ -455,10 +565,12 @@ bool ProjectOp::NextBatch(Batch* out) {
 // -------------------------------------------------------------- HashAggOp
 
 std::string HashAggOp::Describe() const {
-  std::string out = "HashAggregate(groups=";
+  std::string out = parallel() ? "ParallelHashAggregate(groups="
+                               : "HashAggregate(groups=";
   out += std::to_string(group_exprs_.size());
-  out += ", aggs=" + std::to_string(aggs_.size()) + ")";
-  return out;
+  out += ", aggs=" + std::to_string(aggs_.size());
+  if (parallel()) out += ", dop=" + std::to_string(ctx_.dop);
+  return out + ")";
 }
 std::vector<const PhysicalOp*> HashAggOp::Children() const {
   return {child_.get()};
@@ -480,11 +592,34 @@ ValueType AggSpec::OutputType() const {
   return ValueType::kInt64;
 }
 
+bool AggsParallelMergeable(const std::vector<AggSpec>& aggs) {
+  for (const AggSpec& a : aggs) {
+    switch (a.fn) {
+      case AggSpec::Fn::kCountStar:
+      case AggSpec::Fn::kCount:
+      case AggSpec::Fn::kMin:
+      case AggSpec::Fn::kMax:
+        break;
+      case AggSpec::Fn::kSum:
+        if (a.arg->result_type() != ValueType::kInt64) return false;
+        break;
+      case AggSpec::Fn::kAvg:
+        return false;
+    }
+  }
+  return true;
+}
+
 HashAggOp::HashAggOp(PhysicalOpPtr child, std::vector<ExprPtr> group_exprs,
-                     std::vector<AggSpec> aggs)
-    : child_(std::move(child)),
+                     std::vector<AggSpec> aggs, ParallelContext ctx)
+    : MorselOp(ctx),
+      child_(std::move(child)),
       group_exprs_(std::move(group_exprs)),
-      aggs_(std::move(aggs)) {}
+      aggs_(std::move(aggs)) {
+  child_src_ = dynamic_cast<MorselSource*>(child_.get());
+  OLTAP_CHECK(!parallel() ||
+              (child_src_ != nullptr && AggsParallelMergeable(aggs_)));
+}
 
 std::vector<ValueType> HashAggOp::OutputTypes() const {
   std::vector<ValueType> types;
@@ -494,10 +629,29 @@ std::vector<ValueType> HashAggOp::OutputTypes() const {
 }
 
 void HashAggOp::Open() {
-  child_->OpenTimed();
+  // A DOP >= 2 child is driven, never opened.
+  if (!parallel()) child_->OpenTimed();
   acc_.Clear();
   emit_pos_ = 0;
   done_ = false;
+}
+
+void HashAggOp::Aggregate() {
+  if (!parallel()) {
+    Batch in;
+    while (child_->NextBatchTimed(&in)) acc_.Consume(in);
+    return;
+  }
+  child_src_->PrepareMorsels();
+  // One accumulator per slot: a slot is produced entirely by one worker,
+  // so each accumulator is mutated by exactly one thread during the drive.
+  std::vector<AggAccumulator> accs(child_src_->slots(),
+                                   AggAccumulator(&group_exprs_, &aggs_));
+  child_src_->Drive(
+      [&accs](size_t slot, Batch&& batch) { accs[slot].Consume(batch); });
+  // Slot order == serial row-stream order, so merging ascending
+  // reproduces the serial first-seen group order exactly.
+  for (const AggAccumulator& a : accs) acc_.MergeFrom(a);
 }
 
 void AggAccumulator::Clear() {
@@ -615,8 +769,7 @@ Value AggAccumulator::Finalize(const AggSpec& spec, const AggState& st) const {
 
 bool HashAggOp::NextBatch(Batch* out) {
   if (!done_) {
-    Batch in;
-    while (child_->NextBatchTimed(&in)) acc_.Consume(in);
+    Aggregate();
     done_ = true;
   }
   const std::vector<AggAccumulator::Group>& groups = acc_.groups();
@@ -654,12 +807,13 @@ bool HashAggOp::NextBatch(Batch* out) {
 // ------------------------------------------------------------- HashJoinOp
 
 std::string HashJoinOp::Describe() const {
-  std::string out = "HashJoin(keys=";
+  std::string out = parallel() ? "ParallelHashJoin(keys=" : "HashJoin(keys=";
   for (size_t i = 0; i < build_keys_.size(); ++i) {
     if (i > 0) out += ",";
     out += "$" + std::to_string(build_keys_[i]) + "=$" +
            std::to_string(probe_keys_[i]);
   }
+  if (parallel()) out += ", dop=" + std::to_string(ctx_.dop);
   return out + ")";
 }
 std::vector<const PhysicalOp*> HashJoinOp::Children() const {
@@ -669,12 +823,15 @@ std::vector<const PhysicalOp*> HashJoinOp::Children() const {
 
 HashJoinOp::HashJoinOp(PhysicalOpPtr build, PhysicalOpPtr probe,
                        std::vector<int> build_keys,
-                       std::vector<int> probe_keys)
-    : build_(std::move(build)),
+                       std::vector<int> probe_keys, ParallelContext ctx)
+    : MorselOp(ctx),
+      build_(std::move(build)),
       probe_(std::move(probe)),
       build_keys_(std::move(build_keys)),
       probe_keys_(std::move(probe_keys)) {
   OLTAP_CHECK(build_keys_.size() == probe_keys_.size());
+  probe_src_ = dynamic_cast<MorselSource*>(probe_.get());
+  OLTAP_CHECK(!parallel() || probe_src_ != nullptr);
 }
 
 std::vector<ValueType> HashJoinOp::OutputTypes() const {
@@ -683,34 +840,123 @@ std::vector<ValueType> HashJoinOp::OutputTypes() const {
   return types;
 }
 
-void HashJoinOp::Open() {
-  probe_->OpenTimed();
+void HashJoinOp::BuildTable() {
   build_rows_ = CollectRows(build_.get());  // CollectRows opens the child
-  table_.clear();
-  Row key_row(build_keys_.size());
-  for (size_t i = 0; i < build_rows_.size(); ++i) {
-    bool has_null = false;
+  const size_t n = build_rows_.size();
+  const size_t nparts = std::max<size_t>(1, ctx_.dop);
+  parts_.assign(nparts, {});
+  // Encodes row i's key into `key`; false for a NULL key (never joins).
+  auto key_of = [this](size_t i, Row* key_row, std::string* key) {
     for (size_t k = 0; k < build_keys_.size(); ++k) {
-      key_row[k] = build_rows_[i][build_keys_[k]];
-      has_null |= key_row[k].is_null();
+      (*key_row)[k] = build_rows_[i][build_keys_[k]];
+      if ((*key_row)[k].is_null()) return false;
     }
-    if (has_null) continue;  // NULL keys never join
-    table_[HashKeyOf(key_row)].push_back(i);
+    *key = HashKeyOf(*key_row);
+    return true;
+  };
+  if (nparts == 1) {
+    Row key_row(build_keys_.size());
+    std::string key;
+    for (size_t i = 0; i < n; ++i) {
+      if (key_of(i, &key_row, &key)) parts_[0][std::move(key)].push_back(i);
+    }
+    return;
   }
+
+  // Phase 1: per-row key encoding + hashing, chunked across the pool.
+  std::vector<std::string> keys(n);
+  std::vector<uint64_t> hashes(n);
+  std::vector<uint8_t> valid(n, 0);
+  std::hash<std::string> hasher;
+  auto hash_range = [&](size_t begin, size_t end) {
+    Row key_row(build_keys_.size());
+    for (size_t i = begin; i < end; ++i) {
+      if (!key_of(i, &key_row, &keys[i])) continue;
+      hashes[i] = hasher(keys[i]);
+      valid[i] = 1;
+    }
+  };
+  // Phase 2: one chunk per partition; each partition scans the hash array
+  // and inserts its rows in ascending build-row order.
+  auto insert_parts = [&](size_t pbegin, size_t pend) {
+    for (size_t p = pbegin; p < pend; ++p) {
+      auto& part = parts_[p];
+      for (size_t i = 0; i < n; ++i) {
+        if (valid[i] && hashes[i] % nparts == p) {
+          part[std::move(keys[i])].push_back(i);
+        }
+      }
+    }
+  };
+  if (ctx_.pool != nullptr) {
+    ctx_.pool->ParallelForChunked(n, hash_range);
+    ctx_.pool->ParallelForChunked(nparts, insert_parts);
+  } else {
+    hash_range(0, n);
+    insert_parts(0, nparts);
+  }
+}
+
+void HashJoinOp::Open() {
+  if (parallel()) {
+    prepared_ = false;
+    DriveIntoSlotBuffer();
+    return;
+  }
+  probe_->OpenTimed();
+  BuildTable();
   probe_pos_ = 0;
   probe_done_ = false;
   probe_batch_.columns.clear();
 }
 
-bool HashJoinOp::NextBatch(Batch* out) {
+void HashJoinOp::PrepareMorsels() {
+  if (prepared_) return;
+  prepared_ = true;
+  probe_src_->PrepareMorsels();
+  BuildTable();
+}
+
+size_t HashJoinOp::slots() const { return probe_src_->slots(); }
+
+void HashJoinOp::ResetOutput(Batch* out) const {
   std::vector<ValueType> types = OutputTypes();
   out->columns.clear();
   out->columns.reserve(types.size());
   for (ValueType t : types) out->columns.emplace_back(t);
+}
 
-  size_t emitted = 0;
+void HashJoinOp::ProbeInto(const Batch& in, size_t* pos, Batch* out) const {
   Row key_row(probe_keys_.size());
-  while (emitted < kDefaultBatchRows) {
+  std::hash<std::string> hasher;
+  while (*pos < in.num_rows() && out->num_rows() < kDefaultBatchRows) {
+    size_t i = (*pos)++;
+    bool has_null = false;
+    for (size_t k = 0; k < probe_keys_.size(); ++k) {
+      key_row[k] = in.columns[probe_keys_[k]].GetValue(i);
+      has_null |= key_row[k].is_null();
+    }
+    if (has_null) continue;
+    std::string key = HashKeyOf(key_row);
+    const auto& part =
+        parts_.size() == 1 ? parts_[0] : parts_[hasher(key) % parts_.size()];
+    auto it = part.find(key);
+    if (it == part.end()) continue;
+    for (size_t bi : it->second) {
+      const Row& b = build_rows_[bi];
+      size_t c = 0;
+      for (const Value& v : b) out->columns[c++].AppendValue(v);
+      for (size_t pc = 0; pc < in.num_columns(); ++pc) {
+        out->columns[c++].AppendValue(in.columns[pc].GetValue(i));
+      }
+    }
+  }
+}
+
+bool HashJoinOp::NextBatch(Batch* out) {
+  if (parallel()) return slot_buf_.Next(out);
+  ResetOutput(out);
+  while (out->num_rows() < kDefaultBatchRows) {
     if (probe_pos_ >= probe_batch_.num_rows()) {
       if (probe_done_ || !probe_->NextBatchTimed(&probe_batch_)) {
         probe_done_ = true;
@@ -719,26 +965,21 @@ bool HashJoinOp::NextBatch(Batch* out) {
       probe_pos_ = 0;
       continue;
     }
-    size_t i = probe_pos_++;
-    bool has_null = false;
-    for (size_t k = 0; k < probe_keys_.size(); ++k) {
-      key_row[k] = probe_batch_.columns[probe_keys_[k]].GetValue(i);
-      has_null |= key_row[k].is_null();
-    }
-    if (has_null) continue;
-    auto it = table_.find(HashKeyOf(key_row));
-    if (it == table_.end()) continue;
-    for (size_t bi : it->second) {
-      const Row& b = build_rows_[bi];
-      size_t c = 0;
-      for (const Value& v : b) out->columns[c++].AppendValue(v);
-      for (size_t pc = 0; pc < probe_batch_.num_columns(); ++pc) {
-        out->columns[c++].AppendValue(probe_batch_.columns[pc].GetValue(i));
-      }
-      ++emitted;
-    }
+    ProbeInto(probe_batch_, &probe_pos_, out);
   }
-  return emitted > 0;
+  return out->num_rows() > 0;
+}
+
+void HashJoinOp::DriveSlots(const MorselSink& sink) {
+  probe_src_->Drive([&](size_t slot, Batch&& in) {
+    size_t pos = 0;
+    while (pos < in.num_rows()) {
+      Batch out;
+      ResetOutput(&out);
+      ProbeInto(in, &pos, &out);
+      if (out.num_rows() > 0) sink(slot, std::move(out));
+    }
+  });
 }
 
 // ----------------------------------------------------------------- SortOp

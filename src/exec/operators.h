@@ -9,6 +9,7 @@
 #include "common/bitvector.h"
 #include "exec/batch.h"
 #include "exec/expr.h"
+#include "exec/parallel/morsel.h"
 #include "obs/trace.h"
 #include "storage/column_store.h"
 #include "storage/table.h"
@@ -16,8 +17,8 @@
 namespace oltap {
 
 // Batch-iterator (vectorized Volcano) physical operator. Open() once, then
-// NextBatch until it returns false. Single-threaded per pipeline; the
-// scheduler layer runs whole queries on workers.
+// NextBatch until it returns false. Single-threaded per pipeline unless
+// the operator is a MorselOp granted DOP >= 2.
 //
 // Parents and the executor drive children through the instrumented
 // OpenTimed/NextBatchTimed entry points, so every operator accumulates
@@ -78,15 +79,59 @@ obs::QueryProfile BuildQueryProfile(const PhysicalOp* root);
 
 using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
 
+// The operators that run morsel-parallel: scan, filter, hash join and hash
+// aggregate. Each one is a single class whose per-row work lives in const
+// member functions with two drivers over it:
+//   * Open()/NextBatch() — DOP 1, streaming batch by batch; and the
+//     fallback when a DOP >= 2 operator sits under a serial parent, which
+//     then runs Drive's slots into a SlotBuffer and streams it in slot
+//     order;
+//   * Drive() — DOP >= 2, called by a parallel parent that fuses this
+//     operator into its workers.
+// Serial execution is DOP 1: the planner grants a context per operator and
+// Describe() renders "Parallel…(…, dop=N)" only for DOP >= 2.
+class MorselOp : public PhysicalOp, public MorselSource {
+ public:
+  // The default source is one slot holding the serial stream.
+  void PrepareMorsels() override {}
+  size_t slots() const override { return 1; }
+  // Produces every slot and accounts the rows in op_stats(): a driven
+  // operator is never pulled through NextBatchTimed.
+  void Drive(const MorselSink& sink) final;
+
+  size_t dop() const { return ctx_.dop; }
+
+ protected:
+  explicit MorselOp(ParallelContext ctx) : ctx_(ctx) {}
+
+  bool parallel() const { return ctx_.dop >= 2; }
+  // Produces every slot through `sink`; PrepareMorsels() has run. The
+  // default opens the operator and sinks its NextBatch stream as slot 0.
+  virtual void DriveSlots(const MorselSink& sink);
+  // DOP >= 2 under a serial parent: produces every slot into slot_buf_,
+  // which NextBatch then streams in slot order.
+  void DriveIntoSlotBuffer();
+
+  ParallelContext ctx_;
+  SlotBuffer slot_buf_;
+};
+
 // Table scan with predicate pushdown. For columnar tables, the pushable
 // (column <op> const) conjuncts run as packed-segment kernels with zone-map
 // pruning, the residual predicate runs vectorized per batch, and only the
 // projected columns of selected rows are gathered. Row tables fall back to
 // a row-wise visible scan.
 //
+// At DOP >= 2 (columnar reads only) the selection — visibility mask plus
+// zone-pruned pushdown kernels over whole segments — still runs serially
+// in PrepareMorsels(), and the per-row gather / residual / project runs
+// per kMorselRows morsel of the main fragment, claimed by the workers from
+// a shared cursor; the filtered delta rows form one trailing slot. Slot m
+// holds exactly the rows the DOP-1 scan emits at that position.
+//
 // `predicate` refers to columns by *table schema* index; `projection`
 // selects and orders the output columns (empty = all columns).
-class ScanOp final : public PhysicalOp {
+class ScanOp final : public MorselOp {
  public:
   // Which mirror of a dual-format table to read. kAuto is the historical
   // behavior (column side whenever the format has one); the optimizer
@@ -95,7 +140,8 @@ class ScanOp final : public PhysicalOp {
   enum class Path : uint8_t { kAuto, kRow, kColumn };
 
   ScanOp(const Table* table, Timestamp read_ts, ExprPtr predicate,
-         std::vector<int> projection = {}, Path path = Path::kAuto);
+         std::vector<int> projection = {}, Path path = Path::kAuto,
+         ParallelContext ctx = {});
 
   void Open() override;
   bool NextBatch(Batch* out) override;
@@ -103,16 +149,27 @@ class ScanOp final : public PhysicalOp {
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
 
+  void PrepareMorsels() override;
+  size_t slots() const override { return num_slots_; }
+
   // Scan statistics for tests/benches.
   size_t rows_scanned() const { return rows_scanned_; }
   size_t zones_pruned() const { return zones_pruned_; }
   const Table* table() const { return table_; }
   Path path() const { return path_; }
 
+ protected:
+  void DriveSlots(const MorselSink& sink) override;
+
  private:
   void PrepareMainSelection();
-  bool EmitMainBatch(Batch* out);
-  bool EmitDeltaRows(Batch* out);
+  // Gathers the next up to kDefaultBatchRows selected main rows in
+  // [*pos, end), runs the residual and projects them into `out` (which
+  // may end up empty). False once no selected row is left before `end`.
+  bool GatherMain(size_t* pos, size_t end, Batch* out) const;
+  // Projects the next up to kDefaultBatchRows pending rows from *pos into
+  // `out`; false once none are left.
+  bool EmitPending(size_t* pos, Batch* out) const;
 
   const Table* table_;
   Timestamp read_ts_;
@@ -130,24 +187,28 @@ class ScanOp final : public PhysicalOp {
   std::vector<int> schema_to_batch_;
   ExprPtr residual_remapped_;  // residual with batch-position columns
 
-  // Columnar scan state.
+  // Scan state, fixed by PrepareMorsels().
+  bool prepared_ = false;
   bool columnar_ = false;
   std::optional<ColumnTable::Snapshot> snap_;
   BitVector main_sel_;
-  size_t main_pos_ = 0;
-  bool delta_done_ = false;
   std::vector<Row> pending_rows_;  // filtered delta (and row-table) rows
+  size_t num_main_morsels_ = 0;
+  size_t num_slots_ = 0;
+  // DOP-1 stream positions.
+  size_t main_pos_ = 0;
   size_t pending_pos_ = 0;
-  bool row_scan_done_ = false;
 
   size_t rows_scanned_ = 0;
   size_t zones_pruned_ = 0;
 };
 
-// Residual filter (vectorized predicate + gather of passing rows).
-class FilterOp final : public PhysicalOp {
+// Residual filter (vectorized predicate + gather of passing rows). At
+// DOP >= 2 it runs fused inside the workers of its child's morsels.
+class FilterOp final : public MorselOp {
  public:
-  FilterOp(PhysicalOpPtr child, ExprPtr predicate);
+  // At DOP >= 2, `child` must be a MorselSource.
+  FilterOp(PhysicalOpPtr child, ExprPtr predicate, ParallelContext ctx = {});
 
   void Open() override;
   bool NextBatch(Batch* out) override;
@@ -155,8 +216,18 @@ class FilterOp final : public PhysicalOp {
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
 
+  void PrepareMorsels() override;
+  size_t slots() const override;
+
+ protected:
+  void DriveSlots(const MorselSink& sink) override;
+
  private:
+  // Gathers the rows of `in` that pass into `out`; false if none pass.
+  bool FilterBatch(const Batch& in, Batch* out) const;
+
   PhysicalOpPtr child_;
+  MorselSource* child_src_ = nullptr;
   ExprPtr predicate_;
 };
 
@@ -185,11 +256,10 @@ struct AggSpec {
   ValueType OutputType() const;
 };
 
-// The hash-aggregation state machine shared by the serial HashAggOp (one
-// instance) and the morsel-parallel aggregate (one instance per morsel,
-// merged in morsel order). Groups are kept in first-seen input order,
-// which is what makes slot-ordered parallel merges reproduce the serial
-// group order exactly.
+// The hash-aggregation state machine of HashAggOp: one instance at DOP 1,
+// one per morsel merged in morsel order at DOP >= 2. Groups are kept in
+// first-seen input order, which is what makes slot-ordered parallel
+// merges reproduce the serial group order exactly.
 class AggAccumulator {
  public:
   struct AggState {
@@ -229,13 +299,25 @@ class AggAccumulator {
   std::vector<Group> groups_;
 };
 
+// True when every aggregate can be pre-aggregated per morsel and merged
+// exactly: COUNT(*) / COUNT / MIN / MAX always, SUM only over int64
+// (float addition is order-sensitive, so AVG and SUM(double) keep the
+// serial fold — a DOP-1 HashAggOp over the parallel child, which is still
+// bit-exact because the child reproduces the serial row stream).
+bool AggsParallelMergeable(const std::vector<AggSpec>& aggs);
+
 // Blocking hash aggregation: GROUP BY `group_exprs` with `aggs`. Output
 // columns = group keys then aggregates. With no group keys, emits exactly
 // one row (global aggregate; zero input rows yield COUNT=0 / NULL sums).
-class HashAggOp final : public PhysicalOp {
+//
+// At DOP >= 2 (mergeable aggregates only) the child drives each slot into
+// its own AggAccumulator and the accumulators merge in ascending slot
+// order, which reproduces the serial first-seen group order and values.
+class HashAggOp final : public MorselOp {
  public:
+  // At DOP >= 2, `child` must be a MorselSource and `aggs` mergeable.
   HashAggOp(PhysicalOpPtr child, std::vector<ExprPtr> group_exprs,
-            std::vector<AggSpec> aggs);
+            std::vector<AggSpec> aggs, ParallelContext ctx = {});
 
   void Open() override;
   bool NextBatch(Batch* out) override;
@@ -244,7 +326,11 @@ class HashAggOp final : public PhysicalOp {
   std::vector<const PhysicalOp*> Children() const override;
 
  private:
+  // Consumes the whole input into acc_.
+  void Aggregate();
+
   PhysicalOpPtr child_;
+  MorselSource* child_src_ = nullptr;
   std::vector<ExprPtr> group_exprs_;
   std::vector<AggSpec> aggs_;
   AggAccumulator acc_{&group_exprs_, &aggs_};
@@ -254,11 +340,19 @@ class HashAggOp final : public PhysicalOp {
 
 // In-memory hash join (inner equi-join): materializes the build (left)
 // side, streams the probe (right) side. Output = left columns ++ right
-// columns.
-class HashJoinOp final : public PhysicalOp {
+// columns; duplicate-key matches come out in ascending build-row order.
+//
+// At DOP >= 2 the hash table is built in two parallel phases — key
+// encoding + hashing chunked across the pool, then one worker per
+// partition (hash % dop) inserting its rows in ascending build-row order,
+// so every key's match list is the DOP-1 one — and each probe morsel is
+// joined inside the worker that produced it.
+class HashJoinOp final : public MorselOp {
  public:
+  // At DOP >= 2, `probe` must be a MorselSource.
   HashJoinOp(PhysicalOpPtr build, PhysicalOpPtr probe,
-             std::vector<int> build_keys, std::vector<int> probe_keys);
+             std::vector<int> build_keys, std::vector<int> probe_keys,
+             ParallelContext ctx = {});
 
   void Open() override;
   bool NextBatch(Batch* out) override;
@@ -266,18 +360,33 @@ class HashJoinOp final : public PhysicalOp {
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
 
+  void PrepareMorsels() override;
+  size_t slots() const override;
+
+ protected:
+  void DriveSlots(const MorselSink& sink) override;
+
  private:
+  void BuildTable();
+  // Starts `out` as an empty batch of the output types.
+  void ResetOutput(Batch* out) const;
+  // Probes rows [*pos, in.num_rows()) of `in`, appending every match to
+  // `out`; stops after the probe row that fills `out` to kDefaultBatchRows.
+  void ProbeInto(const Batch& in, size_t* pos, Batch* out) const;
+
   PhysicalOpPtr build_;
   PhysicalOpPtr probe_;
+  MorselSource* probe_src_ = nullptr;
   std::vector<int> build_keys_;
   std::vector<int> probe_keys_;
 
+  bool prepared_ = false;
   std::vector<Row> build_rows_;
-  // Matches per key in ascending build-row order: duplicate-key emission
-  // order is then deterministic (unordered_multimap's equal_range order is
-  // implementation-defined), which the parallel partitioned build
-  // reproduces exactly.
-  std::unordered_map<std::string, std::vector<size_t>> table_;
+  // Partition p owns the keys with std::hash(key) % parts_.size() == p;
+  // DOP 1 has one partition and never hashes. Match lists are in
+  // ascending build-row order.
+  std::vector<std::unordered_map<std::string, std::vector<size_t>>> parts_;
+  // DOP-1 probe stream.
   Batch probe_batch_;
   size_t probe_pos_ = 0;
   bool probe_done_ = false;

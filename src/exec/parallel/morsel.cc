@@ -1,12 +1,10 @@
 #include "exec/parallel/morsel.h"
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 
 namespace oltap {
 
@@ -62,80 +60,6 @@ bool SlotBuffer::Next(Batch* out) {
     idx_ = 0;
   }
   return false;
-}
-
-// -------------------------------------------------------- ParallelFilterOp
-
-ParallelFilterOp::ParallelFilterOp(PhysicalOpPtr child, ExprPtr predicate,
-                                   ParallelContext ctx)
-    : child_(std::move(child)),
-      predicate_(std::move(predicate)),
-      ctx_(ctx) {
-  child_src_ = dynamic_cast<MorselSource*>(child_.get());
-  OLTAP_CHECK(child_src_ != nullptr);
-  OLTAP_CHECK(predicate_ != nullptr);
-}
-
-void ParallelFilterOp::PrepareMorsels() { child_src_->PrepareMorsels(); }
-
-size_t ParallelFilterOp::slots() const { return child_src_->slots(); }
-
-void ParallelFilterOp::Drive(const MorselSink& sink) {
-  DriveInternal(sink, /*account=*/true);
-}
-
-void ParallelFilterOp::DriveInternal(const MorselSink& sink, bool account) {
-  PrepareMorsels();
-  std::atomic<size_t> rows{0};
-  std::atomic<size_t> batches{0};
-  auto t0 = std::chrono::steady_clock::now();
-  child_src_->Drive([&](size_t slot, Batch&& in) {
-    BitVector keep;
-    predicate_->EvalPredicate(in, &keep);
-    if (keep.CountSet() == 0) return;
-    Batch out;
-    out.columns.reserve(in.num_columns());
-    for (size_t c = 0; c < in.num_columns(); ++c) {
-      ColumnVector cv(in.columns[c].type());
-      for (size_t r = keep.FindNextSet(0); r < keep.size();
-           r = keep.FindNextSet(r + 1)) {
-        cv.AppendValue(in.columns[c].GetValue(r));
-      }
-      out.columns.push_back(std::move(cv));
-    }
-    rows.fetch_add(out.num_rows(), std::memory_order_relaxed);
-    batches.fetch_add(1, std::memory_order_relaxed);
-    sink(slot, std::move(out));
-  });
-  if (account) {
-    auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-    AccountDriven(rows.load(), batches.load(), static_cast<uint64_t>(ns));
-  }
-}
-
-void ParallelFilterOp::Open() {
-  PrepareMorsels();
-  buf_.Reset(slots());
-  DriveInternal(
-      [this](size_t slot, Batch&& b) { buf_.Append(slot, std::move(b)); },
-      /*account=*/false);
-}
-
-bool ParallelFilterOp::NextBatch(Batch* out) { return buf_.Next(out); }
-
-std::vector<ValueType> ParallelFilterOp::OutputTypes() const {
-  return child_->OutputTypes();
-}
-
-std::string ParallelFilterOp::Describe() const {
-  return "ParallelFilter(" + predicate_->ToString() +
-         ", dop=" + std::to_string(ctx_.dop) + ")";
-}
-
-std::vector<const PhysicalOp*> ParallelFilterOp::Children() const {
-  return {child_.get()};
 }
 
 }  // namespace oltap

@@ -2,12 +2,10 @@
 #define OLTAP_EXEC_PARALLEL_MORSEL_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "exec/batch.h"
-#include "exec/operators.h"
 
 namespace oltap {
 
@@ -31,10 +29,10 @@ inline constexpr size_t kMorselRows = 8192;
 // (the serial prepare phase would dominate).
 inline constexpr size_t kMinParallelScanRows = 4096;
 
-// Execution resources granted to one query: the shared worker pool and the
-// degree of parallelism (total workers, *including* the query thread — the
-// caller always participates, so dop=1 degenerates to inline serial work
-// and a saturated pool can never stall a query).
+// Execution resources granted to one operator: the shared worker pool and
+// the degree of parallelism (total workers, *including* the query thread —
+// the caller always participates, so a saturated pool can never stall a
+// query). DOP 1 is serial execution.
 struct ParallelContext {
   ThreadPool* pool = nullptr;
   size_t dop = 1;
@@ -45,10 +43,10 @@ struct ParallelContext {
 // order.
 using MorselSink = std::function<void(size_t slot, Batch&& batch)>;
 
-// A pipeline stage that can produce its output morsel-parallel. Every
-// implementation is also a PhysicalOp whose Open()/NextBatch() fall back
-// to materializing the slots and streaming them in slot order (used when
-// the parent operator is serial).
+// A pipeline stage that can produce its output morsel-parallel. The
+// operators implementing it (exec/operators.h) are also PhysicalOps: a
+// parallel parent fuses them into its workers through Drive(), a serial
+// parent pulls them through Open()/NextBatch().
 class MorselSource {
  public:
   virtual ~MorselSource() = default;
@@ -74,10 +72,10 @@ class MorselSource {
 void RunOnWorkers(ThreadPool* pool, size_t dop,
                   const std::function<void(size_t)>& worker);
 
-// Materialized slot store backing the PhysicalOp mode of every
-// MorselSource: workers append batches to their slot concurrently (the
-// slot vector is pre-sized, distinct slots never alias), then NextBatch
-// streams slots in ascending order — the serial row stream.
+// Materialized slot store for a DOP >= 2 operator under a serial parent:
+// workers append batches to their slot concurrently (the slot vector is
+// pre-sized, distinct slots never alias), then NextBatch streams slots in
+// ascending order — the serial row stream.
 class SlotBuffer {
  public:
   void Reset(size_t num_slots);
@@ -89,35 +87,6 @@ class SlotBuffer {
   std::vector<std::vector<Batch>> slots_;
   size_t slot_ = 0;
   size_t idx_ = 0;
-};
-
-// Morsel-parallel residual filter: fused pass-through over the child's
-// morsel stream (same batch-wise predicate gather as the serial FilterOp,
-// so the surviving row stream is identical).
-class ParallelFilterOp final : public PhysicalOp, public MorselSource {
- public:
-  // `child` must implement MorselSource.
-  ParallelFilterOp(PhysicalOpPtr child, ExprPtr predicate,
-                   ParallelContext ctx);
-
-  void Open() override;
-  bool NextBatch(Batch* out) override;
-  std::vector<ValueType> OutputTypes() const override;
-  std::string Describe() const override;
-  std::vector<const PhysicalOp*> Children() const override;
-
-  void PrepareMorsels() override;
-  size_t slots() const override;
-  void Drive(const MorselSink& sink) override;
-
- private:
-  void DriveInternal(const MorselSink& sink, bool account);
-
-  PhysicalOpPtr child_;
-  MorselSource* child_src_ = nullptr;
-  ExprPtr predicate_;
-  ParallelContext ctx_;
-  SlotBuffer buf_;
 };
 
 }  // namespace oltap

@@ -83,7 +83,7 @@ void RegisterCoreMetrics(MetricsRegistry* r) {
   for (const char* name :
        {"txn.commits", "txn.aborts", "wal.records", "wal.bytes",
         "wal.batches", "wal.fsyncs",
-        "mvcc.versions_installed", "mvcc.conflicts", "exec.queries",
+        "txn.write_conflicts", "exec.queries",
         "exec.rows_out", "sharedscan.attached", "sharedscan.chunks",
         "merge.runs", "merge.tables_merged", "merge.rows_merged",
         "merge.bytes_merged", "wm.rejected_olap", "wm.expired_in_queue",

@@ -5,10 +5,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "exec/parallel/morsel.h"
-#include "exec/parallel/parallel_agg.h"
-#include "exec/parallel/parallel_join.h"
-#include "exec/parallel/parallel_scan.h"
 #include "obs/metrics.h"
 #include "opt/cardinality.h"
 #include "opt/cost_model.h"
@@ -353,13 +349,17 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
   // order, so no rewrite is needed).
   std::vector<int> global_to_plan;
 
-  // Morsel-parallel substitution: optimizer path only (SET optimizer=off
-  // must reproduce the historical plans byte for byte), and only when the
-  // session supplied a pool and the admission grant left DOP >= 2.
-  const bool par_enabled = options.use_optimizer &&
-                           options.exec_pool != nullptr &&
-                           options.max_dop >= 2;
-  const ParallelContext pctx{options.exec_pool, options.max_dop};
+  // Degree of parallelism of `plan`'s top operator. Morsel parallelism
+  // runs on the optimizer path only (SET optimizer=off must reproduce the
+  // historical plans byte for byte), and only when the session supplied a
+  // pool and the admission grant left DOP >= 2.
+  size_t plan_dop = 1;
+  const size_t grant_dop =
+      options.use_optimizer && options.exec_pool != nullptr ? options.max_dop
+                                                            : 1;
+  auto ctx_of = [&](size_t dop) {
+    return ParallelContext{options.exec_pool, dop};
+  };
   bool any_parallel = false;
 
   if (!options.use_optimizer) {
@@ -589,7 +589,7 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
 
     // Costed scan with access-path selection (explicit side only for
     // dual-format tables; other formats have exactly one).
-    auto make_scan = [&](int t) -> PhysicalOpPtr {
+    auto make_scan = [&](int t) -> std::unique_ptr<ScanOp> {
       opt::CostModel::ScanDecision d =
           cm.CostScan(*from[t].table, read_ts, PushablePreds(table_preds[t]),
                       rel_rows[t]);
@@ -602,22 +602,18 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
                                                     : "opt.path_column")
             ->Add(1);
       }
-      // Morsel-parallel scan for large columnar reads. The feedback
-      // memo's scan slot stays null (actual cardinality harvesting is a
-      // serial-scan feature; estimates degrade gracefully without it).
-      if (par_enabled && path != ScanOp::Path::kRow &&
+      // Large columnar reads run morsel-parallel at the granted DOP.
+      size_t dop = 1;
+      if (path != ScanOp::Path::kRow &&
           from[t].table->column_table() != nullptr &&
           from[t].table->ApproxRowCount() >= kMinParallelScanRows) {
-        auto pscan = std::make_unique<ParallelScanOp>(
-            from[t].table, read_ts, table_preds[t], std::vector<int>{},
-            pctx);
-        pscan->set_estimates(rel_rows[t], d.cost);
-        any_parallel = true;
-        return pscan;
+        dop = grant_dop;
+        any_parallel |= dop >= 2;
       }
       auto scan = std::make_unique<ScanOp>(from[t].table, read_ts,
                                            table_preds[t],
-                                           std::vector<int>{}, path);
+                                           std::vector<int>{}, path,
+                                           ctx_of(dop));
       scan->set_estimates(rel_rows[t], d.cost);
       out.scans[static_cast<size_t>(t)] = scan.get();
       return scan;
@@ -625,7 +621,9 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
 
     global_to_plan.assign(scope.cols.size(), -1);
     std::vector<bool> placed(from.size(), false);
-    plan = make_scan(order[0]);
+    std::unique_ptr<ScanOp> first = make_scan(order[0]);
+    plan_dop = first->dop();
+    plan = std::move(first);
     double cum_cost = plan->est_cost();
     for (int j = 0; j < from[order[0]].width; ++j) {
       global_to_plan[static_cast<size_t>(from[order[0]].offset + j)] = j;
@@ -655,19 +653,11 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
       auto scan = make_scan(r);
       cum_cost += scan->est_cost() +
                   cm.CostHashJoin(interm[p - 1], rel_rows[r], interm[p]).cost;
-      PhysicalOpPtr join;
-      if (par_enabled && dynamic_cast<MorselSource*>(scan.get()) != nullptr) {
-        // Probe side is morsel-parallel: partitioned parallel build +
-        // in-worker probe, fused into the scan's morsel pipeline.
-        join = std::make_unique<ParallelHashJoinOp>(
-            std::move(plan), std::move(scan), std::move(build_keys),
-            std::move(probe_keys), pctx);
-        any_parallel = true;
-      } else {
-        join = std::make_unique<HashJoinOp>(
-            std::move(plan), std::move(scan), std::move(build_keys),
-            std::move(probe_keys));
-      }
+      // The join runs inside the probe scan's morsel pipeline.
+      plan_dop = scan->dop();
+      auto join = std::make_unique<HashJoinOp>(
+          std::move(plan), std::move(scan), std::move(build_keys),
+          std::move(probe_keys), ctx_of(plan_dop));
       join->set_estimates(interm[p], cum_cost);
       plan = std::move(join);
       for (int j = 0; j < from[r].width; ++j) {
@@ -687,13 +677,8 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
         remapped.push_back(RemapGlobal(c, global_to_plan));
       }
       ExprPtr pred = Expr::CombineConjuncts(remapped);
-      if (par_enabled && dynamic_cast<MorselSource*>(plan.get()) != nullptr) {
-        plan = std::make_unique<ParallelFilterOp>(std::move(plan),
-                                                  std::move(pred), pctx);
-        any_parallel = true;
-      } else {
-        plan = std::make_unique<FilterOp>(std::move(plan), std::move(pred));
-      }
+      plan = std::make_unique<FilterOp>(std::move(plan), std::move(pred),
+                                        ctx_of(plan_dop));
     }
   }
 
@@ -913,19 +898,14 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
       OLTAP_ASSIGN_OR_RETURN(having, bind_having(*stmt.having));
     }
 
-    if (par_enabled && dynamic_cast<MorselSource*>(plan.get()) != nullptr &&
-        AggsParallelMergeable(aggs)) {
-      // Thread-local pre-aggregation per morsel, merged in slot order —
-      // exact for COUNT/SUM(int)/MIN/MAX. Order-sensitive float folds
-      // (AVG, SUM over doubles) keep the serial aggregate below, which is
-      // still bit-exact because the parallel child reproduces the serial
-      // row stream.
-      plan = std::make_unique<ParallelHashAggOp>(
-          std::move(plan), std::move(group_exprs), aggs, pctx);
-    } else {
-      plan = std::make_unique<HashAggOp>(std::move(plan),
-                                         std::move(group_exprs), aggs);
-    }
+    // Thread-local pre-aggregation per morsel, merged in slot order —
+    // exact for COUNT/SUM(int)/MIN/MAX. Order-sensitive float folds (AVG,
+    // SUM over doubles) aggregate at DOP 1 over the parallel child, which
+    // is still bit-exact because the child reproduces the serial row
+    // stream.
+    plan = std::make_unique<HashAggOp>(
+        std::move(plan), std::move(group_exprs), aggs,
+        ctx_of(AggsParallelMergeable(aggs) ? plan_dop : 1));
     if (having != nullptr) {
       plan = std::make_unique<FilterOp>(std::move(plan), std::move(having));
     }

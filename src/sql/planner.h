@@ -27,10 +27,10 @@ struct PlannerOptions {
   // orders and measured scan cardinalities, receives the chosen order.
   opt::PlanFeedback* feedback = nullptr;
   // Morsel-parallel execution: worker pool plus the degree of parallelism
-  // granted to this query (workers incl. the query thread). Parallel
-  // operators are substituted only on the optimizer path, and only when
-  // `exec_pool` is set and `max_dop >= 2`; results remain byte-identical
-  // to serial execution at any DOP.
+  // granted to this query (workers incl. the query thread). Operators run
+  // above DOP 1 only on the optimizer path, and only when `exec_pool` is
+  // set and `max_dop >= 2`; results remain byte-identical to serial
+  // execution at any DOP.
   ThreadPool* exec_pool = nullptr;
   size_t max_dop = 1;
 };

@@ -273,25 +273,29 @@ Status TransactionManager::Commit(Transaction* txn) {
     if (op.key.empty()) continue;  // keyless append: conflict-free
     first.try_emplace({op.table, op.key}, op.kind);
   }
+  // Every abort here is a write-write conflict with a transaction that
+  // committed after our snapshot (counted as txn.write_conflicts).
+  auto conflict = [&](const std::string& why) {
+    static obs::Counter* write_conflicts =
+        obs::MetricsRegistry::Default()->GetCounter("txn.write_conflicts");
+    unlock_all();
+    finish(false);
+    write_conflicts->Add(1);
+    return Status::Aborted(why);
+  };
   for (const auto& [table_key, kind] : first) {
     Table* table = const_cast<Table*>(table_key.first);
     const std::string& key = table_key.second;
     if (table->LastWriteTs(key) > txn->begin_ts_) {
-      unlock_all();
-      finish(false);
-      return Status::Aborted("write-write conflict on " + table->name());
+      return conflict("write-write conflict on " + table->name());
     }
     Row existing;
     bool live = table->Lookup(key, now, &existing);
     if (kind == Transaction::OpKind::kInsert && live) {
-      unlock_all();
-      finish(false);
-      return Status::Aborted("concurrent insert of same key");
+      return conflict("concurrent insert of same key");
     }
     if (kind != Transaction::OpKind::kInsert && !live) {
-      unlock_all();
-      finish(false);
-      return Status::Aborted("row vanished before commit");
+      return conflict("row vanished before commit");
     }
   }
 

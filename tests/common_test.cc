@@ -272,22 +272,6 @@ TEST(ThreadPoolTest, SubmitWithResult) {
   EXPECT_EQ(fut.get(), 42);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelFor(1000, [&](size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForSmallN) {
-  ThreadPool pool(8);
-  std::atomic<int> sum{0};
-  pool.ParallelFor(1, [&](size_t i) { sum.fetch_add(static_cast<int>(i) + 1); });
-  EXPECT_EQ(sum.load(), 1);
-  pool.ParallelFor(0, [&](size_t) { sum.fetch_add(100); });
-  EXPECT_EQ(sum.load(), 1);
-}
-
 TEST(SpinLockTest, MutualExclusion) {
   SpinLock lock;
   int64_t counter = 0;

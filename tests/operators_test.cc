@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "exec/fused_kernels.h"
 #include "exec/operators.h"
@@ -47,6 +50,32 @@ std::unique_ptr<Table> MakeSales(size_t n, TableFormat format,
   return table;
 }
 
+// Serial execution is DOP 1. The scan, filter, join and aggregate cases
+// below also run their inputs at DOP 4 on a shared pool, where the row
+// stream must be the DOP-1 one.
+ThreadPool* Pool() {
+  static ThreadPool pool(3);
+  return &pool;
+}
+
+std::vector<std::string> Render(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& r : rows) out.push_back(RowToString(r));
+  return out;
+}
+
+// Builds the plan at DOP 1 and at DOP 4 and expects identical row streams.
+void ExpectSameAtDop4(
+    const std::function<PhysicalOpPtr(ParallelContext)>& build) {
+  PhysicalOpPtr serial = build(ParallelContext{});
+  PhysicalOpPtr parallel = build(ParallelContext{Pool(), 4});
+  EXPECT_EQ(ExplainPlan(serial.get()).find("dop="), std::string::npos);
+  EXPECT_NE(ExplainPlan(parallel.get()).find("dop=4"), std::string::npos);
+  EXPECT_EQ(Render(CollectRows(serial.get())),
+            Render(CollectRows(parallel.get())));
+}
+
 TEST(ScanOpTest, FullScanAllFormats) {
   for (TableFormat f :
        {TableFormat::kRow, TableFormat::kColumn, TableFormat::kDual}) {
@@ -54,6 +83,12 @@ TEST(ScanOpTest, FullScanAllFormats) {
     ScanOp scan(table.get(), 10, nullptr);
     std::vector<Row> rows = CollectRows(&scan);
     EXPECT_EQ(rows.size(), 100u) << TableFormatToString(f);
+    if (f == TableFormat::kRow) continue;  // morsels split a column main
+    ExpectSameAtDop4([&](ParallelContext ctx) {
+      return std::make_unique<ScanOp>(table.get(), 10, nullptr,
+                                      std::vector<int>{},
+                                      ScanOp::Path::kAuto, ctx);
+    });
   }
 }
 
@@ -75,6 +110,10 @@ TEST(ScanOpTest, PushedPredicateMatchesRowFilter) {
     EXPECT_LT(r[1].AsInt64(), 2);
     EXPECT_EQ(r[2].AsString(), "ant");
   }
+  ExpectSameAtDop4([&](ParallelContext ctx) {
+    return std::make_unique<ScanOp>(table.get(), 10, pred, std::vector<int>{},
+                                    ScanOp::Path::kAuto, ctx);
+  });
 }
 
 TEST(ScanOpTest, ResidualPredicateApplied) {
@@ -88,6 +127,10 @@ TEST(ScanOpTest, ResidualPredicateApplied) {
   std::vector<Row> rows = CollectRows(&scan);
   // amount = id*0.5 > id*0.4 for id > 0.
   EXPECT_EQ(rows.size(), 499u);
+  ExpectSameAtDop4([&](ParallelContext ctx) {
+    return std::make_unique<ScanOp>(table.get(), 10, pred, std::vector<int>{},
+                                    ScanOp::Path::kAuto, ctx);
+  });
 }
 
 TEST(ScanOpTest, ProjectionSelectsAndOrders) {
@@ -101,24 +144,42 @@ TEST(ScanOpTest, ProjectionSelectsAndOrders) {
   EXPECT_EQ(batch.columns[1].type(), ValueType::kInt64);
   EXPECT_DOUBLE_EQ(batch.columns[0].GetDouble(4), 2.0);
   EXPECT_EQ(batch.columns[1].GetInt64(4), 4);
+  ExpectSameAtDop4([&](ParallelContext ctx) {
+    return std::make_unique<ScanOp>(table.get(), 10, nullptr,
+                                    std::vector<int>{3, 0},
+                                    ScanOp::Path::kAuto, ctx);
+  });
 }
 
 TEST(ScanOpTest, ScansDeltaAndMainTogether) {
-  auto table = MakeSales(100, TableFormat::kColumn);
-  // 20 more rows into the delta.
-  for (int64_t i = 100; i < 120; ++i) {
-    ASSERT_TRUE(table
-                    ->InsertCommitted(Row{Value::Int64(i), Value::Int64(1),
-                                          Value::String("new"),
-                                          Value::Double(1.0)},
-                                      5)
-                    .ok());
+  // 100 main rows (one morsel), then 20000 (three morsels at DOP 4).
+  for (int64_t n : {100, 20000}) {
+    auto table = MakeSales(static_cast<size_t>(n), TableFormat::kColumn);
+    // 20 more rows into the delta.
+    for (int64_t i = n; i < n + 20; ++i) {
+      ASSERT_TRUE(table
+                      ->InsertCommitted(Row{Value::Int64(i), Value::Int64(1),
+                                            Value::String("new"),
+                                            Value::Double(1.0)},
+                                        5)
+                      .ok());
+    }
+    ScanOp scan(table.get(), 10, nullptr);
+    EXPECT_EQ(CollectRows(&scan).size(), static_cast<size_t>(n + 20));
+    // At an older timestamp the delta rows are invisible.
+    ScanOp old_scan(table.get(), 2, nullptr);
+    EXPECT_EQ(CollectRows(&old_scan).size(), static_cast<size_t>(n));
+    ExprPtr pred = Expr::Compare(CompareOp::kNe,
+                                 Expr::Column(2, ValueType::kString),
+                                 Expr::Constant(Value::String("cat")));
+    for (Timestamp ts : {Timestamp{10}, Timestamp{2}}) {
+      ExpectSameAtDop4([&](ParallelContext ctx) {
+        return std::make_unique<ScanOp>(table.get(), ts, pred,
+                                        std::vector<int>{0, 2},
+                                        ScanOp::Path::kAuto, ctx);
+      });
+    }
   }
-  ScanOp scan(table.get(), 10, nullptr);
-  EXPECT_EQ(CollectRows(&scan).size(), 120u);
-  // At an older timestamp the delta rows are invisible.
-  ScanOp old_scan(table.get(), 2, nullptr);
-  EXPECT_EQ(CollectRows(&old_scan).size(), 100u);
 }
 
 TEST(ScanOpTest, ZonePruningSkipsImpossiblePredicates) {
@@ -129,16 +190,26 @@ TEST(ScanOpTest, ZonePruningSkipsImpossiblePredicates) {
   ScanOp scan(table.get(), 10, pred);
   EXPECT_EQ(CollectRows(&scan).size(), 0u);
   EXPECT_GT(scan.zones_pruned(), 0u);
+  ScanOp parallel(table.get(), 10, pred, {}, ScanOp::Path::kAuto,
+                  ParallelContext{Pool(), 4});
+  EXPECT_EQ(CollectRows(&parallel).size(), 0u);
+  EXPECT_EQ(parallel.zones_pruned(), scan.zones_pruned());
 }
 
 TEST(FilterOpTest, FiltersBatches) {
   auto table = MakeSales(100, TableFormat::kColumn);
   auto scan = std::make_unique<ScanOp>(table.get(), 10, nullptr);
-  FilterOp filter(std::move(scan),
-                  Expr::Compare(CompareOp::kGe,
-                                Expr::Column(0, ValueType::kInt64),
-                                Expr::Constant(Value::Int64(90))));
+  ExprPtr pred = Expr::Compare(CompareOp::kGe,
+                               Expr::Column(0, ValueType::kInt64),
+                               Expr::Constant(Value::Int64(90)));
+  FilterOp filter(std::move(scan), pred);
   EXPECT_EQ(CollectRows(&filter).size(), 10u);
+  ExpectSameAtDop4([&](ParallelContext ctx) {
+    auto child = std::make_unique<ScanOp>(table.get(), 10, nullptr,
+                                          std::vector<int>{},
+                                          ScanOp::Path::kAuto, ctx);
+    return std::make_unique<FilterOp>(std::move(child), pred, ctx);
+  });
 }
 
 TEST(ProjectOpTest, ComputesExpressions) {
@@ -167,6 +238,16 @@ TEST(HashAggOpTest, GlobalAggregates) {
   aggs[3].arg = Expr::Column(0, ValueType::kInt64);
   aggs[4].fn = AggSpec::Fn::kAvg;
   aggs[4].arg = Expr::Column(0, ValueType::kInt64);
+  // SUM(double) and AVG are not mergeable: at DOP 4 they fold at DOP 1
+  // over the parallel scan.
+  ASSERT_FALSE(AggsParallelMergeable(aggs));
+  ExpectSameAtDop4([&](ParallelContext ctx) {
+    auto child = std::make_unique<ScanOp>(table.get(), 10, nullptr,
+                                          std::vector<int>{},
+                                          ScanOp::Path::kAuto, ctx);
+    return std::make_unique<HashAggOp>(std::move(child),
+                                       std::vector<ExprPtr>{}, aggs);
+  });
   HashAggOp agg(std::move(scan), {}, std::move(aggs));
   std::vector<Row> rows = CollectRows(&agg);
   ASSERT_EQ(rows.size(), 1u);
@@ -190,6 +271,15 @@ TEST(HashAggOpTest, GroupByWithNullSkipping) {
   aggs[1].arg = Expr::Column(1, ValueType::kInt64);
   aggs[2].fn = AggSpec::Fn::kSum;
   aggs[2].arg = Expr::Column(1, ValueType::kInt64);
+  ASSERT_TRUE(AggsParallelMergeable(aggs));
+  ExpectSameAtDop4([&](ParallelContext ctx) {
+    auto child = std::make_unique<ScanOp>(table.get(), 10, nullptr,
+                                          std::vector<int>{},
+                                          ScanOp::Path::kAuto, ctx);
+    return std::make_unique<HashAggOp>(
+        std::move(child),
+        std::vector<ExprPtr>{Expr::Column(0, ValueType::kInt64)}, aggs, ctx);
+  });
   HashAggOp agg(std::move(scan), {Expr::Column(0, ValueType::kInt64)},
                 std::move(aggs));
   std::vector<Row> rows = CollectRows(&agg);
@@ -209,6 +299,22 @@ TEST(HashAggOpTest, EmptyInputGlobalAggregate) {
   aggs[0].fn = AggSpec::Fn::kCountStar;
   aggs[1].fn = AggSpec::Fn::kSum;
   aggs[1].arg = Expr::Column(3, ValueType::kDouble);
+  ExpectSameAtDop4([&](ParallelContext ctx) {
+    auto child = std::make_unique<ScanOp>(table.get(), 10, nullptr,
+                                          std::vector<int>{},
+                                          ScanOp::Path::kAuto, ctx);
+    return std::make_unique<HashAggOp>(std::move(child),
+                                       std::vector<ExprPtr>{}, aggs);
+  });
+  // COUNT(*) alone merges: one synthesized row at DOP 4 too.
+  ExpectSameAtDop4([&](ParallelContext ctx) {
+    auto child = std::make_unique<ScanOp>(table.get(), 10, nullptr,
+                                          std::vector<int>{},
+                                          ScanOp::Path::kAuto, ctx);
+    return std::make_unique<HashAggOp>(std::move(child),
+                                       std::vector<ExprPtr>{},
+                                       std::vector<AggSpec>{aggs[0]}, ctx);
+  });
   HashAggOp agg(std::move(scan), {}, std::move(aggs));
   std::vector<Row> rows = CollectRows(&agg);
   ASSERT_EQ(rows.size(), 1u);
@@ -250,6 +356,20 @@ TEST(HashJoinOpTest, InnerEquiJoin) {
   }
   EXPECT_EQ(right_vals.count(999), 1u);
   EXPECT_EQ(right_vals.count(500), 1u);
+
+  // Both orientations at DOP 4: with `right` as the build side, key 5 is
+  // a duplicate build key whose matches keep build-row order.
+  for (bool right_builds : {false, true}) {
+    ExpectSameAtDop4([&](ParallelContext ctx) {
+      const Table* build = right_builds ? right.get() : left.get();
+      const Table* probe = right_builds ? left.get() : right.get();
+      return std::make_unique<HashJoinOp>(
+          std::make_unique<ScanOp>(build, 10, nullptr),
+          std::make_unique<ScanOp>(probe, 10, nullptr, std::vector<int>{},
+                                   ScanOp::Path::kAuto, ctx),
+          std::vector<int>{0}, std::vector<int>{0}, ctx);
+    });
+  }
 }
 
 TEST(HashJoinOpTest, NullKeysNeverJoin) {
@@ -262,6 +382,19 @@ TEST(HashJoinOpTest, NullKeysNeverJoin) {
   auto rscan = std::make_unique<ScanOp>(right.get(), 10, nullptr);
   HashJoinOp join(std::move(lscan), std::move(rscan), {0}, {0});
   EXPECT_EQ(CollectRows(&join).size(), 0u);
+  // NULL and duplicate build keys beside matching ones.
+  for (int64_t k : {1, 1, 2}) {
+    ASSERT_TRUE(left->InsertCommitted({Value::Int64(k)}, 1).ok());
+    ASSERT_TRUE(right->InsertCommitted({Value::Int64(k)}, 1).ok());
+  }
+  ASSERT_TRUE(left->InsertCommitted({Value::Null()}, 1).ok());
+  ExpectSameAtDop4([&](ParallelContext ctx) {
+    return std::make_unique<HashJoinOp>(
+        std::make_unique<ScanOp>(left.get(), 10, nullptr),
+        std::make_unique<ScanOp>(right.get(), 10, nullptr, std::vector<int>{},
+                                 ScanOp::Path::kAuto, ctx),
+        std::vector<int>{0}, std::vector<int>{0}, ctx);
+  });
 }
 
 TEST(SortOpTest, MultiKeyWithDescending) {

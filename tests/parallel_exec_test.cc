@@ -13,6 +13,8 @@
 #include "exec/parallel/morsel.h"
 #include "obs/metrics.h"
 #include "sched/workload_manager.h"
+#include "sql/parser.h"
+#include "sql/planner.h"
 #include "sql/session.h"
 #include "storage/row.h"
 #include "workload/chbench.h"
@@ -64,17 +66,6 @@ TEST(ParallelExecChunkedTest, EmptyAndTinyRanges) {
     }
   });
   EXPECT_EQ(sum.load(), 1);
-}
-
-TEST(ParallelExecChunkedTest, ParallelForStillPerIndex) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), [&](size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
 }
 
 TEST(ParallelExecWorkersTest, RunOnWorkersAllParticipate) {
@@ -344,6 +335,95 @@ TEST_F(ParallelExecSqlTest, GrantCapsDop) {
   auto result = db_.Execute("SELECT COUNT(*) FROM big", open);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows[0][0].AsInt64(), 6100);
+}
+
+// ---------------------------------------------------------------------
+// Estimation feedback is the same at any DOP.
+// ---------------------------------------------------------------------
+
+struct FeedbackOutcome {
+  bool parallel_plan = false;
+  bool has_actuals = false;
+  uint64_t replans = 0;
+};
+
+// Runs a join of two large columnar tables, one of whose scans is
+// misestimated (a and b are perfectly correlated, the estimator assumes
+// independence: 60 rows estimated, 600 actual), twice at `dop`. Reports
+// whether the first run stashed scan actuals and how many feedback
+// re-plans the second planning counted.
+FeedbackOutcome RunMisestimatedJoin(size_t dop) {
+  FeedbackOutcome outcome;
+  ThreadPool pool(3);
+  Database db;
+  db.set_exec_pool(&pool);
+  EXPECT_TRUE(db.Execute("CREATE TABLE corr (k INT, a INT, b INT, "
+                         "PRIMARY KEY (k)) FORMAT COLUMN")
+                  .ok());
+  EXPECT_TRUE(db.Execute("CREATE TABLE other (k INT, w INT, "
+                         "PRIMARY KEY (k)) FORMAT COLUMN")
+                  .ok());
+  auto txn = db.txn_manager()->Begin();
+  for (int i = 0; i < 6000; ++i) {
+    std::string k = std::to_string(i);
+    std::string a = std::to_string(i % 10);
+    EXPECT_TRUE(db.ExecuteIn(txn.get(), "INSERT INTO corr VALUES (" + k +
+                                            ", " + a + ", " + a + ")")
+                    .ok());
+    EXPECT_TRUE(db.ExecuteIn(txn.get(), "INSERT INTO other VALUES (" + k +
+                                            ", " + std::to_string(i * 7) +
+                                            ")")
+                    .ok());
+  }
+  EXPECT_TRUE(db.txn_manager()->Commit(txn.get()).ok());
+  db.MergeAll();
+  EXPECT_TRUE(db.Execute("ANALYZE").ok());
+  EXPECT_TRUE(db.Execute("SET max_dop = " + std::to_string(dop)).ok());
+
+  const std::string q =
+      "SELECT c.k, o.w FROM corr c JOIN other o ON c.k = o.k "
+      "WHERE c.a = 1 AND c.b = 1";
+  auto plan = db.Execute("EXPLAIN " + q);
+  EXPECT_TRUE(plan.ok());
+  // Both scans must run at the plan's DOP: any DOP-1 scan would be a
+  // second source of actuals.
+  int parallel_scans = 0;
+  for (const Row& r : plan->rows) {
+    if (r[0].AsString().find("ParallelScan(") != std::string::npos) {
+      ++parallel_scans;
+    }
+  }
+  outcome.parallel_plan = parallel_scans == 2;
+  auto first = db.Execute(q);
+  EXPECT_TRUE(first.ok());
+  EXPECT_EQ(first->rows.size(), 600u);
+
+  auto stmt = sql::Parse(q);
+  EXPECT_TRUE(stmt.ok());
+  auto entry =
+      db.plan_feedback()->Lookup(sql::StatementFingerprint(*stmt->select));
+  outcome.has_actuals = entry.has_value() && entry->has_actuals;
+
+  obs::Counter* replans =
+      obs::MetricsRegistry::Default()->GetCounter("opt.feedback_replans");
+  const uint64_t before = replans->Value();
+  auto second = db.Execute(q);
+  EXPECT_TRUE(second.ok());
+  EXPECT_EQ(Render(*first), Render(*second));
+  outcome.replans = replans->Value() - before;
+  return outcome;
+}
+
+TEST(ParallelExecFeedbackTest, ScanActualsReachFeedbackAtAnyDop) {
+  FeedbackOutcome serial = RunMisestimatedJoin(1);
+  EXPECT_FALSE(serial.parallel_plan);
+  EXPECT_TRUE(serial.has_actuals);
+  EXPECT_EQ(serial.replans, 1u);
+
+  FeedbackOutcome parallel = RunMisestimatedJoin(4);
+  EXPECT_TRUE(parallel.parallel_plan);
+  EXPECT_TRUE(parallel.has_actuals);
+  EXPECT_EQ(parallel.replans, 1u);
 }
 
 TEST(ParallelExecGrantTest, WorkloadManagerStampsDop) {

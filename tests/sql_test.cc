@@ -493,7 +493,7 @@ TEST_F(SqlEndToEndTest, ShowStatsExposesEngineMetrics) {
   // dashboard contract. (The registry is process-global and shared across
   // tests, so only presence and monotonicity are asserted.)
   for (const char* name :
-       {"txn.commits", "txn.aborts", "mvcc.versions_installed",
+       {"txn.commits", "txn.aborts", "txn.write_conflicts",
         "wal.records", "wal.batches", "wal.fsyncs", "wal.sealed",
         "wal.batch_size.count", "wal.group_wait_us.count", "merge.runs",
         "2pc.commits", "net.messages",

@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "storage/catalog.h"
 #include "txn/transaction_manager.h"
 
@@ -111,6 +112,27 @@ TEST_P(TxnTest, FirstCommitterWins) {
   Row out;
   ASSERT_TRUE(check->Get(table_, KeyOf(1), &out));
   EXPECT_EQ(out[1].AsInt64(), 1);
+}
+
+TEST_P(TxnTest, WriteConflictAbortCountedOnce) {
+  {
+    auto setup = tm_->Begin();
+    ASSERT_TRUE(setup->Insert(table_, MakeRow(1, 0)).ok());
+    ASSERT_TRUE(tm_->Commit(setup.get()).ok());
+  }
+  obs::Counter* conflicts =
+      obs::MetricsRegistry::Default()->GetCounter("txn.write_conflicts");
+  const uint64_t before = conflicts->Value();
+  auto t1 = tm_->Begin();
+  auto t2 = tm_->Begin();
+  ASSERT_TRUE(t1->Update(table_, MakeRow(1, 1)).ok());
+  ASSERT_TRUE(t2->Update(table_, MakeRow(1, 2)).ok());
+  ASSERT_TRUE(tm_->Commit(t1.get()).ok());
+  EXPECT_TRUE(tm_->Commit(t2.get()).IsAborted());
+#ifndef OLTAP_OBS_DISABLED
+  // Only the loser's first-committer-wins abort counts.
+  EXPECT_EQ(conflicts->Value(), before + 1);
+#endif
 }
 
 TEST_P(TxnTest, ConcurrentInsertSameKeyOneWins) {
