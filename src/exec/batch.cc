@@ -31,32 +31,22 @@ void ColumnVector::Reserve(size_t n) {
   }
 }
 
-void ColumnVector::MarkNullable(size_t upto) {
-  if (!has_nulls_) {
-    has_nulls_ = true;
-  }
-  if (nulls_.size() < upto) nulls_.Resize(upto);
-}
-
 void ColumnVector::AppendInt64(int64_t v) {
   OLTAP_DCHECK(type_ == ValueType::kInt64);
   i64_.push_back(v);
   ++size_;
-  if (has_nulls_) nulls_.Resize(size_);
 }
 
 void ColumnVector::AppendDouble(double v) {
   OLTAP_DCHECK(type_ == ValueType::kDouble);
   f64_.push_back(v);
   ++size_;
-  if (has_nulls_) nulls_.Resize(size_);
 }
 
 void ColumnVector::AppendString(std::string v) {
   OLTAP_DCHECK(type_ == ValueType::kString);
   str_.push_back(std::move(v));
   ++size_;
-  if (has_nulls_) nulls_.Resize(size_);
 }
 
 void ColumnVector::AppendNull() {
@@ -72,7 +62,8 @@ void ColumnVector::AppendNull() {
       break;
   }
   ++size_;
-  MarkNullable(size_);
+  has_nulls_ = true;
+  nulls_.Resize(size_);
   nulls_.Set(size_ - 1);
 }
 
@@ -83,15 +74,16 @@ void ColumnVector::AppendValue(const Value& v) {
   }
   switch (type_) {
     case ValueType::kInt64:
-      AppendInt64(v.AsInt64());
-      return;
+      i64_.push_back(v.AsInt64());
+      break;
     case ValueType::kDouble:
-      AppendDouble(v.AsDouble());
-      return;
+      f64_.push_back(v.AsDouble());
+      break;
     case ValueType::kString:
-      AppendString(v.AsString());
-      return;
+      str_.push_back(v.AsString());
+      break;
   }
+  ++size_;
 }
 
 ColumnVector ColumnVector::FromValues(ValueType t,
@@ -110,12 +102,24 @@ Row Batch::GetRow(size_t i) const {
 }
 
 void Batch::AppendRow(const Row& row, const std::vector<ValueType>& types) {
-  if (columns.empty()) {
-    columns.reserve(types.size());
-    for (ValueType t : types) columns.emplace_back(t);
-  }
+  if (columns.empty()) Reset(types);
   OLTAP_DCHECK(row.size() == columns.size());
   for (size_t c = 0; c < row.size(); ++c) columns[c].AppendValue(row[c]);
+}
+
+void Batch::Reset(const std::vector<ValueType>& types) {
+  columns.clear();
+  columns.reserve(types.size());
+  for (ValueType t : types) columns.emplace_back(t);
+}
+
+void Batch::AppendRows(const Batch& src, const std::vector<uint32_t>& sel,
+                       size_t first) {
+  for (size_t c = 0; c < src.num_columns(); ++c) {
+    ColumnVector& dst = columns[first + c];
+    if (dst.size() == 0) dst.Reserve(sel.size());
+    for (uint32_t r : sel) dst.AppendFrom(src.columns[c], r);
+  }
 }
 
 }  // namespace oltap

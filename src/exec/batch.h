@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
+#include "common/logging.h"
 #include "storage/row.h"
 #include "storage/value.h"
 
@@ -22,7 +23,10 @@ class ColumnVector {
   ValueType type() const { return type_; }
   size_t size() const { return size_; }
 
-  bool IsNull(size_t i) const { return has_nulls_ && nulls_.Get(i); }
+  // The null mask only extends to the last null appended.
+  bool IsNull(size_t i) const {
+    return has_nulls_ && i < nulls_.size() && nulls_.Get(i);
+  }
   bool has_nulls() const { return has_nulls_; }
 
   int64_t GetInt64(size_t i) const { return i64_[i]; }
@@ -36,6 +40,9 @@ class ColumnVector {
   void AppendString(std::string v);
   void AppendNull();
   void AppendValue(const Value& v);
+  // Appends cell `i` of `src`, which has this vector's type: the typed
+  // cell copy every operator uses to move rows between batches.
+  void AppendFrom(const ColumnVector& src, size_t i);
 
   // Direct array access for kernels.
   const std::vector<int64_t>& i64() const { return i64_; }
@@ -48,8 +55,6 @@ class ColumnVector {
   static ColumnVector FromValues(ValueType t, const std::vector<Value>& vals);
 
  private:
-  void MarkNullable(size_t upto);
-
   ValueType type_ = ValueType::kInt64;
   size_t size_ = 0;
   bool has_nulls_ = false;
@@ -70,7 +75,32 @@ struct Batch {
 
   Row GetRow(size_t i) const;
   void AppendRow(const Row& row, const std::vector<ValueType>& types);
+  // Clears the batch to empty columns of `types`.
+  void Reset(const std::vector<ValueType>& types);
+  // Appends rows `sel` of `src` to columns [first, first + src width).
+  void AppendRows(const Batch& src, const std::vector<uint32_t>& sel,
+                  size_t first = 0);
 };
+
+inline void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
+  OLTAP_DCHECK(src.type_ == type_);
+  if (src.IsNull(i)) {
+    AppendNull();
+    return;
+  }
+  switch (type_) {
+    case ValueType::kInt64:
+      i64_.push_back(src.i64_[i]);
+      break;
+    case ValueType::kDouble:
+      f64_.push_back(src.f64_[i]);
+      break;
+    case ValueType::kString:
+      str_.push_back(src.str_[i]);
+      break;
+  }
+  ++size_;
+}
 
 // Default number of rows per batch (a few L1-friendly vectors).
 inline constexpr size_t kDefaultBatchRows = 2048;

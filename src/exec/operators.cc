@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <numeric>
 
 #include "common/logging.h"
@@ -52,6 +51,172 @@ ExprPtr RemapExprColumns(const ExprPtr& e, const std::vector<int>& remap) {
 }
 
 namespace {
+
+// NULL key cells hash alike, so NULL group keys meet in one group.
+constexpr uint64_t kNullKeyHash = 0x9ae16a3b2f90404fULL;
+
+// No row: the end of a join hash chain.
+constexpr uint32_t kNoRow = UINT32_MAX;
+
+double NumericCell(const ColumnVector& c, size_t i) {
+  return c.type() == ValueType::kDouble ? c.GetDouble(i)
+                                        : static_cast<double>(c.GetInt64(i));
+}
+
+// Equality of two non-NULL key cells: cells of one type compare exactly,
+// an int64 and a double compare as doubles, a string never equals a
+// number.
+bool CellsEqual(const ColumnVector& a, size_t i, const ColumnVector& b,
+                size_t j) {
+  if (a.type() == b.type()) {
+    switch (a.type()) {
+      case ValueType::kInt64:
+        return a.GetInt64(i) == b.GetInt64(j);
+      case ValueType::kDouble:
+        return a.GetDouble(i) == b.GetDouble(j);
+      case ValueType::kString:
+        return a.GetString(i) == b.GetString(j);
+    }
+  }
+  if (a.type() == ValueType::kString || b.type() == ValueType::kString) {
+    return false;
+  }
+  return NumericCell(a, i) == NumericCell(b, j);
+}
+
+// The key cells of row `row` across `cols`: hashed on their types (an
+// int64 cell as a double where `as_double` says so, to meet a double key)
+// and compared with NULL equal to NULL.
+uint64_t KeyHash(const std::vector<const ColumnVector*>& cols, size_t row,
+                 const std::vector<bool>& as_double) {
+  uint64_t h = 0;
+  for (size_t k = 0; k < cols.size(); ++k) {
+    const ColumnVector& c = *cols[k];
+    uint64_t ch = kNullKeyHash;
+    if (!c.IsNull(row)) {
+      switch (c.type()) {
+        case ValueType::kInt64:
+          ch = !as_double.empty() && as_double[k]
+                   ? HashDouble(static_cast<double>(c.GetInt64(row)))
+                   : HashInt64(c.GetInt64(row));
+          break;
+        case ValueType::kDouble:
+          ch = HashDouble(c.GetDouble(row));
+          break;
+        case ValueType::kString:
+          ch = HashString(c.GetString(row));
+          break;
+      }
+    }
+    h = k == 0 ? ch : HashCombine(h, ch);
+  }
+  return h;
+}
+
+bool KeysEqual(const std::vector<const ColumnVector*>& a, size_t i,
+               const std::vector<const ColumnVector*>& b, size_t j) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    bool an = a[k]->IsNull(i);
+    bool bn = b[k]->IsNull(j);
+    if (an || bn) {
+      if (an != bn) return false;
+      continue;
+    }
+    if (!CellsEqual(*a[k], i, *b[k], j)) return false;
+  }
+  return true;
+}
+
+bool AnyNull(const std::vector<const ColumnVector*>& cols, size_t row) {
+  for (const ColumnVector* c : cols) {
+    if (c->IsNull(row)) return true;
+  }
+  return false;
+}
+
+std::vector<const ColumnVector*> ColumnsOf(const Batch& b,
+                                           const std::vector<int>& idx) {
+  std::vector<const ColumnVector*> out;
+  out.reserve(idx.size());
+  for (int c : idx) out.push_back(&b.columns[static_cast<size_t>(c)]);
+  return out;
+}
+
+std::vector<const ColumnVector*> ColumnsOf(const Batch& b) {
+  std::vector<const ColumnVector*> out;
+  out.reserve(b.num_columns());
+  for (const ColumnVector& c : b.columns) out.push_back(&c);
+  return out;
+}
+
+// Value::Compare of cell i of `c` against `v`, without boxing the cell.
+int CompareCell(const ColumnVector& c, size_t i, const Value& v) {
+  bool cn = c.IsNull(i);
+  if (cn || v.is_null()) {
+    if (cn && v.is_null()) return 0;
+    return cn ? -1 : 1;
+  }
+  switch (c.type()) {
+    case ValueType::kString: {
+      int cmp = c.GetString(i).compare(v.AsString());
+      return cmp < 0 ? -1 : cmp > 0 ? 1 : 0;
+    }
+    case ValueType::kInt64:
+      if (v.type() == ValueType::kInt64) {
+        int64_t a = c.GetInt64(i), b = v.AsInt64();
+        return a < b ? -1 : a > b ? 1 : 0;
+      }
+      break;
+    case ValueType::kDouble:
+      break;
+  }
+  double a = NumericCell(c, i), b = v.AsDouble();
+  return a < b ? -1 : a > b ? 1 : 0;
+}
+
+// The positions [begin, end), for Batch::AppendRows.
+std::vector<uint32_t> RowRange(size_t begin, size_t end) {
+  std::vector<uint32_t> sel(end - begin);
+  std::iota(sel.begin(), sel.end(), static_cast<uint32_t>(begin));
+  return sel;
+}
+
+// Runs `op` to completion into one columnar batch of its output types.
+Batch CollectBatch(PhysicalOp* op) {
+  Batch all;
+  all.Reset(op->OutputTypes());
+  op->OpenTimed();
+  Batch batch;
+  while (op->NextBatchTimed(&batch)) {
+    all.AppendRows(batch, RowRange(0, batch.num_rows()));
+  }
+  return all;
+}
+
+// Reads rows `rids` of a main-fragment column.
+ColumnVector GatherSegment(const ColumnSegment& seg,
+                           const std::vector<uint32_t>& rids) {
+  ColumnVector cv(seg.type());
+  cv.Reserve(rids.size());
+  for (uint32_t rid : rids) {
+    if (seg.IsNull(rid)) {
+      cv.AppendNull();
+      continue;
+    }
+    switch (seg.type()) {
+      case ValueType::kInt64:
+        cv.AppendInt64(seg.GetInt64(rid));
+        break;
+      case ValueType::kDouble:
+        cv.AppendDouble(seg.GetDouble(rid));
+        break;
+      case ValueType::kString:
+        cv.AppendString(std::string(seg.GetString(rid)));
+        break;
+    }
+  }
+  return cv;
+}
 
 void ExplainInto(const PhysicalOp* op, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
@@ -190,6 +355,14 @@ std::string ScanOp::Describe() const {
   } else if (path_ == Path::kColumn) {
     out += ", path=column";
   }
+  const Schema& schema = table_->schema();
+  if (projection_.size() < schema.num_columns()) {
+    out += ", cols=";
+    for (size_t i = 0; i < projection_.size(); ++i) {
+      if (i > 0) out += ",";
+      out += schema.column(projection_[i]).name;
+    }
+  }
   out += ")";
   return out;
 }
@@ -233,7 +406,7 @@ void ScanOp::PrepareMorsels() {
   prepared_ = true;
   rows_scanned_ = 0;
   zones_pruned_ = 0;
-  pending_rows_.clear();
+  pending_.Reset(out_types_);
   num_main_morsels_ = 0;
 
   // Resolve the physical side: column whenever one exists (historical
@@ -244,20 +417,23 @@ void ScanOp::PrepareMorsels() {
     columnar_ = false;
   }
   // Delta, frozen-delta and row-engine rows: row-at-a-time with the full
-  // predicate, collected in serial iteration order.
+  // predicate, tested in place; the projected cells of those that pass
+  // collect in serial iteration order.
   auto consume = [&](const Row& row) {
     ++rows_scanned_;
     if (predicate_ != nullptr) {
       Value v = predicate_->EvalRow(row);
       if (v.is_null() || !v.AsBool()) return;
     }
-    pending_rows_.push_back(row);
+    for (size_t p = 0; p < projection_.size(); ++p) {
+      pending_.columns[p].AppendValue(row[projection_[p]]);
+    }
   };
   if (!columnar_) {
-    // Row engine (or forced row mirror of a dual table): materialize
-    // passing rows once (OLTP-sized tables).
+    // Row engine (or forced row mirror of a dual table): one pass over
+    // the visible rows (OLTP-sized tables).
     table_->row_table()->ScanVisible(read_ts_, consume);
-    num_slots_ = pending_rows_.empty() ? 0 : 1;
+    num_slots_ = pending_.num_rows() == 0 ? 0 : 1;
     return;
   }
 
@@ -282,18 +458,20 @@ void ScanOp::PrepareMorsels() {
     residual_ = Expr::CombineConjuncts(residual_terms);
   }
 
-  // Gather only the columns the output or the residual actually touches.
-  needed_ = projection_;
-  CollectExprColumns(residual_, &needed_);
-  std::sort(needed_.begin(), needed_.end());
-  needed_.erase(std::unique(needed_.begin(), needed_.end()), needed_.end());
-  schema_to_batch_.assign(table_->schema().num_columns(), -1);
-  for (size_t i = 0; i < needed_.size(); ++i) {
-    schema_to_batch_[needed_[i]] = static_cast<int>(i);
+  // The residual runs over a batch of just the columns it reads.
+  residual_cols_.clear();
+  CollectExprColumns(residual_, &residual_cols_);
+  std::sort(residual_cols_.begin(), residual_cols_.end());
+  residual_cols_.erase(
+      std::unique(residual_cols_.begin(), residual_cols_.end()),
+      residual_cols_.end());
+  std::vector<int> schema_to_batch(table_->schema().num_columns(), -1);
+  for (size_t i = 0; i < residual_cols_.size(); ++i) {
+    schema_to_batch[residual_cols_[i]] = static_cast<int>(i);
   }
   residual_remapped_ =
       residual_ == nullptr ? nullptr
-                           : RemapExprColumns(residual_, schema_to_batch_);
+                           : RemapExprColumns(residual_, schema_to_batch);
 
   PrepareMainSelection();
 
@@ -304,7 +482,7 @@ void ScanOp::PrepareMorsels() {
   snap_->delta->ForEachVisible(read_ts_, consume_delta);
 
   num_main_morsels_ = (main_sel_.size() + kMorselRows - 1) / kMorselRows;
-  num_slots_ = num_main_morsels_ + (pending_rows_.empty() ? 0 : 1);
+  num_slots_ = num_main_morsels_ + (pending_.num_rows() == 0 ? 0 : 1);
 }
 
 void ScanOp::PrepareMainSelection() {
@@ -326,7 +504,6 @@ void ScanOp::PrepareMainSelection() {
 
 bool ScanOp::GatherMain(size_t* pos, size_t end, Batch* out) const {
   const MainFragment& main = *snap_->main;
-  const Schema& schema = table_->schema();
   // Gather the next chunk of selected rowids.
   std::vector<uint32_t> rids;
   rids.reserve(kDefaultBatchRows);
@@ -338,71 +515,38 @@ bool ScanOp::GatherMain(size_t* pos, size_t end, Batch* out) const {
   *pos = i;
   if (rids.empty()) return false;
 
-  // Gather the needed columns (projection ∪ residual refs), then filter,
-  // then project.
-  Batch full;
-  full.columns.reserve(needed_.size());
-  for (int c : needed_) {
-    ColumnVector cv(schema.column(c).type);
-    cv.Reserve(rids.size());
-    const ColumnSegment& seg = main.column(c);
-    for (uint32_t rid : rids) {
-      if (seg.IsNull(rid)) {
-        cv.AppendNull();
-        continue;
-      }
-      switch (seg.type()) {
-        case ValueType::kInt64:
-          cv.AppendInt64(seg.GetInt64(rid));
-          break;
-        case ValueType::kDouble:
-          cv.AppendDouble(seg.GetDouble(rid));
-          break;
-        case ValueType::kString:
-          cv.AppendString(std::string(seg.GetString(rid)));
-          break;
-      }
-    }
-    full.columns.push_back(std::move(cv));
-  }
-
-  BitVector keep;
+  // Run the residual over its own columns and narrow the rowids to the
+  // rows that pass; only then gather the projected columns.
   if (residual_remapped_ != nullptr) {
-    residual_remapped_->EvalPredicate(full, &keep);
-  } else {
-    keep.Resize(full.num_rows());
-    keep.SetAll();
-  }
-
-  out->columns.clear();
-  out->columns.reserve(projection_.size());
-  for (size_t p = 0; p < projection_.size(); ++p) {
-    const ColumnVector& src =
-        full.columns[schema_to_batch_[projection_[p]]];
-    ColumnVector cv(src.type());
+    Batch res;
+    res.columns.reserve(residual_cols_.size());
+    for (int c : residual_cols_) {
+      res.columns.push_back(GatherSegment(main.column(c), rids));
+    }
+    BitVector keep;
+    residual_remapped_->EvalPredicate(res, &keep);
+    size_t kept = 0;
     for (size_t r = keep.FindNextSet(0); r < keep.size();
          r = keep.FindNextSet(r + 1)) {
-      cv.AppendValue(src.GetValue(r));
+      rids[kept++] = rids[r];
     }
-    out->columns.push_back(std::move(cv));
+    rids.resize(kept);
+  }
+  out->columns.clear();
+  out->columns.reserve(projection_.size());
+  for (int c : projection_) {
+    out->columns.push_back(GatherSegment(main.column(c), rids));
   }
   return true;
 }
 
 bool ScanOp::EmitPending(size_t* pos, Batch* out) const {
-  if (*pos >= pending_rows_.size()) return false;
-  out->columns.clear();
-  out->columns.reserve(projection_.size());
-  for (size_t p = 0; p < projection_.size(); ++p) {
-    out->columns.emplace_back(out_types_[p]);
-  }
-  size_t end = std::min(pending_rows_.size(), *pos + kDefaultBatchRows);
-  for (; *pos < end; ++*pos) {
-    const Row& row = pending_rows_[*pos];
-    for (size_t p = 0; p < projection_.size(); ++p) {
-      out->columns[p].AppendValue(row[projection_[p]]);
-    }
-  }
+  const size_t n = pending_.num_rows();
+  if (*pos >= n) return false;
+  size_t end = std::min(n, *pos + kDefaultBatchRows);
+  out->Reset(out_types_);
+  out->AppendRows(pending_, RowRange(*pos, end));
+  *pos = end;
   return true;
 }
 
@@ -494,17 +638,11 @@ std::vector<ValueType> FilterOp::OutputTypes() const {
 bool FilterOp::FilterBatch(const Batch& in, Batch* out) const {
   BitVector keep;
   predicate_->EvalPredicate(in, &keep);
-  if (keep.CountSet() == 0) return false;
-  out->columns.clear();
-  out->columns.reserve(in.num_columns());
-  for (size_t c = 0; c < in.num_columns(); ++c) {
-    ColumnVector cv(in.columns[c].type());
-    for (size_t r = keep.FindNextSet(0); r < keep.size();
-         r = keep.FindNextSet(r + 1)) {
-      cv.AppendValue(in.columns[c].GetValue(r));
-    }
-    out->columns.push_back(std::move(cv));
-  }
+  std::vector<uint32_t> sel;
+  keep.AppendSetIndices(&sel);
+  if (sel.empty()) return false;
+  out->Reset(OutputTypes());
+  out->AppendRows(in, sel);
   return true;
 }
 
@@ -654,60 +792,117 @@ void HashAggOp::Aggregate() {
   for (const AggAccumulator& a : accs) acc_.MergeFrom(a);
 }
 
+AggAccumulator::AggAccumulator(const std::vector<ExprPtr>* group_exprs,
+                               const std::vector<AggSpec>* aggs)
+    : group_exprs_(group_exprs), aggs_(aggs) {
+  Clear();
+}
+
 void AggAccumulator::Clear() {
-  index_.clear();
-  groups_.clear();
+  std::vector<ValueType> types;
+  types.reserve(group_exprs_->size());
+  for (const ExprPtr& g : *group_exprs_) types.push_back(g->result_type());
+  keys_.Reset(types);
+  hashes_.clear();
+  states_.clear();
+  index_.assign(16, 0);
+}
+
+uint32_t AggAccumulator::FindOrInsert(
+    const std::vector<const ColumnVector*>& mine,
+    const std::vector<const ColumnVector*>& cols, size_t row, uint64_t h) {
+  size_t mask = index_.size() - 1;
+  size_t pos = h & mask;
+  for (; index_[pos] != 0; pos = (pos + 1) & mask) {
+    uint32_t g = index_[pos] - 1;
+    if (hashes_[g] == h && KeysEqual(mine, g, cols, row)) return g;
+  }
+  const uint32_t g = static_cast<uint32_t>(hashes_.size());
+  for (size_t k = 0; k < cols.size(); ++k) {
+    keys_.columns[k].AppendFrom(*cols[k], row);
+  }
+  hashes_.push_back(h);
+  states_.resize(states_.size() + aggs_->size());
+  index_[pos] = g + 1;
+  if (2 * hashes_.size() > index_.size()) {
+    // Keep the load at most 1/2: double and re-place every group.
+    index_.assign(index_.size() * 2, 0);
+    mask = index_.size() - 1;
+    for (uint32_t e = 0; e < hashes_.size(); ++e) {
+      size_t p = hashes_[e] & mask;
+      while (index_[p] != 0) p = (p + 1) & mask;
+      index_[p] = e + 1;
+    }
+  }
+  return g;
 }
 
 void AggAccumulator::Consume(const Batch& batch) {
   const std::vector<ExprPtr>& group_exprs = *group_exprs_;
   const std::vector<AggSpec>& aggs = *aggs_;
-  size_t n = batch.num_rows();
+  const size_t n = batch.num_rows();
   if (n == 0) return;
-  // Evaluate group keys and agg arguments once per batch.
-  std::vector<ColumnVector> keys;
+  // Group keys and aggregate arguments once per batch; a column
+  // reference reads the batch column in place.
+  std::vector<ColumnVector> evaluated(group_exprs.size() + aggs.size());
+  auto eval = [&](const ExprPtr& e, size_t slot) -> const ColumnVector* {
+    if (e->kind() == Expr::Kind::kColumn) {
+      return &batch.columns[static_cast<size_t>(e->column_index())];
+    }
+    evaluated[slot] = e->EvalBatch(batch);
+    return &evaluated[slot];
+  };
+  std::vector<const ColumnVector*> keys;
   keys.reserve(group_exprs.size());
-  for (const ExprPtr& g : group_exprs) keys.push_back(g->EvalBatch(batch));
-  std::vector<ColumnVector> args(aggs.size());
+  for (size_t k = 0; k < group_exprs.size(); ++k) {
+    keys.push_back(eval(group_exprs[k], k));
+  }
+  std::vector<const ColumnVector*> args(aggs.size(), nullptr);
   for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].arg != nullptr) args[a] = aggs[a].arg->EvalBatch(batch);
+    if (aggs[a].arg != nullptr) {
+      args[a] = eval(aggs[a].arg, group_exprs.size() + a);
+    }
   }
 
-  Row key_row(group_exprs.size());
+  const std::vector<const ColumnVector*> mine = ColumnsOf(keys_);
+  std::vector<uint32_t> gid(n);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t k = 0; k < keys.size(); ++k) key_row[k] = keys[k].GetValue(i);
-    std::string hk = HashKeyOf(key_row);
-    auto [it, inserted] = index_.emplace(std::move(hk), groups_.size());
-    if (inserted) {
-      Group g;
-      g.keys = key_row;
-      g.states.resize(aggs.size());
-      groups_.push_back(std::move(g));
+    gid[i] = FindOrInsert(mine, keys, i, KeyHash(keys, i, {}));
+  }
+
+  // Fold each aggregate over the batch; per group, rows fold in input
+  // order, as the float sums require.
+  const size_t na = aggs.size();
+  for (size_t a = 0; a < na; ++a) {
+    const AggSpec& spec = aggs[a];
+    if (spec.fn == AggSpec::Fn::kCountStar) {
+      for (size_t i = 0; i < n; ++i) ++states_[gid[i] * na + a].count;
+      continue;
     }
-    Group& group = groups_[it->second];
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AggState& st = group.states[a];
-      const AggSpec& spec = aggs[a];
-      if (spec.fn == AggSpec::Fn::kCountStar) {
-        ++st.count;
-        continue;
-      }
-      if (args[a].IsNull(i)) continue;  // SQL: aggregates skip NULLs
-      Value v = args[a].GetValue(i);
+    const ColumnVector& arg = *args[a];
+    for (size_t i = 0; i < n; ++i) {
+      if (arg.IsNull(i)) continue;  // SQL: aggregates skip NULLs
+      AggState& st = states_[gid[i] * na + a];
       ++st.count;
       switch (spec.fn) {
         case AggSpec::Fn::kSum:
         case AggSpec::Fn::kAvg:
-          if (v.type() == ValueType::kInt64) {
-            st.isum += v.AsInt64();
+          if (arg.type() == ValueType::kInt64) {
+            st.isum += arg.GetInt64(i);
+            st.sum += static_cast<double>(arg.GetInt64(i));
+          } else if (arg.type() == ValueType::kDouble) {
+            st.sum += arg.GetDouble(i);
           }
-          st.sum += v.AsDouble();
           break;
         case AggSpec::Fn::kMin:
-          if (!st.any || v.Compare(st.min) < 0) st.min = v;
+          if (!st.any || CompareCell(arg, i, st.min) < 0) {
+            st.min = arg.GetValue(i);
+          }
           break;
         case AggSpec::Fn::kMax:
-          if (!st.any || v.Compare(st.max) > 0) st.max = v;
+          if (!st.any || CompareCell(arg, i, st.max) > 0) {
+            st.max = arg.GetValue(i);
+          }
           break;
         default:
           break;
@@ -718,20 +913,14 @@ void AggAccumulator::Consume(const Batch& batch) {
 }
 
 void AggAccumulator::MergeFrom(const AggAccumulator& other) {
-  const std::vector<AggSpec>& aggs = *aggs_;
-  for (const Group& og : other.groups_) {
-    std::string hk = HashKeyOf(og.keys);
-    auto [it, inserted] = index_.emplace(std::move(hk), groups_.size());
-    if (inserted) {
-      Group g;
-      g.keys = og.keys;
-      g.states.resize(aggs.size());
-      groups_.push_back(std::move(g));
-    }
-    Group& group = groups_[it->second];
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AggState& st = group.states[a];
-      const AggState& os = og.states[a];
+  const size_t na = aggs_->size();
+  const std::vector<const ColumnVector*> mine = ColumnsOf(keys_);
+  const std::vector<const ColumnVector*> theirs = ColumnsOf(other.keys_);
+  for (size_t og = 0; og < other.num_groups(); ++og) {
+    uint32_t g = FindOrInsert(mine, theirs, og, other.hashes_[og]);
+    for (size_t a = 0; a < na; ++a) {
+      AggState& st = states_[g * na + a];
+      const AggState& os = other.states_[og * na + a];
       st.count += os.count;
       st.isum += os.isum;
       st.sum += os.sum;
@@ -772,15 +961,11 @@ bool HashAggOp::NextBatch(Batch* out) {
     Aggregate();
     done_ = true;
   }
-  const std::vector<AggAccumulator::Group>& groups = acc_.groups();
-  bool synth_empty =
-      group_exprs_.empty() && groups.empty() && emit_pos_ == 0;
-  if (!synth_empty && emit_pos_ >= groups.size()) return false;
+  const size_t groups = acc_.num_groups();
+  bool synth_empty = group_exprs_.empty() && groups == 0 && emit_pos_ == 0;
+  if (!synth_empty && emit_pos_ >= groups) return false;
 
-  std::vector<ValueType> types = OutputTypes();
-  out->columns.clear();
-  out->columns.reserve(types.size());
-  for (ValueType t : types) out->columns.emplace_back(t);
+  out->Reset(OutputTypes());
   if (synth_empty) {
     // Global aggregate over zero rows still yields one output row.
     AggAccumulator::AggState empty;
@@ -790,17 +975,15 @@ bool HashAggOp::NextBatch(Batch* out) {
     ++emit_pos_;
     return true;
   }
-  size_t end = std::min(groups.size(), emit_pos_ + kDefaultBatchRows);
-  for (; emit_pos_ < end; ++emit_pos_) {
-    const AggAccumulator::Group& g = groups[emit_pos_];
-    size_t c = 0;
-    for (size_t k = 0; k < group_exprs_.size(); ++k) {
-      out->columns[c++].AppendValue(g.keys[k]);
-    }
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      out->columns[c++].AppendValue(acc_.Finalize(aggs_[a], g.states[a]));
+  size_t end = std::min(groups, emit_pos_ + kDefaultBatchRows);
+  out->AppendRows(acc_.keys(), RowRange(emit_pos_, end));
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    ColumnVector& col = out->columns[group_exprs_.size() + a];
+    for (size_t g = emit_pos_; g < end; ++g) {
+      col.AppendValue(acc_.Finalize(aggs_[a], acc_.state(g, a)));
     }
   }
+  emit_pos_ = end;
   return true;
 }
 
@@ -841,59 +1024,40 @@ std::vector<ValueType> HashJoinOp::OutputTypes() const {
 }
 
 void HashJoinOp::BuildTable() {
-  build_rows_ = CollectRows(build_.get());  // CollectRows opens the child
-  const size_t n = build_rows_.size();
-  const size_t nparts = std::max<size_t>(1, ctx_.dop);
-  parts_.assign(nparts, {});
-  // Encodes row i's key into `key`; false for a NULL key (never joins).
-  auto key_of = [this](size_t i, Row* key_row, std::string* key) {
-    for (size_t k = 0; k < build_keys_.size(); ++k) {
-      (*key_row)[k] = build_rows_[i][build_keys_[k]];
-      if ((*key_row)[k].is_null()) return false;
-    }
-    *key = HashKeyOf(*key_row);
-    return true;
-  };
-  if (nparts == 1) {
-    Row key_row(build_keys_.size());
-    std::string key;
-    for (size_t i = 0; i < n; ++i) {
-      if (key_of(i, &key_row, &key)) parts_[0][std::move(key)].push_back(i);
-    }
-    return;
+  build_batch_ = CollectBatch(build_.get());  // opens the child
+  const size_t n = build_batch_.num_rows();
+  OLTAP_CHECK(n < kNoRow);
+  const std::vector<ValueType> probe_types = probe_->OutputTypes();
+  as_double_.assign(build_keys_.size(), false);
+  for (size_t k = 0; k < build_keys_.size(); ++k) {
+    ValueType b = build_batch_.columns[build_keys_[k]].type();
+    ValueType p = probe_types[probe_keys_[k]];
+    as_double_[k] =
+        b != p && b != ValueType::kString && p != ValueType::kString;
   }
-
-  // Phase 1: per-row key encoding + hashing, chunked across the pool.
-  std::vector<std::string> keys(n);
-  std::vector<uint64_t> hashes(n);
-  std::vector<uint8_t> valid(n, 0);
-  std::hash<std::string> hasher;
+  const std::vector<const ColumnVector*> keys =
+      ColumnsOf(build_batch_, build_keys_);
+  build_hashes_.resize(n);
   auto hash_range = [&](size_t begin, size_t end) {
-    Row key_row(build_keys_.size());
     for (size_t i = begin; i < end; ++i) {
-      if (!key_of(i, &key_row, &keys[i])) continue;
-      hashes[i] = hasher(keys[i]);
-      valid[i] = 1;
+      build_hashes_[i] = KeyHash(keys, i, as_double_);
     }
   };
-  // Phase 2: one chunk per partition; each partition scans the hash array
-  // and inserts its rows in ascending build-row order.
-  auto insert_parts = [&](size_t pbegin, size_t pend) {
-    for (size_t p = pbegin; p < pend; ++p) {
-      auto& part = parts_[p];
-      for (size_t i = 0; i < n; ++i) {
-        if (valid[i] && hashes[i] % nparts == p) {
-          part[std::move(keys[i])].push_back(i);
-        }
-      }
-    }
-  };
-  if (ctx_.pool != nullptr) {
+  if (parallel() && ctx_.pool != nullptr) {
     ctx_.pool->ParallelForChunked(n, hash_range);
-    ctx_.pool->ParallelForChunked(nparts, insert_parts);
   } else {
     hash_range(0, n);
-    insert_parts(0, nparts);
+  }
+  // Descending inserts leave every chain in ascending build-row order.
+  size_t buckets = 16;
+  while (buckets < 2 * n) buckets <<= 1;
+  heads_.assign(buckets, kNoRow);
+  next_.assign(n, kNoRow);
+  for (size_t i = n; i-- > 0;) {
+    if (AnyNull(keys, i)) continue;  // a NULL key never joins
+    uint32_t& head = heads_[build_hashes_[i] & (buckets - 1)];
+    next_[i] = head;
+    head = static_cast<uint32_t>(i);
   }
 }
 
@@ -919,43 +1083,32 @@ void HashJoinOp::PrepareMorsels() {
 
 size_t HashJoinOp::slots() const { return probe_src_->slots(); }
 
-void HashJoinOp::ResetOutput(Batch* out) const {
-  std::vector<ValueType> types = OutputTypes();
-  out->columns.clear();
-  out->columns.reserve(types.size());
-  for (ValueType t : types) out->columns.emplace_back(t);
-}
-
 void HashJoinOp::ProbeInto(const Batch& in, size_t* pos, Batch* out) const {
-  Row key_row(probe_keys_.size());
-  std::hash<std::string> hasher;
-  while (*pos < in.num_rows() && out->num_rows() < kDefaultBatchRows) {
+  const std::vector<const ColumnVector*> keys = ColumnsOf(in, probe_keys_);
+  const std::vector<const ColumnVector*> build_keys =
+      ColumnsOf(build_batch_, build_keys_);
+  const size_t mask = heads_.size() - 1;
+  const size_t have = out->num_rows();
+  std::vector<uint32_t> build_sel, probe_sel;
+  while (*pos < in.num_rows() &&
+         have + build_sel.size() < kDefaultBatchRows) {
     size_t i = (*pos)++;
-    bool has_null = false;
-    for (size_t k = 0; k < probe_keys_.size(); ++k) {
-      key_row[k] = in.columns[probe_keys_[k]].GetValue(i);
-      has_null |= key_row[k].is_null();
-    }
-    if (has_null) continue;
-    std::string key = HashKeyOf(key_row);
-    const auto& part =
-        parts_.size() == 1 ? parts_[0] : parts_[hasher(key) % parts_.size()];
-    auto it = part.find(key);
-    if (it == part.end()) continue;
-    for (size_t bi : it->second) {
-      const Row& b = build_rows_[bi];
-      size_t c = 0;
-      for (const Value& v : b) out->columns[c++].AppendValue(v);
-      for (size_t pc = 0; pc < in.num_columns(); ++pc) {
-        out->columns[c++].AppendValue(in.columns[pc].GetValue(i));
+    if (AnyNull(keys, i)) continue;
+    uint64_t h = KeyHash(keys, i, as_double_);
+    for (uint32_t b = heads_[h & mask]; b != kNoRow; b = next_[b]) {
+      if (build_hashes_[b] == h && KeysEqual(build_keys, b, keys, i)) {
+        build_sel.push_back(b);
+        probe_sel.push_back(static_cast<uint32_t>(i));
       }
     }
   }
+  out->AppendRows(build_batch_, build_sel);
+  out->AppendRows(in, probe_sel, build_batch_.num_columns());
 }
 
 bool HashJoinOp::NextBatch(Batch* out) {
   if (parallel()) return slot_buf_.Next(out);
-  ResetOutput(out);
+  out->Reset(OutputTypes());
   while (out->num_rows() < kDefaultBatchRows) {
     if (probe_pos_ >= probe_batch_.num_rows()) {
       if (probe_done_ || !probe_->NextBatchTimed(&probe_batch_)) {
@@ -975,7 +1128,7 @@ void HashJoinOp::DriveSlots(const MorselSink& sink) {
     size_t pos = 0;
     while (pos < in.num_rows()) {
       Batch out;
-      ResetOutput(&out);
+      out.Reset(OutputTypes());
       ProbeInto(in, &pos, &out);
       if (out.num_rows() > 0) sink(slot, std::move(out));
     }
@@ -1021,9 +1174,7 @@ void SortOp::Open() {
 bool SortOp::NextBatch(Batch* out) {
   if (pos_ >= rows_.size()) return false;
   std::vector<ValueType> types = OutputTypes();
-  out->columns.clear();
-  out->columns.reserve(types.size());
-  for (ValueType t : types) out->columns.emplace_back(t);
+  out->Reset(types);
   size_t end = std::min(rows_.size(), pos_ + kDefaultBatchRows);
   for (; pos_ < end; ++pos_) {
     for (size_t c = 0; c < types.size(); ++c) {
@@ -1065,6 +1216,14 @@ bool TopNOp::Before(const Row& a, const Row& b) const {
   return false;
 }
 
+bool TopNOp::Before(const Batch& in, size_t i, const Row& b) const {
+  for (const SortOp::SortKey& k : keys_) {
+    int cmp = CompareCell(in.columns[k.column], i, b[k.column]);
+    if (cmp != 0) return k.descending ? cmp > 0 : cmp < 0;
+  }
+  return false;
+}
+
 void TopNOp::Open() {
   child_->OpenTimed();
   heap_.clear();
@@ -1079,14 +1238,14 @@ bool TopNOp::NextBatch(Batch* out) {
     auto worse = [this](const Row& a, const Row& b) { return Before(a, b); };
     Batch in;
     while (child_->NextBatchTimed(&in)) {
+      // Only a row that enters the heap is boxed into a Row.
       for (size_t i = 0; i < in.num_rows(); ++i) {
-        Row row = in.GetRow(i);
         if (heap_.size() < limit_) {
-          heap_.push_back(std::move(row));
+          heap_.push_back(in.GetRow(i));
           std::push_heap(heap_.begin(), heap_.end(), worse);
-        } else if (limit_ > 0 && Before(row, heap_.front())) {
+        } else if (limit_ > 0 && Before(in, i, heap_.front())) {
           std::pop_heap(heap_.begin(), heap_.end(), worse);
-          heap_.back() = std::move(row);
+          heap_.back() = in.GetRow(i);
           std::push_heap(heap_.begin(), heap_.end(), worse);
         }
       }
@@ -1096,9 +1255,7 @@ bool TopNOp::NextBatch(Batch* out) {
   }
   if (pos_ >= heap_.size()) return false;
   std::vector<ValueType> types = OutputTypes();
-  out->columns.clear();
-  out->columns.reserve(types.size());
-  for (ValueType t : types) out->columns.emplace_back(t);
+  out->Reset(types);
   size_t end = std::min(heap_.size(), pos_ + kDefaultBatchRows);
   for (; pos_ < end; ++pos_) {
     for (size_t c = 0; c < types.size(); ++c) {
@@ -1138,15 +1295,8 @@ bool LimitOp::NextBatch(Batch* out) {
   if (take == in.num_rows()) {
     *out = std::move(in);
   } else {
-    out->columns.clear();
-    out->columns.reserve(in.num_columns());
-    for (size_t c = 0; c < in.num_columns(); ++c) {
-      ColumnVector cv(in.columns[c].type());
-      for (size_t r = 0; r < take; ++r) {
-        cv.AppendValue(in.columns[c].GetValue(r));
-      }
-      out->columns.push_back(std::move(cv));
-    }
+    out->Reset(OutputTypes());
+    out->AppendRows(in, RowRange(0, take));
   }
   emitted_ += take;
   return true;

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -118,9 +117,10 @@ class MorselOp : public PhysicalOp, public MorselSource {
 
 // Table scan with predicate pushdown. For columnar tables, the pushable
 // (column <op> const) conjuncts run as packed-segment kernels with zone-map
-// pruning, the residual predicate runs vectorized per batch, and only the
-// projected columns of selected rows are gathered. Row tables fall back to
-// a row-wise visible scan.
+// pruning, the residual predicate runs vectorized per batch over only the
+// columns it reads, and only the projected columns of the rows that pass
+// are gathered. Delta rows and row-table rows are tested in place and
+// their projected cells appended to a columnar pending batch.
 //
 // At DOP >= 2 (columnar reads only) the selection — visibility mask plus
 // zone-pruned pushdown kernels over whole segments — still runs serially
@@ -130,7 +130,9 @@ class MorselOp : public PhysicalOp, public MorselSource {
 // holds exactly the rows the DOP-1 scan emits at that position.
 //
 // `predicate` refers to columns by *table schema* index; `projection`
-// selects and orders the output columns (empty = all columns).
+// selects and orders the output columns (empty = all columns). Describe()
+// lists the projected column names ("cols=") when they are fewer than the
+// table's.
 class ScanOp final : public MorselOp {
  public:
   // Which mirror of a dual-format table to read. kAuto is the historical
@@ -163,11 +165,12 @@ class ScanOp final : public MorselOp {
 
  private:
   void PrepareMainSelection();
-  // Gathers the next up to kDefaultBatchRows selected main rows in
-  // [*pos, end), runs the residual and projects them into `out` (which
-  // may end up empty). False once no selected row is left before `end`.
+  // Takes the next up to kDefaultBatchRows selected main rows in
+  // [*pos, end), runs the residual and gathers the projected columns of
+  // those that pass into `out` (which may end up empty). False once no
+  // selected row is left before `end`.
   bool GatherMain(size_t* pos, size_t end, Batch* out) const;
-  // Projects the next up to kDefaultBatchRows pending rows from *pos into
+  // Copies the next up to kDefaultBatchRows pending rows from *pos into
   // `out`; false once none are left.
   bool EmitPending(size_t* pos, Batch* out) const;
 
@@ -181,18 +184,17 @@ class ScanOp final : public MorselOp {
   // Pushdown split (columnar path).
   std::vector<Expr::ColumnPredicate> pushed_;
   ExprPtr residual_;
-  // Columns actually gathered from the main (projection ∪ residual refs),
-  // and the schema-index → gathered-batch-position map.
-  std::vector<int> needed_;
-  std::vector<int> schema_to_batch_;
-  ExprPtr residual_remapped_;  // residual with batch-position columns
+  // The schema columns the residual reads, gathered before it runs, and
+  // the residual rewritten over their positions.
+  std::vector<int> residual_cols_;
+  ExprPtr residual_remapped_;
 
   // Scan state, fixed by PrepareMorsels().
   bool prepared_ = false;
   bool columnar_ = false;
   std::optional<ColumnTable::Snapshot> snap_;
   BitVector main_sel_;
-  std::vector<Row> pending_rows_;  // filtered delta (and row-table) rows
+  Batch pending_;  // projected cells of the passing delta / row-table rows
   size_t num_main_morsels_ = 0;
   size_t num_slots_ = 0;
   // DOP-1 stream positions.
@@ -259,7 +261,10 @@ struct AggSpec {
 // The hash-aggregation state machine of HashAggOp: one instance at DOP 1,
 // one per morsel merged in morsel order at DOP >= 2. Groups are kept in
 // first-seen input order, which is what makes slot-ordered parallel
-// merges reproduce the serial group order exactly.
+// merges reproduce the serial group order exactly. Group keys live in a
+// columnar batch (group g is row g), found through an open-addressed
+// index over typed key hashes; NULL keys compare equal, so they form one
+// group.
 class AggAccumulator {
  public:
   struct AggState {
@@ -269,16 +274,10 @@ class AggAccumulator {
     Value min, max;
     bool any = false;
   };
-  struct Group {
-    Row keys;
-    std::vector<AggState> states;
-  };
 
-  AggAccumulator() = default;
   // Pointers must outlive the accumulator (the owning operator's members).
   AggAccumulator(const std::vector<ExprPtr>* group_exprs,
-                 const std::vector<AggSpec>* aggs)
-      : group_exprs_(group_exprs), aggs_(aggs) {}
+                 const std::vector<AggSpec>* aggs);
 
   void Consume(const Batch& batch);
   // Folds `other` into this, treating its input as the stream suffix:
@@ -289,14 +288,27 @@ class AggAccumulator {
   void MergeFrom(const AggAccumulator& other);
   Value Finalize(const AggSpec& spec, const AggState& st) const;
 
-  const std::vector<Group>& groups() const { return groups_; }
+  size_t num_groups() const { return hashes_.size(); }
+  // Group keys, one row per group in first-seen order.
+  const Batch& keys() const { return keys_; }
+  const AggState& state(size_t group, size_t agg) const {
+    return states_[group * aggs_->size() + agg];
+  }
   void Clear();
 
  private:
-  const std::vector<ExprPtr>* group_exprs_ = nullptr;
-  const std::vector<AggSpec>* aggs_ = nullptr;
-  std::unordered_map<std::string, size_t> index_;
-  std::vector<Group> groups_;
+  // The group whose keys equal row `row` of `cols` (hash `h`), appended
+  // as a new group if there is none. `mine` points at keys_'s columns.
+  uint32_t FindOrInsert(const std::vector<const ColumnVector*>& mine,
+                        const std::vector<const ColumnVector*>& cols,
+                        size_t row, uint64_t h);
+
+  const std::vector<ExprPtr>* group_exprs_;
+  const std::vector<AggSpec>* aggs_;
+  Batch keys_;
+  std::vector<uint64_t> hashes_;   // per group
+  std::vector<AggState> states_;   // group-major, aggs_->size() per group
+  std::vector<uint32_t> index_;    // open-addressed: group + 1, 0 = empty
 };
 
 // True when every aggregate can be pre-aggregated per morsel and merged
@@ -339,14 +351,17 @@ class HashAggOp final : public MorselOp {
 };
 
 // In-memory hash join (inner equi-join): materializes the build (left)
-// side, streams the probe (right) side. Output = left columns ++ right
-// columns; duplicate-key matches come out in ascending build-row order.
+// side as one columnar batch, streams the probe (right) side. Output =
+// left columns ++ right columns; duplicate-key matches come out in
+// ascending build-row order.
 //
-// At DOP >= 2 the hash table is built in two parallel phases — key
-// encoding + hashing chunked across the pool, then one worker per
-// partition (hash % dop) inserting its rows in ascending build-row order,
-// so every key's match list is the DOP-1 one — and each probe morsel is
-// joined inside the worker that produced it.
+// The hash table chains build rows through head/next arrays. Rows are
+// inserted in descending order, so every chain lists its rows ascending.
+// Keys hash and compare on typed cells: a key pair of an int64 and a
+// double column compares as double (as a Filter would), and a NULL key
+// never joins. At DOP >= 2 the build-key hashing runs chunked across the
+// pool, and each probe morsel is joined inside the worker that produced
+// it.
 class HashJoinOp final : public MorselOp {
  public:
   // At DOP >= 2, `probe` must be a MorselSource.
@@ -368,8 +383,6 @@ class HashJoinOp final : public MorselOp {
 
  private:
   void BuildTable();
-  // Starts `out` as an empty batch of the output types.
-  void ResetOutput(Batch* out) const;
   // Probes rows [*pos, in.num_rows()) of `in`, appending every match to
   // `out`; stops after the probe row that fills `out` to kDefaultBatchRows.
   void ProbeInto(const Batch& in, size_t* pos, Batch* out) const;
@@ -381,11 +394,13 @@ class HashJoinOp final : public MorselOp {
   std::vector<int> probe_keys_;
 
   bool prepared_ = false;
-  std::vector<Row> build_rows_;
-  // Partition p owns the keys with std::hash(key) % parts_.size() == p;
-  // DOP 1 has one partition and never hashes. Match lists are in
-  // ascending build-row order.
-  std::vector<std::unordered_map<std::string, std::vector<size_t>>> parts_;
+  Batch build_batch_;
+  std::vector<uint64_t> build_hashes_;
+  std::vector<uint32_t> heads_;  // bucket -> first build row of its chain
+  std::vector<uint32_t> next_;   // build row -> next row of its chain
+  // Per key: one side is int64 and the other double, so both hash and
+  // compare as double.
+  std::vector<bool> as_double_;
   // DOP-1 probe stream.
   Batch probe_batch_;
   size_t probe_pos_ = 0;
@@ -432,6 +447,8 @@ class TopNOp final : public PhysicalOp {
  private:
   // True if a precedes b in the requested order.
   bool Before(const Row& a, const Row& b) const;
+  // Before() for row `i` of `in` against `b`, on typed cells.
+  bool Before(const Batch& in, size_t i, const Row& b) const;
 
   PhysicalOpPtr child_;
   std::vector<SortOp::SortKey> keys_;
@@ -460,8 +477,9 @@ class LimitOp final : public PhysicalOp {
 // Runs an operator tree to completion, collecting all rows.
 std::vector<Row> CollectRows(PhysicalOp* op);
 
-// Serialized group-key encoding shared by aggregation and join (distinct
-// from storage key encoding: order is irrelevant, only equality).
+// Serialized encoding of a whole row for equality grouping (distinct from
+// storage key encoding: order is irrelevant). View maintenance and the
+// partition checks group by it; the operators hash typed cells instead.
 std::string HashKeyOf(const Row& values);
 
 // Collects the column indices an expression references (with duplicates).

@@ -161,11 +161,12 @@ ExprPtr ShiftColumns(const ExprPtr& e, int offset) {
 }
 
 // Rewrites column references through an arbitrary index map (combined
-// scope index → plan output position after join reordering).
+// scope index → plan output position after join reordering and pruning).
 ExprPtr RemapGlobal(const ExprPtr& e, const std::vector<int>& map) {
   if (e->kind() == Expr::Kind::kColumn) {
-    return Expr::Column(map[static_cast<size_t>(e->column_index())],
-                        e->result_type());
+    int pos = map[static_cast<size_t>(e->column_index())];
+    OLTAP_DCHECK(pos >= 0) << "column pruned from the plan";
+    return Expr::Column(pos, e->result_type());
   }
   switch (e->kind()) {
     case Expr::Kind::kConst:
@@ -202,6 +203,17 @@ std::vector<Expr::ColumnPredicate> PushablePreds(const ExprPtr& pred) {
     if (c->AsColumnPredicate(&cp)) out.push_back(cp);
   }
   return out;
+}
+
+// Marks every scope column an identifier in `e` names. Identifiers that
+// do not resolve are left to the binder, which reports them.
+void MarkNamedColumns(const ParseExpr& e, const BindScope& scope,
+                      std::vector<bool>* used) {
+  if (e.kind == ParseExpr::Kind::kIdent) {
+    Result<int> idx = scope.Find(e.qualifier, e.name);
+    if (idx.ok()) (*used)[static_cast<size_t>(*idx)] = true;
+  }
+  for (const auto& a : e.args) MarkNamedColumns(*a, scope, used);
 }
 
 struct FromTable {
@@ -539,6 +551,49 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
       if (!is_edge) late_filters.push_back(c);
     }
 
+    // Column pruning: each scan emits only the columns read above it —
+    // join keys, late filters, and the SELECT (* = all), GROUP BY and
+    // HAVING lists. A column only its own table's predicate reads is
+    // consumed inside the scan. A table that emits nothing keeps its first
+    // column, so its batches still carry the row count.
+    std::vector<bool> used(scope.cols.size(), false);
+    for (const EqEdge& e : edges) {
+      used[static_cast<size_t>(e.ga)] = true;
+      used[static_cast<size_t>(e.gb)] = true;
+    }
+    for (const ExprPtr& c : late_filters) {
+      std::vector<int> cols;
+      CollectColumns(c, &cols);
+      for (int col : cols) used[static_cast<size_t>(col)] = true;
+    }
+    if (stmt.items.size() == 1 &&
+        stmt.items[0].expr->kind == ParseExpr::Kind::kStar) {
+      used.assign(used.size(), true);
+    }
+    for (const SelectItem& item : stmt.items) {
+      MarkNamedColumns(*item.expr, scope, &used);
+    }
+    for (const ParseExprPtr& g : stmt.group_by) {
+      MarkNamedColumns(*g, scope, &used);
+    }
+    if (stmt.having != nullptr) MarkNamedColumns(*stmt.having, scope, &used);
+    // Per relation: its projection (schema indices), and each scope
+    // column's position within it.
+    std::vector<std::vector<int>> projection(from.size());
+    std::vector<int> local_pos(scope.cols.size(), -1);
+    for (size_t t = 0; t < from.size(); ++t) {
+      for (int j = 0; j < from[t].width; ++j) {
+        if (used[static_cast<size_t>(from[t].offset + j)]) {
+          projection[t].push_back(j);
+        }
+      }
+      if (projection[t].empty()) projection[t].push_back(0);
+      for (size_t p = 0; p < projection[t].size(); ++p) {
+        local_pos[static_cast<size_t>(from[t].offset + projection[t][p])] =
+            static_cast<int>(p);
+      }
+    }
+
     const opt::CostModel cm;
 
     // Join order: the memoized order when one is still valid, cost-based
@@ -611,24 +666,29 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
         any_parallel |= dop >= 2;
       }
       auto scan = std::make_unique<ScanOp>(from[t].table, read_ts,
-                                           table_preds[t],
-                                           std::vector<int>{}, path,
-                                           ctx_of(dop));
+                                           table_preds[t], projection[t],
+                                           path, ctx_of(dop));
       scan->set_estimates(rel_rows[t], d.cost);
       out.scans[static_cast<size_t>(t)] = scan.get();
       return scan;
     };
 
     global_to_plan.assign(scope.cols.size(), -1);
+    int plan_width = 0;
+    // Appends relation t's projected columns to the plan's output.
+    auto place = [&](int t) {
+      for (int j : projection[t]) {
+        size_t g = static_cast<size_t>(from[t].offset + j);
+        global_to_plan[g] = plan_width + local_pos[g];
+      }
+      plan_width += static_cast<int>(projection[t].size());
+    };
     std::vector<bool> placed(from.size(), false);
     std::unique_ptr<ScanOp> first = make_scan(order[0]);
     plan_dop = first->dop();
     plan = std::move(first);
     double cum_cost = plan->est_cost();
-    for (int j = 0; j < from[order[0]].width; ++j) {
-      global_to_plan[static_cast<size_t>(from[order[0]].offset + j)] = j;
-    }
-    int plan_width = from[order[0]].width;
+    place(order[0]);
     placed[order[0]] = true;
     for (size_t p = 1; p < order.size(); ++p) {
       int r = order[p];
@@ -647,7 +707,7 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
         }
         if (rg < 0) continue;
         build_keys.push_back(global_to_plan[static_cast<size_t>(og)]);
-        probe_keys.push_back(rg - from[r].offset);
+        probe_keys.push_back(local_pos[static_cast<size_t>(rg)]);
         e.applied = true;
       }
       auto scan = make_scan(r);
@@ -660,11 +720,7 @@ Result<PlannedQuery> PlanSelect(const SelectStmt& stmt,
           std::move(probe_keys), ctx_of(plan_dop));
       join->set_estimates(interm[p], cum_cost);
       plan = std::move(join);
-      for (int j = 0; j < from[r].width; ++j) {
-        global_to_plan[static_cast<size_t>(from[r].offset + j)] =
-            plan_width + j;
-      }
-      plan_width += from[r].width;
+      place(r);
       placed[r] = true;
     }
 

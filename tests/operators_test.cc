@@ -127,6 +127,15 @@ TEST(ScanOpTest, ResidualPredicateApplied) {
   std::vector<Row> rows = CollectRows(&scan);
   // amount = id*0.5 > id*0.4 for id > 0.
   EXPECT_EQ(rows.size(), 499u);
+  // A projected column the residual does not read comes from the same
+  // passing rows.
+  ScanOp narrow(table.get(), 10, pred, {0, 2});
+  std::vector<Row> kept = CollectRows(&narrow);
+  ASSERT_EQ(kept.size(), 499u);
+  const char* products[] = {"ant", "bee", "cat", "dog"};
+  for (const Row& r : kept) {
+    EXPECT_EQ(r[1].AsString(), products[r[0].AsInt64() % 4]);
+  }
   ExpectSameAtDop4([&](ParallelContext ctx) {
     return std::make_unique<ScanOp>(table.get(), 10, pred, std::vector<int>{},
                                     ScanOp::Path::kAuto, ctx);
@@ -322,6 +331,90 @@ TEST(HashAggOpTest, EmptyInputGlobalAggregate) {
   EXPECT_TRUE(rows[0][1].is_null());  // SUM of nothing is NULL
 }
 
+// A table keyed on (k1 INT64, k2 STRING), each NULL now and then, with a
+// payload v = row number: `n` rows in the main fragment and a short delta
+// tail, so a DOP-4 scan has several morsels and a trailing delta slot.
+std::unique_ptr<Table> MakeKeyed(const std::string& name, size_t n,
+                                 int64_t k1_mod) {
+  Schema schema =
+      SchemaBuilder().AddInt64("k1").AddString("k2").AddInt64("v").Build();
+  auto table = std::make_unique<Table>(name, schema, TableFormat::kColumn);
+  auto row = [&](size_t i) {
+    return Row{i % 23 == 0 ? Value::Null()
+                           : Value::Int64(static_cast<int64_t>(i * 7919) %
+                                          k1_mod),
+               i % 29 == 0 ? Value::Null(ValueType::kString)
+                           : Value::String("s" + std::to_string(i % 3)),
+               Value::Int64(static_cast<int64_t>(i))};
+  };
+  std::vector<Row> rows;
+  for (size_t i = 0; i < n; ++i) rows.push_back(row(i));
+  OLTAP_CHECK(table->BulkLoadToMain(rows, 1).ok());
+  for (size_t i = n; i < n + 50; ++i) {
+    OLTAP_CHECK(table->InsertCommitted(row(i), 1).ok());
+  }
+  return table;
+}
+
+// SQL key equality: both sides non-NULL and equal.
+bool KeysMatch(const Row& a, const Row& b, const std::vector<int>& ka,
+               const std::vector<int>& kb) {
+  for (size_t k = 0; k < ka.size(); ++k) {
+    const Value& x = a[ka[k]];
+    const Value& y = b[kb[k]];
+    if (x.is_null() || y.is_null() || x.Compare(y) != 0) return false;
+  }
+  return true;
+}
+
+TEST(HashAggOpTest, TypedGroupKeysFirstSeenOrder) {
+  // (int64, string) group keys with NULLs; rows whose keys are both NULL
+  // form one group. Output follows first-seen order at any DOP.
+  auto table = MakeKeyed("t", 3 * kMorselRows, 40);
+  std::vector<AggSpec> aggs(4);
+  aggs[0].fn = AggSpec::Fn::kCountStar;
+  aggs[1].fn = AggSpec::Fn::kSum;
+  aggs[1].arg = Expr::Column(2, ValueType::kInt64);
+  aggs[2].fn = AggSpec::Fn::kMin;
+  aggs[2].arg = Expr::Column(1, ValueType::kString);
+  aggs[3].fn = AggSpec::Fn::kMax;
+  aggs[3].arg = Expr::Column(2, ValueType::kInt64);
+  ASSERT_TRUE(AggsParallelMergeable(aggs));
+
+  std::vector<Row> expected;
+  std::map<std::string, size_t> index;
+  ScanOp scan(table.get(), 10, nullptr);
+  for (const Row& r : CollectRows(&scan)) {
+    std::string key = r[0].ToString() + "|" + r[1].ToString();
+    auto [it, fresh] = index.emplace(key, expected.size());
+    if (fresh) {
+      expected.push_back({r[0], r[1], Value::Int64(0), Value::Int64(0),
+                          Value::Null(ValueType::kString),
+                          Value::Null(ValueType::kInt64)});
+    }
+    Row& g = expected[it->second];
+    g[2] = Value::Int64(g[2].AsInt64() + 1);
+    g[3] = Value::Int64(g[3].AsInt64() + r[2].AsInt64());
+    if (!r[1].is_null() && (g[4].is_null() || r[1].Compare(g[4]) < 0)) {
+      g[4] = r[1];
+    }
+    if (g[5].is_null() || r[2].Compare(g[5]) > 0) g[5] = r[2];
+  }
+  ASSERT_EQ(index.count("NULL|NULL"), 1u);
+
+  auto plan = [&](ParallelContext ctx) {
+    return std::make_unique<HashAggOp>(
+        std::make_unique<ScanOp>(table.get(), 10, nullptr, std::vector<int>{},
+                                 ScanOp::Path::kAuto, ctx),
+        std::vector<ExprPtr>{Expr::Column(0, ValueType::kInt64),
+                             Expr::Column(1, ValueType::kString)},
+        aggs, ctx);
+  };
+  ExpectSameAtDop4(plan);
+  EXPECT_EQ(Render(CollectRows(plan(ParallelContext{}).get())),
+            Render(expected));
+}
+
 TEST(HashJoinOpTest, InnerEquiJoin) {
   Schema left_schema = SchemaBuilder().AddInt64("k").AddString("l").Build();
   Schema right_schema = SchemaBuilder().AddInt64("k").AddInt64("r").Build();
@@ -397,6 +490,71 @@ TEST(HashJoinOpTest, NullKeysNeverJoin) {
   });
 }
 
+TEST(HashJoinOpTest, TypedKeysMatchNestedLoopReference) {
+  // Multi-column (int64, string) keys; the 60 build rows repeat keys, and
+  // NULLs sit on both sides.
+  auto build = MakeKeyed("b", 60, 20);
+  auto probe = MakeKeyed("p", 3 * kMorselRows, 25);
+  const std::vector<int> keys = {0, 1};
+  auto scan_rows = [](const Table* t) {
+    ScanOp scan(t, 10, nullptr);
+    return CollectRows(&scan);
+  };
+  // Probe order outside, build-row order inside: the DOP-1 match order.
+  std::vector<Row> build_rows = scan_rows(build.get());
+  std::vector<Row> expected;
+  for (const Row& p : scan_rows(probe.get())) {
+    for (const Row& b : build_rows) {
+      if (!KeysMatch(b, p, keys, keys)) continue;
+      Row out = b;
+      out.insert(out.end(), p.begin(), p.end());
+      expected.push_back(std::move(out));
+    }
+  }
+  ASSERT_GT(expected.size(), 3 * kMorselRows);
+  auto plan = [&](ParallelContext ctx) {
+    return std::make_unique<HashJoinOp>(
+        std::make_unique<ScanOp>(build.get(), 10, nullptr),
+        std::make_unique<ScanOp>(probe.get(), 10, nullptr, std::vector<int>{},
+                                 ScanOp::Path::kAuto, ctx),
+        keys, keys, ctx);
+  };
+  ExpectSameAtDop4(plan);
+  EXPECT_EQ(Render(CollectRows(plan(ParallelContext{}).get())),
+            Render(expected));
+}
+
+TEST(HashJoinOpTest, MixedIntDoubleKeysCompareAsDouble) {
+  Schema ints = SchemaBuilder().AddInt64("k").Build();
+  Schema doubles = SchemaBuilder().AddDouble("k").Build();
+  auto i_table = std::make_unique<Table>("i", ints, TableFormat::kColumn);
+  auto d_table = std::make_unique<Table>("d", doubles, TableFormat::kColumn);
+  for (Value v : {Value::Int64(1), Value::Int64(2), Value::Int64(3),
+                  Value::Int64(5), Value::Null()}) {
+    ASSERT_TRUE(i_table->InsertCommitted({v}, 1).ok());
+  }
+  for (Value v : {Value::Double(1.0), Value::Double(2.5), Value::Double(3.0),
+                  Value::Null(ValueType::kDouble), Value::Double(5.0),
+                  Value::Double(5.0)}) {
+    ASSERT_TRUE(d_table->InsertCommitted({v}, 1).ok());
+  }
+  for (bool ints_build : {true, false}) {
+    const Table* b = ints_build ? i_table.get() : d_table.get();
+    const Table* p = ints_build ? d_table.get() : i_table.get();
+    auto plan = [&](ParallelContext ctx) {
+      return std::make_unique<HashJoinOp>(
+          std::make_unique<ScanOp>(b, 10, nullptr),
+          std::make_unique<ScanOp>(p, 10, nullptr, std::vector<int>{},
+                                   ScanOp::Path::kAuto, ctx),
+          std::vector<int>{0}, std::vector<int>{0}, ctx);
+    };
+    ExpectSameAtDop4(plan);
+    std::vector<Row> rows = CollectRows(plan(ParallelContext{}).get());
+    ASSERT_EQ(rows.size(), 4u);  // 1, 3, 5 and 5 again
+    for (const Row& r : rows) EXPECT_EQ(r[0].AsDouble(), r[1].AsDouble());
+  }
+}
+
 TEST(SortOpTest, MultiKeyWithDescending) {
   auto table = MakeSales(20, TableFormat::kColumn);
   auto scan = std::make_unique<ScanOp>(table.get(), 10, nullptr);
@@ -426,6 +584,13 @@ TEST(SortOpTest, NullsSortFirst) {
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_TRUE(rows[0][0].is_null());
   EXPECT_EQ(rows[1][0].AsInt64(), 1);
+  // TopN compares the same way on typed cells.
+  TopNOp topn(std::make_unique<ScanOp>(table.get(), 10, nullptr),
+              {{0, false}}, 2);
+  std::vector<Row> top = CollectRows(&topn);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_TRUE(top[0][0].is_null());
+  EXPECT_EQ(top[1][0].AsInt64(), 1);
 }
 
 TEST(TopNOpTest, MatchesSortThenLimit) {

@@ -11,6 +11,7 @@
 #include "opt/join_order.h"
 #include "opt/stats.h"
 #include "sql/session.h"
+#include "workload/chbench.h"
 
 namespace oltap {
 namespace {
@@ -526,6 +527,84 @@ TEST_F(OptSqlTest, FeedbackInvalidatesBadPlans) {
   auto r2 = db_.Execute(q);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r1->rows.size(), r2->rows.size());
+}
+
+// An int64 and a double join key compare as doubles, as the same equality
+// in a Filter does: the optimizer turns the WHERE equality into a hash key
+// and SET optimizer = off filters it, and both must return the same rows.
+TEST(OptJoinKeyTest, BigintEqualsDoubleJoinsInBothModes) {
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE a (id BIGINT NOT NULL, x BIGINT, "
+                         "i BIGINT, PRIMARY KEY (id)) FORMAT COLUMN")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE b (id BIGINT NOT NULL, x BIGINT, "
+                         "d DOUBLE, PRIMARY KEY (id)) FORMAT COLUMN")
+                  .ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO a VALUES (1, 7, 5)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO b VALUES (2, 7, 5.0)").ok());
+  // A NULL never joins, not even a NULL.
+  ASSERT_TRUE(db.Execute("INSERT INTO a VALUES (3, 7, NULL)").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO b VALUES (4, 7, NULL)").ok());
+  for (const char* mode : {"on", "off"}) {
+    ASSERT_TRUE(db.Execute(std::string("SET optimizer = ") + mode).ok());
+    for (const std::string q :
+         {"SELECT a.id, b.id FROM a JOIN b ON a.x = b.x WHERE a.i = b.d",
+          "SELECT a.id, b.id FROM a JOIN b ON a.i = b.d"}) {
+      auto r = db.Execute(q);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->rows.size(), 1u) << q << " optimizer=" << mode;
+      EXPECT_EQ(r->rows[0][0].AsInt64(), 1);
+      EXPECT_EQ(r->rows[0][1].AsInt64(), 2);
+    }
+    // A cross-table filter that is no hash key runs above the join on
+    // columns nothing else names.
+    auto r = db.Execute(
+        "SELECT a.id FROM a JOIN b ON a.x = b.x WHERE a.i < b.d + 1");
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u) << "optimizer=" << mode;
+    EXPECT_EQ(r->rows[0][0].AsInt64(), 1);
+  }
+}
+
+// The optimizer prunes every scan to the columns read above it and EXPLAIN
+// lists them; SET optimizer = off keeps full-width scans.
+TEST(OptPruningTest, ScansListOnlyReferencedColumns) {
+  Database db;
+  CHConfig config;
+  config.warehouses = 1;
+  config.customers_per_district = 20;
+  config.items = 100;
+  config.initial_orders_per_district = 10;
+  CHBenchmark bench(&db, config);
+  ASSERT_TRUE(bench.CreateTables().ok());
+  ASSERT_TRUE(bench.Load().ok());
+  const std::string& a4 = CHBenchmark::Queries()[3].sql;
+  ASSERT_NE(a4.find("c_state"), std::string::npos);
+  auto explain = [&] {
+    auto r = db.Execute("EXPLAIN " + a4);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    std::map<std::string, std::string> cols;  // table -> cols= list
+    for (const Row& row : r->rows) {
+      const std::string& line = row[0].AsString();
+      size_t scan = line.find("Scan(");
+      if (scan == std::string::npos) continue;
+      std::string table = line.substr(scan + 5, line.find(' ', scan) - scan - 5);
+      size_t c = line.find("cols=");
+      cols[table] = c == std::string::npos
+                        ? ""
+                        : line.substr(c + 5, line.find(')', c) - c - 5);
+    }
+    return cols;
+  };
+  std::map<std::string, std::string> on = explain();
+  EXPECT_EQ(on, (std::map<std::string, std::string>{
+                    {"customer", "c_w_id,c_d_id,c_id,c_state"},
+                    {"orders", "o_w_id,o_d_id,o_id,o_c_id"},
+                    {"orderline", "ol_w_id,ol_d_id,ol_o_id,ol_amount"}}));
+  ASSERT_TRUE(db.Execute("SET optimizer = off").ok());
+  std::map<std::string, std::string> off = explain();
+  EXPECT_EQ(off, (std::map<std::string, std::string>{
+                     {"customer", ""}, {"orders", ""}, {"orderline", ""}}));
 }
 
 }  // namespace
