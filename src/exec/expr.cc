@@ -412,6 +412,56 @@ ExprPtr Expr::CombineConjuncts(const std::vector<ExprPtr>& terms) {
   return acc;
 }
 
+ExprPtr Expr::RemapColumns(const ExprPtr& e,
+                           const std::function<int(int)>& map) {
+  switch (e->kind_) {
+    case Kind::kColumn:
+      return Column(map(e->column_), e->type_);
+    case Kind::kConst:
+      return e;
+    case Kind::kCompare:
+      return Compare(e->compare_op_, RemapColumns(e->children_[0], map),
+                     RemapColumns(e->children_[1], map));
+    case Kind::kAnd:
+      return And(RemapColumns(e->children_[0], map),
+                 RemapColumns(e->children_[1], map));
+    case Kind::kOr:
+      return Or(RemapColumns(e->children_[0], map),
+                RemapColumns(e->children_[1], map));
+    case Kind::kNot:
+      return Not(RemapColumns(e->children_[0], map));
+    case Kind::kIsNull:
+      return IsNull(RemapColumns(e->children_[0], map));
+    default:
+      return Arith(e->kind_, RemapColumns(e->children_[0], map),
+                   RemapColumns(e->children_[1], map));
+  }
+}
+
+void Expr::CollectColumns(const ExprPtr& e, std::vector<int>* out) {
+  if (e == nullptr) return;
+  if (e->kind_ == Kind::kColumn) out->push_back(e->column_);
+  for (const ExprPtr& c : e->children_) CollectColumns(c, out);
+}
+
+bool Expr::SameAs(const Expr& other) const {
+  if (kind_ != other.kind_ || type_ != other.type_ ||
+      compare_op_ != other.compare_op_ || column_ != other.column_ ||
+      children_.size() != other.children_.size()) {
+    return false;
+  }
+  if (kind_ == Kind::kConst) {
+    if (constant_.is_null() || other.constant_.is_null()) {
+      return constant_.is_null() && other.constant_.is_null();
+    }
+    if (constant_.Compare(other.constant_) != 0) return false;
+  }
+  for (size_t i = 0; i < children_.size(); ++i) {
+    if (!children_[i]->SameAs(*other.children_[i])) return false;
+  }
+  return true;
+}
+
 std::string Expr::ToString() const {
   switch (kind_) {
     case Kind::kColumn:

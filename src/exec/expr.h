@@ -1,6 +1,7 @@
 #ifndef OLTAP_EXEC_EXPR_H_
 #define OLTAP_EXEC_EXPR_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -81,6 +82,15 @@ class Expr {
   static void SplitConjuncts(const ExprPtr& e, std::vector<ExprPtr>* out);
   // Rebuilds a conjunction from terms (nullptr if empty).
   static ExprPtr CombineConjuncts(const std::vector<ExprPtr>& terms);
+
+  // Copy of `e` with every column reference i rewritten to map(i).
+  static ExprPtr RemapColumns(const ExprPtr& e,
+                              const std::function<int(int)>& map);
+  // Appends the column indices `e` references.
+  static void CollectColumns(const ExprPtr& e, std::vector<int>* out);
+
+  // Structural equality; constants compare as typed values.
+  bool SameAs(const Expr& other) const;
 
   std::string ToString() const;
 

@@ -102,6 +102,7 @@ struct CreateViewStmt {
   bool sync = true;               // SYNC (default): maintained at commit
   int64_t max_staleness_us = -1;  // DEFERRED STALENESS bound; -1 = none
   std::unique_ptr<SelectStmt> select;
+  std::string definition;  // the SELECT's source text, as written
 };
 
 // REFRESH MATERIALIZED VIEW <name>: full rebuild from the base tables.

@@ -31,7 +31,8 @@ ParseExprPtr CloneExpr(const ParseExpr& e) {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::vector<Token> tokens, const std::string& text)
+      : tokens_(std::move(tokens)), text_(text) {}
 
   Result<Statement> ParseStatement() {
     Statement stmt;
@@ -741,13 +742,21 @@ class Parser {
     if (!Peek().IsKeyword("SELECT")) {
       return Err("materialized view definition must be a SELECT");
     }
+    const size_t begin = Peek().offset;
     auto sel = ParseSelect();
     if (!sel.ok()) return sel.status();
     stmt->select = std::move(sel).value();
+    size_t end = Peek().offset;
+    while (end > begin && std::isspace(static_cast<unsigned char>(
+                              text_[end - 1]))) {
+      --end;
+    }
+    stmt->definition = text_.substr(begin, end - begin);
     return stmt;
   }
 
   std::vector<Token> tokens_;
+  const std::string& text_;
   size_t pos_ = 0;
 };
 
@@ -756,14 +765,14 @@ class Parser {
 Result<Statement> Parse(const std::string& text) {
   auto tokens = Lex(text);
   if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens).value());
+  Parser parser(std::move(tokens).value(), text);
   return parser.ParseStatement();
 }
 
 Result<ParseExprPtr> ParseExpression(const std::string& text) {
   auto tokens = Lex(text);
   if (!tokens.ok()) return tokens.status();
-  Parser parser(std::move(tokens).value());
+  Parser parser(std::move(tokens).value(), text);
   return parser.ParseStandaloneExpr();
 }
 

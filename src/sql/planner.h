@@ -9,7 +9,7 @@
 #include "common/types.h"
 #include "exec/operators.h"
 #include "opt/feedback.h"
-#include "sql/ast.h"
+#include "sql/binder.h"
 #include "storage/catalog.h"
 
 namespace oltap {
@@ -49,24 +49,13 @@ struct PlannedQuery {
   std::vector<const ScanOp*> scans;
 };
 
-// Plans a SELECT statement: binds names, pushes single-table predicate
-// conjuncts into scans, orders joins (cost-based when the optimizer is on,
-// FROM order otherwise), lowers GROUP BY / aggregates, ORDER BY, and
-// LIMIT. Reads run at `read_ts`.
-Result<PlannedQuery> PlanSelect(const SelectStmt& stmt, const Catalog& catalog,
+// Plans a bound SELECT: pushes single-table WHERE conjuncts into scans,
+// orders joins (cost-based when the optimizer is on, FROM order
+// otherwise), lowers GROUP BY / aggregates, ORDER BY, and LIMIT. Reads
+// run at `read_ts`.
+Result<PlannedQuery> PlanSelect(const BoundSelect& q, const Catalog& catalog,
                                 Timestamp read_ts,
                                 const PlannerOptions& options = {});
-
-// Binds an expression against a single table's schema (UPDATE/DELETE
-// predicates and SET expressions). Aggregates are rejected.
-Result<ExprPtr> BindOverSchema(const ParseExpr& e, const Schema& schema,
-                               const std::string& alias);
-
-// True if the parse tree contains an aggregate function call.
-bool ContainsAggregate(const ParseExpr& e);
-
-// Canonical statement text used as the feedback/plan-memo key.
-std::string StatementFingerprint(const SelectStmt& stmt);
 
 }  // namespace sql
 }  // namespace oltap

@@ -235,16 +235,18 @@ Result<QueryResult> Database::RunSelect(Transaction* txn,
       popts.max_dop = dop;
     }
   }
+  OLTAP_ASSIGN_OR_RETURN(sql::BoundSelect bound,
+                         sql::BindSelect(s, catalog_));
   OLTAP_ASSIGN_OR_RETURN(
       sql::PlannedQuery plan,
-      sql::PlanSelect(s, catalog_, txn->begin_ts(), popts));
+      sql::PlanSelect(bound, catalog_, txn->begin_ts(), popts));
 
   // Cost-based view routing: if a materialized view subsumes this query
   // (within the session staleness bound), plan the rewritten query too and
   // take whichever plan is cheaper.
   std::string routed_view;
   if (view_routing_enabled() && optimizer_enabled()) {
-    if (auto route = views_.TryRoute(s, max_staleness_us())) {
+    if (auto route = views_.TryRoute(bound, max_staleness_us())) {
       auto vplan =
           sql::PlanSelect(route->rewritten, catalog_, txn->begin_ts(), popts);
       if (vplan.ok()) {

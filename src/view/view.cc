@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -27,373 +28,6 @@ struct MaintenanceScope {
   MaintenanceScope() : prev(t_in_maintenance) { t_in_maintenance = true; }
   ~MaintenanceScope() { t_in_maintenance = prev; }
 };
-
-// ---------------------------------------------------------------------------
-// Parse-tree helpers (clone / construct). The sql AST uses unique_ptr
-// throughout, so routing rewrites and recompute filters build fresh trees.
-// ---------------------------------------------------------------------------
-
-sql::ParseExprPtr CloneExpr(const sql::ParseExpr& e) {
-  auto out = std::make_unique<sql::ParseExpr>();
-  out->kind = e.kind;
-  out->qualifier = e.qualifier;
-  out->name = e.name;
-  out->int_val = e.int_val;
-  out->double_val = e.double_val;
-  out->str_val = e.str_val;
-  out->op = e.op;
-  out->args.reserve(e.args.size());
-  for (const auto& a : e.args) out->args.push_back(CloneExpr(*a));
-  return out;
-}
-
-sql::SelectStmt CloneSelect(const sql::SelectStmt& s) {
-  sql::SelectStmt out;
-  out.distinct = s.distinct;
-  for (const auto& it : s.items) {
-    sql::SelectItem item;
-    item.expr = CloneExpr(*it.expr);
-    item.alias = it.alias;
-    out.items.push_back(std::move(item));
-  }
-  for (const auto& t : s.tables) {
-    sql::TableRef ref;
-    ref.name = t.name;
-    ref.alias = t.alias;
-    if (t.join_on) ref.join_on = CloneExpr(*t.join_on);
-    out.tables.push_back(std::move(ref));
-  }
-  if (s.where) out.where = CloneExpr(*s.where);
-  for (const auto& g : s.group_by) out.group_by.push_back(CloneExpr(*g));
-  if (s.having) out.having = CloneExpr(*s.having);
-  for (const auto& o : s.order_by) {
-    sql::OrderItem oi;
-    oi.expr = CloneExpr(*o.expr);
-    oi.descending = o.descending;
-    out.order_by.push_back(std::move(oi));
-  }
-  out.limit = s.limit;
-  return out;
-}
-
-sql::ParseExprPtr MakeIdent(std::string qualifier, std::string name) {
-  auto e = std::make_unique<sql::ParseExpr>();
-  e->kind = sql::ParseExpr::Kind::kIdent;
-  e->qualifier = std::move(qualifier);
-  e->name = std::move(name);
-  return e;
-}
-
-sql::ParseExprPtr MakeAnd(sql::ParseExprPtr a, sql::ParseExprPtr b) {
-  auto e = std::make_unique<sql::ParseExpr>();
-  e->kind = sql::ParseExpr::Kind::kBinary;
-  e->op = "AND";
-  e->args.push_back(std::move(a));
-  e->args.push_back(std::move(b));
-  return e;
-}
-
-sql::ParseExprPtr MakeEq(sql::ParseExprPtr a, sql::ParseExprPtr b) {
-  auto e = std::make_unique<sql::ParseExpr>();
-  e->kind = sql::ParseExpr::Kind::kBinary;
-  e->op = "=";
-  e->args.push_back(std::move(a));
-  e->args.push_back(std::move(b));
-  return e;
-}
-
-sql::ParseExprPtr MakeIsNull(sql::ParseExprPtr arg) {
-  auto e = std::make_unique<sql::ParseExpr>();
-  e->kind = sql::ParseExpr::Kind::kIsNull;
-  e->args.push_back(std::move(arg));
-  return e;
-}
-
-sql::ParseExprPtr LiteralOf(const Value& v) {
-  auto e = std::make_unique<sql::ParseExpr>();
-  if (v.is_null()) {
-    e->kind = sql::ParseExpr::Kind::kNullLit;
-    return e;
-  }
-  switch (v.type()) {
-    case ValueType::kInt64:
-      e->kind = sql::ParseExpr::Kind::kIntLit;
-      e->int_val = v.AsInt64();
-      break;
-    case ValueType::kDouble:
-      e->kind = sql::ParseExpr::Kind::kDoubleLit;
-      e->double_val = v.AsDouble();
-      break;
-    case ValueType::kString:
-      e->kind = sql::ParseExpr::Kind::kStringLit;
-      e->str_val = v.AsString();
-      break;
-  }
-  return e;
-}
-
-// Aggregate call with one argument (or * when arg is null).
-sql::ParseExprPtr MakeAggCall(const std::string& fn, sql::ParseExprPtr arg) {
-  auto e = std::make_unique<sql::ParseExpr>();
-  e->kind = sql::ParseExpr::Kind::kCall;
-  e->name = fn;
-  if (!arg) {
-    auto star = std::make_unique<sql::ParseExpr>();
-    star->kind = sql::ParseExpr::Kind::kStar;
-    arg = std::move(star);
-  }
-  e->args.push_back(std::move(arg));
-  return e;
-}
-
-void FlattenConjuncts(const sql::ParseExpr* e,
-                      std::vector<const sql::ParseExpr*>* out) {
-  if (e->kind == sql::ParseExpr::Kind::kBinary && e->op == "AND") {
-    FlattenConjuncts(e->args[0].get(), out);
-    FlattenConjuncts(e->args[1].get(), out);
-    return;
-  }
-  out->push_back(e);
-}
-
-// ---------------------------------------------------------------------------
-// Name resolution over the FROM list.
-// ---------------------------------------------------------------------------
-
-struct Binding {
-  std::vector<Table*> tables;
-  std::vector<std::string> aliases;
-  std::map<std::string, int> by_alias;
-
-  bool Resolve(const std::string& qualifier, const std::string& name, int* t,
-               int* c) const {
-    if (!qualifier.empty()) {
-      auto it = by_alias.find(qualifier);
-      if (it == by_alias.end()) return false;
-      int col = tables[it->second]->schema().FindColumn(name);
-      if (col < 0) return false;
-      *t = it->second;
-      *c = col;
-      return true;
-    }
-    int found_t = -1, found_c = -1;
-    for (size_t i = 0; i < tables.size(); ++i) {
-      int col = tables[i]->schema().FindColumn(name);
-      if (col < 0) continue;
-      if (found_t >= 0) return false;  // ambiguous
-      found_t = static_cast<int>(i);
-      found_c = col;
-    }
-    if (found_t < 0) return false;
-    *t = found_t;
-    *c = found_c;
-    return true;
-  }
-};
-
-// Alias-independent canonical text: identifiers render as the resolved
-// "<base table name>.<column>", everything else mirrors ParseExpr::ToString.
-// Only self-consistency matters — the same predicate written against any
-// alias spelling canonicalizes to the same string.
-bool CanonText(const sql::ParseExpr& e, const Binding& b, std::string* out) {
-  using K = sql::ParseExpr::Kind;
-  switch (e.kind) {
-    case K::kIdent: {
-      int t, c;
-      if (!b.Resolve(e.qualifier, e.name, &t, &c)) return false;
-      *out += b.tables[t]->name();
-      *out += '.';
-      *out += b.tables[t]->schema().column(c).name;
-      return true;
-    }
-    case K::kIntLit:
-      *out += std::to_string(e.int_val);
-      return true;
-    case K::kDoubleLit:
-      *out += std::to_string(e.double_val);
-      return true;
-    case K::kStringLit:
-      *out += '\'';
-      *out += e.str_val;
-      *out += '\'';
-      return true;
-    case K::kNullLit:
-      *out += "NULL";
-      return true;
-    case K::kStar:
-      *out += '*';
-      return true;
-    case K::kBinary: {
-      *out += '(';
-      if (!CanonText(*e.args[0], b, out)) return false;
-      *out += ' ';
-      *out += e.op;
-      *out += ' ';
-      if (!CanonText(*e.args[1], b, out)) return false;
-      *out += ')';
-      return true;
-    }
-    case K::kUnaryNot:
-      *out += "(NOT ";
-      if (!CanonText(*e.args[0], b, out)) return false;
-      *out += ')';
-      return true;
-    case K::kUnaryMinus:
-      *out += "(-";
-      if (!CanonText(*e.args[0], b, out)) return false;
-      *out += ')';
-      return true;
-    case K::kCall: {
-      *out += e.name;
-      *out += '(';
-      for (size_t i = 0; i < e.args.size(); ++i) {
-        if (i) *out += ", ";
-        if (!CanonText(*e.args[i], b, out)) return false;
-      }
-      *out += ')';
-      return true;
-    }
-    case K::kIsNull:
-      if (!CanonText(*e.args[0], b, out)) return false;
-      *out += " IS NULL";
-      return true;
-  }
-  return false;
-}
-
-// Collects the distinct base-table indices an expression references.
-bool ReferencedTables(const sql::ParseExpr& e, const Binding& b,
-                      std::set<int>* out) {
-  if (e.kind == sql::ParseExpr::Kind::kIdent) {
-    int t, c;
-    if (!b.Resolve(e.qualifier, e.name, &t, &c)) return false;
-    out->insert(t);
-    return true;
-  }
-  for (const auto& a : e.args) {
-    if (!ReferencedTables(*a, b, out)) return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// FROM/WHERE decomposition shared by CREATE validation and routing.
-// ---------------------------------------------------------------------------
-
-struct LocalPred {
-  int table = 0;
-  const sql::ParseExpr* expr = nullptr;  // borrowed from the statement
-  std::string text;                      // canonical
-};
-
-struct Decomposed {
-  Binding binding;
-  std::vector<ViewDef::Edge> edges;
-  std::vector<std::string> edge_texts;  // canonical, one per edge
-  std::vector<LocalPred> locals;
-};
-
-std::string EdgeText(const Binding& b, const ViewDef::Edge& e) {
-  std::string l = b.tables[e.lt]->name() + "." +
-                  b.tables[e.lt]->schema().column(e.lc).name;
-  std::string r = b.tables[e.rt]->name() + "." +
-                  b.tables[e.rt]->schema().column(e.rc).name;
-  if (r < l) std::swap(l, r);
-  return l + "=" + r;
-}
-
-// `is_view` filters out backing tables: a view cannot be defined over (or a
-// routed query matched against) another view.
-Status Decompose(const sql::SelectStmt& stmt, const Catalog& catalog,
-                 const std::function<bool(const std::string&)>& is_view,
-                 Decomposed* out) {
-  if (stmt.tables.empty()) {
-    return Status::InvalidArgument("FROM clause required");
-  }
-  std::set<std::string> names;
-  for (const auto& ref : stmt.tables) {
-    Table* t = catalog.GetTable(ref.name);
-    if (t == nullptr) return Status::NotFound("no such table: " + ref.name);
-    if (is_view && is_view(ref.name)) {
-      return Status::InvalidArgument("views over views unsupported: " +
-                                     ref.name);
-    }
-    if (!names.insert(ref.name).second) {
-      return Status::InvalidArgument("self-joins unsupported: " + ref.name);
-    }
-    std::string alias = ref.alias.empty() ? ref.name : ref.alias;
-    if (out->binding.by_alias.count(alias)) {
-      return Status::InvalidArgument("duplicate table alias: " + alias);
-    }
-    out->binding.by_alias[alias] =
-        static_cast<int>(out->binding.tables.size());
-    out->binding.tables.push_back(t);
-    out->binding.aliases.push_back(alias);
-  }
-
-  std::vector<const sql::ParseExpr*> conjuncts;
-  if (stmt.where) FlattenConjuncts(stmt.where.get(), &conjuncts);
-  for (const auto& ref : stmt.tables) {
-    if (ref.join_on) FlattenConjuncts(ref.join_on.get(), &conjuncts);
-  }
-
-  for (const sql::ParseExpr* c : conjuncts) {
-    using K = sql::ParseExpr::Kind;
-    if (c->kind == K::kBinary && c->op == "=" &&
-        c->args[0]->kind == K::kIdent && c->args[1]->kind == K::kIdent) {
-      int lt, lc, rt, rc;
-      if (!out->binding.Resolve(c->args[0]->qualifier, c->args[0]->name, &lt,
-                                &lc) ||
-          !out->binding.Resolve(c->args[1]->qualifier, c->args[1]->name, &rt,
-                                &rc)) {
-        return Status::InvalidArgument("unresolvable column in: " +
-                                       c->ToString());
-      }
-      if (lt != rt) {
-        ViewDef::Edge e{lt, lc, rt, rc};
-        out->edge_texts.push_back(EdgeText(out->binding, e));
-        out->edges.push_back(e);
-        continue;
-      }
-      // same-table equality falls through to the local-predicate path
-    }
-    std::set<int> refs;
-    if (!ReferencedTables(*c, out->binding, &refs)) {
-      return Status::InvalidArgument("unresolvable column in: " +
-                                     c->ToString());
-    }
-    if (refs.size() > 1) {
-      return Status::InvalidArgument(
-          "cross-table predicate is not an equality join edge: " +
-          c->ToString());
-    }
-    LocalPred lp;
-    lp.table = refs.empty() ? 0 : *refs.begin();
-    lp.expr = c;
-    if (!CanonText(*c, out->binding, &lp.text)) {
-      return Status::InvalidArgument("unresolvable column in: " +
-                                     c->ToString());
-    }
-    out->locals.push_back(std::move(lp));
-  }
-  return Status::OK();
-}
-
-bool GraphConnected(size_t n, const std::vector<ViewDef::Edge>& edges) {
-  if (n <= 1) return true;
-  std::vector<int> parent(n);
-  for (size_t i = 0; i < n; ++i) parent[i] = static_cast<int>(i);
-  std::function<int(int)> find = [&](int x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  for (const auto& e : edges) parent[find(e.lt)] = find(e.rt);
-  int root = find(0);
-  for (size_t i = 1; i < n; ++i) {
-    if (find(static_cast<int>(i)) != root) return false;
-  }
-  return true;
-}
 
 // BFS order over the join graph starting at `start` (start excluded).
 std::vector<int> JoinOrderFrom(int start, size_t n,
@@ -478,41 +112,23 @@ bool PassesLocal(const ViewDef& v, int table, const Row& row) {
   return true;
 }
 
-Result<std::vector<Row>> RunQueryAt(const sql::SelectStmt& q,
+Result<std::vector<Row>> RunQueryAt(const sql::BoundSelect& q,
                                     const Catalog& catalog, Timestamp ts) {
   auto plan = sql::PlanSelect(q, catalog, ts);
   if (!plan.ok()) return plan.status();
   return ExecutePlan(plan->root.get());
 }
 
-struct AggFnInfo {
-  AggSpec::Fn fn;
-  bool ok = false;
-};
-
-AggFnInfo AggFnFromCall(const sql::ParseExpr& e) {
-  AggFnInfo info;
-  if (e.kind != sql::ParseExpr::Kind::kCall || e.args.size() != 1) {
-    return info;
+// Age of the view's oldest unapplied base change (0 when fully applied).
+int64_t LagMicros(const ViewDef& v, int64_t now_us) {
+  const Timestamp cursor = v.applied_ts.load(std::memory_order_acquire);
+  int64_t lag = 0;
+  for (Table* b : v.bases) {
+    if (ChangeLog* log = b->change_log()) {
+      lag = std::max(lag, log->OldestPendingMicrosSince(cursor, now_us));
+    }
   }
-  const bool star = e.args[0]->kind == sql::ParseExpr::Kind::kStar;
-  if (e.name == "COUNT") {
-    info.fn = star ? AggSpec::Fn::kCountStar : AggSpec::Fn::kCount;
-    info.ok = true;
-  } else if (!star && e.name == "SUM") {
-    info.fn = AggSpec::Fn::kSum;
-    info.ok = true;
-  } else if (!star && e.name == "MIN") {
-    info.fn = AggSpec::Fn::kMin;
-    info.ok = true;
-  } else if (!star && e.name == "MAX") {
-    info.fn = AggSpec::Fn::kMax;
-    info.ok = true;
-  } else if (!star && e.name == "AVG") {
-    info.fn = AggSpec::Fn::kAvg;
-    info.ok = true;
-  }
-  return info;
+  return lag;
 }
 
 // Metric handles (preregistered in obs/metrics.cc; GetX is idempotent).
@@ -548,72 +164,96 @@ Status ViewManager::Create(const sql::CreateViewStmt& stmt) {
     return Status::InvalidArgument("view definition missing");
   }
   const sql::SelectStmt& sel = *stmt.select;
-  if (sel.distinct) {
+  OLTAP_ASSIGN_OR_RETURN(sql::BoundSelect q, sql::BindSelect(sel, *catalog_));
+  if (q.distinct) {
     return Status::InvalidArgument("DISTINCT unsupported in views");
   }
-  if (sel.having) {
+  if (q.having != nullptr) {
     return Status::InvalidArgument("HAVING unsupported in views");
   }
-  if (!sel.order_by.empty() || sel.limit >= 0) {
+  if (!q.order_by.empty() || q.limit >= 0) {
     return Status::InvalidArgument("ORDER BY/LIMIT unsupported in views");
+  }
+  if (sel.items.size() == 1 &&
+      sel.items[0].expr->kind == sql::ParseExpr::Kind::kStar) {
+    return Status::InvalidArgument("view select list may not use *");
   }
 
   auto def = std::make_unique<ViewDef>();
   def->name = stmt.name;
   def->sync = stmt.sync;
   def->max_staleness_us = stmt.max_staleness_us;
-  def->select = CloneSelect(sel);
-  def->fingerprint = sql::StatementFingerprint(sel);
+  def->definition = stmt.definition;
 
-  Decomposed d;
-  OLTAP_RETURN_NOT_OK(Decompose(
-      sel, *catalog_, [this](const std::string& n) { return IsView(n); },
-      &d));
-  if (!GraphConnected(d.binding.tables.size(), d.edges)) {
-    return Status::InvalidArgument("join graph must be connected");
+  for (const sql::BoundTable& t : q.from) {
+    if (IsView(t.table->name())) {
+      return Status::InvalidArgument("views over views unsupported: " +
+                                     t.table->name());
+    }
+    if (std::find(def->bases.begin(), def->bases.end(), t.table) !=
+        def->bases.end()) {
+      return Status::InvalidArgument("self-joins unsupported: " +
+                                     t.table->name());
+    }
+    def->bases.push_back(t.table);
   }
-  // Join edges must connect same-typed columns: delta-join key probes
-  // encode values with the partner column's type.
-  for (const auto& e : d.edges) {
-    if (d.binding.tables[e.lt]->schema().column(e.lc).type !=
-        d.binding.tables[e.rt]->schema().column(e.rc).type) {
+  const size_t nbases = def->bases.size();
+
+  // (base, column) of a plain column reference; false for anything else.
+  auto base_column = [&q](const ExprPtr& e, int* table, int* col) {
+    if (e == nullptr || e->kind() != Expr::Kind::kColumn) return false;
+    std::tie(*table, *col) = q.Locate(e->column_index());
+    return true;
+  };
+
+  // WHERE, then ON conjuncts: single-table filters and join edges.
+  def->local_bound.resize(nbases);
+  auto add_conjunct = [&](const sql::BoundConjunct& c) -> Status {
+    if (c.kind == sql::BoundConjunct::Kind::kLocal) {
+      def->local_bound[c.table].push_back(q.OverOwnColumns(c));
+      return Status::OK();
+    }
+    if (c.kind == sql::BoundConjunct::Kind::kOther) {
+      return Status::InvalidArgument(
+          "cross-table predicate is not an equality join edge");
+    }
+    // Join edges must connect same-typed columns: delta-join key probes
+    // encode values with the partner column's type.
+    const ExprPtr& l = c.expr->children()[0];
+    const ExprPtr& r = c.expr->children()[1];
+    if (l->result_type() != r->result_type()) {
       return Status::InvalidArgument("join edge joins mismatched types");
     }
+    const auto [lt, lc] = q.Locate(l->column_index());
+    const auto [rt, rc] = q.Locate(r->column_index());
+    def->edges.push_back({lt, lc, rt, rc});
+    return Status::OK();
+  };
+  for (const sql::BoundConjunct& c : q.where) {
+    OLTAP_RETURN_NOT_OK(add_conjunct(c));
   }
-
-  def->bases = d.binding.tables;
-  def->aliases = d.binding.aliases;
-  def->edges = d.edges;
-  const size_t nbases = def->bases.size();
-  def->local_preds.resize(nbases);
-  def->local_bound.resize(nbases);
-  for (const LocalPred& lp : d.locals) {
-    auto bound = sql::BindOverSchema(*lp.expr,
-                                     def->bases[lp.table]->schema(),
-                                     def->aliases[lp.table]);
-    if (!bound.ok()) return bound.status();
-    def->local_preds[lp.table].push_back(CloneExpr(*lp.expr));
-    def->local_bound[lp.table].push_back(std::move(bound).value());
-    def->local_pred_texts.push_back(lp.text);
+  for (const auto& on : q.on) {
+    for (const sql::BoundConjunct& c : on) OLTAP_RETURN_NOT_OK(add_conjunct(c));
   }
-  std::sort(def->local_pred_texts.begin(), def->local_pred_texts.end());
   for (size_t i = 0; i < nbases; ++i) {
     def->join_orders.push_back(
         JoinOrderFrom(static_cast<int>(i), nbases, def->edges));
   }
 
   // --- Select-list classification. ---
-  bool any_agg = false;
   std::set<std::string> out_names;
-  for (const auto& item : sel.items) {
-    const sql::ParseExpr& e = *item.expr;
+  std::vector<bool> grouped(q.group_by.size(), false);
+  for (size_t k = 0; k < q.items.size(); ++k) {
+    const sql::BoundItem& item = q.items[k];
+    const sql::SelectItem& written = sel.items[k];
     // Unaliased plain columns surface under their bare column name (SQL
     // output-name semantics), so `SELECT t.a ...` is queryable as
     // `SELECT a FROM view`; a qualified default like "t.a" would not be.
     std::string out_name =
-        !item.alias.empty()                      ? item.alias
-        : e.kind == sql::ParseExpr::Kind::kIdent ? e.name
-                                                 : e.ToString();
+        !written.alias.empty() ? written.alias
+        : written.expr->kind == sql::ParseExpr::Kind::kIdent
+            ? written.expr->name
+            : item.name;
     if (out_name.rfind("__", 0) == 0) {
       return Status::InvalidArgument("view column names may not start __");
     }
@@ -622,97 +262,58 @@ Status ViewManager::Create(const sql::CreateViewStmt& stmt) {
     }
     ViewDef::ItemOut out;
     out.name_out = out_name;
-    if (sql::ContainsAggregate(e)) {
-      AggFnInfo fi = AggFnFromCall(e);
-      if (!fi.ok) {
-        return Status::InvalidArgument(
-            "view aggregates must be bare COUNT/SUM/MIN/MAX/AVG calls: " +
-            e.ToString());
-      }
-      any_agg = true;
+    if (item.kind == sql::BoundItem::Kind::kAgg) {
+      const AggSpec& spec = q.aggs[item.index];
       ViewDef::AggDef ad;
-      ad.fn = fi.fn;
-      if (fi.fn != AggSpec::Fn::kCountStar) {
-        const sql::ParseExpr& arg = *e.args[0];
-        if (arg.kind != sql::ParseExpr::Kind::kIdent ||
-            !d.binding.Resolve(arg.qualifier, arg.name, &ad.table,
-                               &ad.col)) {
+      ad.fn = spec.fn;
+      ad.out_type = spec.OutputType();
+      if (spec.fn != AggSpec::Fn::kCountStar) {
+        if (!base_column(spec.arg, &ad.table, &ad.col)) {
           return Status::InvalidArgument(
-              "view aggregate arguments must be plain columns: " +
-              e.ToString());
+              "view aggregate arguments must be plain columns: " + item.name);
         }
-        ValueType at = def->bases[ad.table]->schema().column(ad.col).type;
-        if ((fi.fn == AggSpec::Fn::kSum || fi.fn == AggSpec::Fn::kAvg) &&
+        ValueType at = spec.arg->result_type();
+        if ((spec.fn == AggSpec::Fn::kSum || spec.fn == AggSpec::Fn::kAvg) &&
             at == ValueType::kString) {
           return Status::InvalidArgument("SUM/AVG over string column");
         }
-        switch (fi.fn) {
-          case AggSpec::Fn::kCount:
-            ad.out_type = ValueType::kInt64;
-            break;
-          case AggSpec::Fn::kAvg:
-            ad.out_type = ValueType::kDouble;
-            break;
-          default:
-            ad.out_type = at;
-        }
-        ad.sum_is_int =
-            fi.fn == AggSpec::Fn::kSum && at == ValueType::kInt64;
+        ad.sum_is_int = spec.fn == AggSpec::Fn::kSum && at == ValueType::kInt64;
         // MIN/MAX cannot un-fold a delete; double-typed sums would drift
         // from a recompute (FP addition is order-sensitive). Both fall
         // back to recomputing the affected group from the bases.
         ad.recompute_on_delete =
-            fi.fn == AggSpec::Fn::kMin || fi.fn == AggSpec::Fn::kMax ||
-            ((fi.fn == AggSpec::Fn::kSum || fi.fn == AggSpec::Fn::kAvg) &&
+            spec.fn == AggSpec::Fn::kMin || spec.fn == AggSpec::Fn::kMax ||
+            ((spec.fn == AggSpec::Fn::kSum || spec.fn == AggSpec::Fn::kAvg) &&
              at == ValueType::kDouble);
-        std::string canon;
-        if (!CanonText(e, d.binding, &canon)) {
-          return Status::InvalidArgument("unresolvable aggregate: " +
-                                         e.ToString());
-        }
-        ad.text = canon;
-      } else {
-        ad.out_type = ValueType::kInt64;
-        ad.text = "COUNT(*)";
       }
-      ad.visible_idx = static_cast<int>(def->items.size());
+      ad.visible_idx = static_cast<int>(k);
       out.is_agg = true;
       out.agg_idx = static_cast<int>(def->aggs.size());
       def->aggs.push_back(ad);
     } else {
-      if (e.kind != sql::ParseExpr::Kind::kIdent ||
-          !d.binding.Resolve(e.qualifier, e.name, &out.table, &out.col)) {
+      const bool group_key = item.kind == sql::BoundItem::Kind::kGroupKey;
+      const ExprPtr& e = group_key ? q.group_by[item.index] : item.expr;
+      if (!base_column(e, &out.table, &out.col)) {
         return Status::InvalidArgument(
             "view select items must be plain columns or aggregates: " +
-            e.ToString());
+            item.name);
       }
+      if (group_key) grouped[item.index] = true;
     }
     def->items.push_back(std::move(out));
   }
 
-  def->is_aggregate = any_agg || !sel.group_by.empty();
+  def->is_aggregate = q.aggregate;
+  def->build_query = q;
   std::vector<ColumnDef> cols;
   std::vector<std::string> key_names;
 
   if (def->is_aggregate) {
-    if (sel.group_by.empty()) {
+    if (q.group_by.empty()) {
       return Status::InvalidArgument(
           "aggregate views need at least one GROUP BY column");
     }
-    // Mirror the planner's contract: non-aggregate select items and GROUP
-    // BY entries must correspond textually.
-    std::set<std::string> group_texts, item_texts;
-    for (const auto& g : sel.group_by) {
-      if (g->kind != sql::ParseExpr::Kind::kIdent) {
-        return Status::InvalidArgument("GROUP BY must list plain columns");
-      }
-      group_texts.insert(g->ToString());
-    }
-    for (size_t k = 0; k < def->items.size(); ++k) {
-      if (def->items[k].is_agg) continue;
-      item_texts.insert(sel.items[k].expr->ToString());
-    }
-    if (group_texts != item_texts) {
+    if (std::find(grouped.begin(), grouped.end(), false) != grouped.end()) {
       return Status::InvalidArgument(
           "GROUP BY columns and non-aggregate select items must match");
     }
@@ -727,8 +328,22 @@ Status ViewManager::Create(const sql::CreateViewStmt& stmt) {
         key_names.push_back(it.name_out);
       }
     }
-    def->rows_idx = static_cast<int>(cols.size());
-    cols.push_back({"__rows", ValueType::kInt64, false});
+    // Build query = definition + hidden-state aggregates, in backing
+    // schema order.
+    sql::BoundSelect& build = def->build_query;
+    auto append = [&build, &cols](AggSpec spec, std::string name,
+                                  ValueType type) {
+      sql::BoundItem item;
+      item.kind = sql::BoundItem::Kind::kAgg;
+      item.index = build.aggs.size();
+      item.name = name;
+      build.aggs.push_back(std::move(spec));
+      build.items.push_back(std::move(item));
+      cols.push_back({std::move(name), type, false});
+      return static_cast<int>(cols.size()) - 1;
+    };
+    def->rows_idx = append({AggSpec::Fn::kCountStar, nullptr}, "__rows",
+                           ValueType::kInt64);
     for (size_t j = 0; j < def->aggs.size(); ++j) {
       ViewDef::AggDef& ad = def->aggs[j];
       switch (ad.fn) {
@@ -743,44 +358,15 @@ Status ViewManager::Create(const sql::CreateViewStmt& stmt) {
           break;  // no hidden state; deletes recompute
         case AggSpec::Fn::kSum:
         case AggSpec::Fn::kAvg: {
-          ad.count_idx = static_cast<int>(cols.size());
-          cols.push_back(
-              {"__c" + std::to_string(j), ValueType::kInt64, false});
-          ad.sum_idx = static_cast<int>(cols.size());
-          cols.push_back({"__s" + std::to_string(j),
-                          ad.sum_is_int ? ValueType::kInt64
-                                        : ValueType::kDouble,
-                          false});
+          const ExprPtr& arg = q.aggs[q.items[ad.visible_idx].index].arg;
+          ad.count_idx = append({AggSpec::Fn::kCount, arg},
+                                "__c" + std::to_string(j), ValueType::kInt64);
+          ad.sum_idx = append(
+              {AggSpec::Fn::kSum, arg}, "__s" + std::to_string(j),
+              ad.sum_is_int ? ValueType::kInt64 : ValueType::kDouble);
           break;
         }
       }
-    }
-    // Build query = definition + hidden-state aggregates, in backing
-    // schema order.
-    def->build_query = CloneSelect(sel);
-    {
-      sql::SelectItem rows_item;
-      rows_item.expr = MakeAggCall("COUNT", nullptr);
-      rows_item.alias = "__rows";
-      def->build_query.items.push_back(std::move(rows_item));
-    }
-    for (size_t j = 0; j < def->aggs.size(); ++j) {
-      const ViewDef::AggDef& ad = def->aggs[j];
-      if (ad.fn != AggSpec::Fn::kSum && ad.fn != AggSpec::Fn::kAvg) {
-        continue;
-      }
-      const std::string& col_name =
-          def->bases[ad.table]->schema().column(ad.col).name;
-      sql::SelectItem c_item;
-      c_item.expr = MakeAggCall(
-          "COUNT", MakeIdent(def->aliases[ad.table], col_name));
-      c_item.alias = "__c" + std::to_string(j);
-      def->build_query.items.push_back(std::move(c_item));
-      sql::SelectItem s_item;
-      s_item.expr =
-          MakeAggCall("SUM", MakeIdent(def->aliases[ad.table], col_name));
-      s_item.alias = "__s" + std::to_string(j);
-      def->build_query.items.push_back(std::move(s_item));
     }
   } else {
     // Join view: the backing key is the union of every base's primary key,
@@ -811,7 +397,6 @@ Status ViewManager::Create(const sql::CreateViewStmt& stmt) {
         key_names.push_back(it.name_out);
       }
     }
-    def->build_query = CloneSelect(sel);
   }
 
   std::vector<int> key_idx;
@@ -1213,18 +798,20 @@ Status ViewManager::MaintainLocked(ViewDef* v) {
         // the build query filtered to the group's key values goes through
         // the same planner/aggregation path as a full rebuild, so the
         // resulting row is cell-identical to what REFRESH would store.
-        sql::SelectStmt q = CloneSelect(v->build_query);
+        sql::BoundSelect q = v->build_query;
         for (size_t k = 0; k < group_items.size(); ++k) {
           const ViewDef::ItemOut& it = v->items[group_items[k]];
-          auto id = MakeIdent(
-              v->aliases[it.table],
-              v->bases[it.table]->schema().column(it.col).name);
-          sql::ParseExprPtr pred =
-              g.group_vals[k].is_null()
-                  ? MakeIsNull(std::move(id))
-                  : MakeEq(std::move(id), LiteralOf(g.group_vals[k]));
-          q.where = q.where ? MakeAnd(std::move(q.where), std::move(pred))
-                            : std::move(pred);
+          ExprPtr col =
+              Expr::Column(q.from[it.table].offset + it.col,
+                           v->bases[it.table]->schema().column(it.col).type);
+          sql::BoundConjunct pred;
+          pred.kind = sql::BoundConjunct::Kind::kLocal;
+          pred.table = it.table;
+          pred.expr = g.group_vals[k].is_null()
+                          ? Expr::IsNull(std::move(col))
+                          : Expr::Compare(CompareOp::kEq, std::move(col),
+                                          Expr::Constant(g.group_vals[k]));
+          q.where.push_back(std::move(pred));
         }
         auto rows = RunQueryAt(q, *catalog_, window_end);
         if (!rows.ok()) return rows.status();
@@ -1492,7 +1079,7 @@ std::vector<std::string> ViewManager::ViewDdls() const {
         ddl += " STALENESS " + std::to_string(v->max_staleness_us);
       }
     }
-    ddl += " AS " + v->fingerprint;
+    ddl += " AS " + v->definition;
     ddls.push_back(std::move(ddl));
   }
   return ddls;
@@ -1511,15 +1098,7 @@ Timestamp ViewManager::GcHorizon() const {
 int64_t ViewManager::StalenessMicros(const std::string& name,
                                      int64_t now_us) const {
   ViewDef* v = Find(name);
-  if (v == nullptr) return 0;
-  const Timestamp cursor = v->applied_ts.load(std::memory_order_acquire);
-  int64_t lag = 0;
-  for (Table* b : v->bases) {
-    if (ChangeLog* log = b->change_log()) {
-      lag = std::max(lag, log->OldestPendingMicrosSince(cursor, now_us));
-    }
-  }
-  return lag;
+  return v == nullptr ? 0 : LagMicros(*v, now_us);
 }
 
 void ViewManager::AppendStatsRows(std::vector<Row>* rows) const {
@@ -1528,11 +1107,9 @@ void ViewManager::AppendStatsRows(std::vector<Row>* rows) const {
   for (const auto& v : views_) {
     const Timestamp cursor = v->applied_ts.load(std::memory_order_acquire);
     int64_t pending = 0;
-    int64_t lag = 0;
     for (Table* b : v->bases) {
       if (ChangeLog* log = b->change_log()) {
         pending += static_cast<int64_t>(log->PendingSince(cursor));
-        lag = std::max(lag, log->OldestPendingMicrosSince(cursor, now_us));
       }
     }
     rows->push_back(
@@ -1542,7 +1119,7 @@ void ViewManager::AppendStatsRows(std::vector<Row>* rows) const {
     rows->push_back(Row{Value::String("view." + v->name + ".pending"),
                         Value::Int64(pending)});
     rows->push_back(Row{Value::String("view." + v->name + ".staleness_us"),
-                        Value::Int64(lag)});
+                        Value::Int64(LagMicros(*v, now_us))});
   }
 }
 
@@ -1550,290 +1127,213 @@ void ViewManager::AppendStatsRows(std::vector<Row>* rows) const {
 // Routing
 // ---------------------------------------------------------------------------
 
-namespace {
-
-struct QueryItem {
-  bool is_agg = false;
-  int t = -1, c = -1;          // non-agg ident
-  AggSpec::Fn fn = AggSpec::Fn::kCountStar;
-  int at = -1, ac = -1;        // agg argument (-1,-1 for COUNT(*))
-};
-
-// Rewrites an expression over the base tables into one over the view's
-// backing table: identifiers become the mapped output column, everything
-// else clones through. Returns null on any unmappable identifier.
-sql::ParseExprPtr RewriteOverView(
-    const sql::ParseExpr& e, const Binding& b,
-    const std::map<std::pair<int, int>, std::string>& col_map) {
-  if (e.kind == sql::ParseExpr::Kind::kIdent) {
-    int t, c;
-    if (!b.Resolve(e.qualifier, e.name, &t, &c)) return nullptr;
-    auto it = col_map.find({t, c});
-    if (it == col_map.end()) return nullptr;
-    return MakeIdent("", it->second);
-  }
-  auto out = std::make_unique<sql::ParseExpr>();
-  out->kind = e.kind;
-  out->qualifier = e.qualifier;
-  out->name = e.name;
-  out->int_val = e.int_val;
-  out->double_val = e.double_val;
-  out->str_val = e.str_val;
-  out->op = e.op;
-  for (const auto& a : e.args) {
-    auto ra = RewriteOverView(*a, b, col_map);
-    if (ra == nullptr) return nullptr;
-    out->args.push_back(std::move(ra));
-  }
-  return out;
-}
-
-}  // namespace
-
 std::optional<ViewManager::Route> ViewManager::TryRoute(
     const sql::SelectStmt& stmt, int64_t max_staleness_us) const {
-  if (stmt.distinct || stmt.having) return std::nullopt;
+  if (num_views() == 0) return std::nullopt;
+  auto bound = sql::BindSelect(stmt, *catalog_);
+  if (!bound.ok()) return std::nullopt;
+  return TryRoute(*bound, max_staleness_us);
+}
+
+std::optional<ViewManager::Route> ViewManager::TryRoute(
+    const sql::BoundSelect& q, int64_t max_staleness_us) const {
+  if (q.distinct || q.having != nullptr) return std::nullopt;
   if (num_views() == 0) return std::nullopt;
   obs::MetricsRegistry::Default()
       ->GetCounter("view.route_considered")
       ->Add(1);
 
-  Decomposed d;
-  if (!Decompose(stmt, *catalog_,
-                 [this](const std::string& n) { return IsView(n); }, &d)
-           .ok()) {
-    return std::nullopt;
-  }
-
-  // Classify the query's select list and GROUP BY.
-  std::vector<QueryItem> qitems;
-  bool q_agg = !stmt.group_by.empty();
-  for (const auto& item : stmt.items) {
-    const sql::ParseExpr& e = *item.expr;
-    QueryItem qi;
-    if (sql::ContainsAggregate(e)) {
-      AggFnInfo fi = AggFnFromCall(e);
-      if (!fi.ok) return std::nullopt;
-      qi.is_agg = true;
-      qi.fn = fi.fn;
-      if (fi.fn != AggSpec::Fn::kCountStar) {
-        const sql::ParseExpr& arg = *e.args[0];
-        if (arg.kind != sql::ParseExpr::Kind::kIdent ||
-            !d.binding.Resolve(arg.qualifier, arg.name, &qi.at, &qi.ac)) {
-          return std::nullopt;
-        }
-      }
-      q_agg = true;
-    } else {
-      if (e.kind != sql::ParseExpr::Kind::kIdent ||
-          !d.binding.Resolve(e.qualifier, e.name, &qi.t, &qi.c)) {
-        return std::nullopt;
-      }
+  // A join edge as an unordered pair of (base table, column).
+  using EdgeKey = std::pair<std::pair<const Table*, int>,
+                            std::pair<const Table*, int>>;
+  auto edge_key = [](const Table* a, int ac, const Table* b, int bc) {
+    auto l = std::make_pair(a, ac), r = std::make_pair(b, bc);
+    return l < r ? EdgeKey{l, r} : EdgeKey{r, l};
+  };
+  // The query's conjuncts: join edges, and single-table conjuncts both as
+  // written (combined scope) and over their table's own columns.
+  struct Local {
+    const Table* table;
+    ExprPtr own;    // over the table's columns
+    ExprPtr scope;  // over the query's combined scope
+  };
+  std::vector<EdgeKey> q_edges;
+  std::vector<Local> q_locals;
+  auto add_conjunct = [&](const sql::BoundConjunct& c) {
+    if (c.kind == sql::BoundConjunct::Kind::kOther) return false;
+    if (c.kind == sql::BoundConjunct::Kind::kLocal) {
+      q_locals.push_back({q.from[c.table].table, q.OverOwnColumns(c), c.expr});
+      return true;
     }
-    qitems.push_back(qi);
+    const auto [lt, lc] = q.Locate(c.expr->children()[0]->column_index());
+    const auto [rt, rc] = q.Locate(c.expr->children()[1]->column_index());
+    q_edges.push_back(edge_key(q.from[lt].table, lc, q.from[rt].table, rc));
+    return true;
+  };
+  for (const sql::BoundConjunct& c : q.where) {
+    if (!add_conjunct(c)) return std::nullopt;
   }
-  std::set<std::pair<int, int>> q_groups;
-  for (const auto& g : stmt.group_by) {
-    int t, c;
-    if (g->kind != sql::ParseExpr::Kind::kIdent ||
-        !d.binding.Resolve(g->qualifier, g->name, &t, &c)) {
-      return std::nullopt;
+  for (const auto& on : q.on) {
+    for (const sql::BoundConjunct& c : on) {
+      if (!add_conjunct(c)) return std::nullopt;
     }
-    q_groups.insert({t, c});
   }
-
-  // ORDER BY must resolve against the (preserved) output names; exprs are
-  // cloned unchanged so the rewritten plan resolves them the same way.
-  std::set<std::string> out_names;
-  for (const auto& item : stmt.items) {
-    out_names.insert(item.alias.empty() ? item.expr->ToString()
-                                        : item.alias);
-  }
-  for (const auto& o : stmt.order_by) {
-    if (!out_names.count(o.expr->ToString())) return std::nullopt;
-  }
-
-  std::set<std::string> q_base_names;
-  for (Table* t : d.binding.tables) q_base_names.insert(t->name());
-  std::vector<std::string> q_edge_texts = d.edge_texts;
-  std::sort(q_edge_texts.begin(), q_edge_texts.end());
+  std::sort(q_edges.begin(), q_edges.end());
+  const size_t num_cols =
+      static_cast<size_t>(q.from.back().offset + q.from.back().width);
 
   const int64_t now_us = SystemClock::Get()->NowMicros();
 
   std::shared_lock lock(mu_);
   for (const auto& vp : views_) {
     const ViewDef& v = *vp;
-    // 1. Same base set.
-    if (v.bases.size() != d.binding.tables.size()) continue;
-    std::set<std::string> v_base_names;
-    for (Table* t : v.bases) v_base_names.insert(t->name());
-    if (v_base_names != q_base_names) continue;
-    // Map the query's FROM index to the view's FROM index by table name
-    // (base sets are equal and duplicate-free).
-    std::vector<int> q2v(d.binding.tables.size());
-    for (size_t i = 0; i < d.binding.tables.size(); ++i) {
-      int vi = -1;
-      for (size_t k = 0; k < v.bases.size(); ++k) {
-        if (v.bases[k] == d.binding.tables[i]) vi = static_cast<int>(k);
+    // 1. Same base set: each query relation is a distinct view base.
+    if (v.bases.size() != q.from.size()) continue;
+    std::vector<int> q2v(q.from.size(), -1);
+    std::vector<bool> taken(v.bases.size(), false);
+    bool same_bases = true;
+    for (size_t t = 0; t < q.from.size() && same_bases; ++t) {
+      auto it = std::find(v.bases.begin(), v.bases.end(), q.from[t].table);
+      const size_t vb = static_cast<size_t>(it - v.bases.begin());
+      same_bases = it != v.bases.end() && !taken[vb];
+      if (same_bases) {
+        taken[vb] = true;
+        q2v[t] = static_cast<int>(vb);
       }
-      q2v[i] = vi;
     }
-    // 2. Same join-edge set (canonical texts are FROM-order independent).
-    std::vector<std::string> v_edge_texts;
-    {
-      Binding vb;
-      vb.tables = v.bases;
-      for (const auto& e : v.edges) v_edge_texts.push_back(EdgeText(vb, e));
+    if (!same_bases) continue;
+    // 2. Same join-edge set.
+    std::vector<EdgeKey> v_edges;
+    for (const ViewDef::Edge& e : v.edges) {
+      v_edges.push_back(edge_key(v.bases[e.lt], e.lc, v.bases[e.rt], e.rc));
     }
-    std::sort(v_edge_texts.begin(), v_edge_texts.end());
-    if (v_edge_texts != q_edge_texts) continue;
-    // 3. The view's local predicates must all appear in the query
-    //    (subsumption); leftovers become residual filters over the view.
-    std::multiset<std::string> q_local_texts;
-    for (const auto& lp : d.locals) q_local_texts.insert(lp.text);
+    std::sort(v_edges.begin(), v_edges.end());
+    if (v_edges != q_edges) continue;
+    // 3. Every local predicate of the view appears in the query
+    //    (subsumption); the query's leftovers filter the backing table.
+    std::vector<bool> consumed(q_locals.size(), false);
     bool subsumed = true;
-    for (const auto& vt : v.local_pred_texts) {
-      auto it = q_local_texts.find(vt);
-      if (it == q_local_texts.end()) {
-        subsumed = false;
-        break;
-      }
-      q_local_texts.erase(it);
-    }
-    if (!subsumed) continue;
-    std::vector<const sql::ParseExpr*> extras;
-    {
-      std::multiset<std::string> remaining = q_local_texts;
-      for (const auto& lp : d.locals) {
-        auto it = remaining.find(lp.text);
-        if (it != remaining.end()) {
-          extras.push_back(lp.expr);
-          remaining.erase(it);
+    for (size_t vb = 0; vb < v.bases.size() && subsumed; ++vb) {
+      for (const ExprPtr& pred : v.local_bound[vb]) {
+        size_t i = 0;
+        while (i < q_locals.size() &&
+               (consumed[i] || q_locals[i].table != v.bases[vb] ||
+                !q_locals[i].own->SameAs(*pred))) {
+          ++i;
         }
-      }
-    }
-
-    // (t,c) in query FROM indexing -> view output column name.
-    std::map<std::pair<int, int>, std::string> col_map;
-    std::map<std::pair<int, int>, const ViewDef::ItemOut*> group_of;
-    for (const auto& it : v.items) {
-      if (it.is_agg) continue;
-      for (size_t qi = 0; qi < q2v.size(); ++qi) {
-        if (q2v[qi] == it.table) {
-          col_map[{static_cast<int>(qi), it.col}] = it.name_out;
-          group_of[{static_cast<int>(qi), it.col}] = &it;
-        }
-      }
-    }
-
-    sql::SelectStmt rewritten;
-    bool match = true;
-
-    if (!v.is_aggregate) {
-      // Cases A and B: join view; any query (plain or aggregate) whose
-      // referenced columns live in the view's select list rewrites 1:1 —
-      // view rows are exactly the join rows.
-      for (size_t k = 0; k < stmt.items.size(); ++k) {
-        auto re = RewriteOverView(*stmt.items[k].expr, d.binding, col_map);
-        if (re == nullptr) {
-          match = false;
+        if (i == q_locals.size()) {
+          subsumed = false;
           break;
         }
-        sql::SelectItem item;
-        item.expr = std::move(re);
-        item.alias = stmt.items[k].alias.empty()
-                         ? stmt.items[k].expr->ToString()
-                         : stmt.items[k].alias;
-        rewritten.items.push_back(std::move(item));
+        consumed[i] = true;
       }
-      if (match) {
-        for (const auto& g : stmt.group_by) {
-          auto rg = RewriteOverView(*g, d.binding, col_map);
-          if (rg == nullptr) {
-            match = false;
-            break;
-          }
-          rewritten.group_by.push_back(std::move(rg));
+    }
+    if (!subsumed) continue;
+
+    // Query scope column -> backing column holding it, for the view's
+    // plain-column items.
+    std::vector<int> to_backing(num_cols, -1);
+    for (size_t k = 0; k < v.items.size(); ++k) {
+      const ViewDef::ItemOut& it = v.items[k];
+      if (it.is_agg) continue;
+      for (size_t t = 0; t < q2v.size(); ++t) {
+        if (q2v[t] == it.table) {
+          to_backing[static_cast<size_t>(q.from[t].offset + it.col)] =
+              static_cast<int>(k);
         }
+      }
+    }
+    bool unmapped = false;
+    auto remap = [&](const ExprPtr& e) {
+      return Expr::RemapColumns(e, [&](int col) {
+        const int k = to_backing[static_cast<size_t>(col)];
+        unmapped |= k < 0;
+        return k;
+      });
+    };
+    const Schema& bs = v.backing->schema();
+
+    sql::BoundSelect rewritten;
+    if (!v.is_aggregate) {
+      // Join view: view rows are exactly the join rows, so any query
+      // (plain or aggregate) over columns the view carries runs over the
+      // backing table as written.
+      rewritten.aggregate = q.aggregate;
+      rewritten.items = q.items;
+      for (sql::BoundItem& item : rewritten.items) {
+        if (item.expr != nullptr) item.expr = remap(item.expr);
+      }
+      for (const ExprPtr& g : q.group_by) {
+        rewritten.group_by.push_back(remap(g));
+      }
+      rewritten.aggs = q.aggs;
+      for (AggSpec& a : rewritten.aggs) {
+        if (a.arg != nullptr) a.arg = remap(a.arg);
       }
     } else {
-      // Case C: aggregate view; query must aggregate at the same grain.
-      if (!q_agg) continue;
-      std::set<std::pair<int, int>> v_groups;
-      for (const auto& it : v.items) {
-        if (it.is_agg) continue;
-        for (size_t qi = 0; qi < q2v.size(); ++qi) {
-          if (q2v[qi] == it.table) {
-            v_groups.insert({static_cast<int>(qi), it.col});
-          }
-        }
+      // Aggregate view: the query must aggregate at the same grain; its
+      // aggregates become reads of the view's finalized columns and the
+      // group keys of its key columns. Residual filters may only touch
+      // group columns (a filter on a group column commutes with the
+      // aggregation).
+      if (!q.aggregate) continue;
+      std::set<std::pair<int, int>> q_groups, v_groups;
+      for (const ExprPtr& g : q.group_by) {
+        if (g->kind() != Expr::Kind::kColumn) break;
+        const auto [t, col] = q.Locate(g->column_index());
+        q_groups.insert({q2v[t], col});
       }
-      if (v_groups != q_groups) continue;
-      for (size_t k = 0; k < stmt.items.size(); ++k) {
-        const QueryItem& qi = qitems[k];
-        sql::SelectItem item;
-        item.alias = stmt.items[k].alias.empty()
-                         ? stmt.items[k].expr->ToString()
-                         : stmt.items[k].alias;
-        if (qi.is_agg) {
-          const ViewDef::AggDef* found = nullptr;
-          for (const auto& ad : v.aggs) {
-            if (ad.fn != qi.fn) continue;
-            if (ad.fn == AggSpec::Fn::kCountStar) {
-              found = &ad;
-              break;
-            }
-            if (qi.at >= 0 && q2v[qi.at] == ad.table && qi.ac == ad.col) {
-              found = &ad;
-              break;
-            }
-          }
-          if (found == nullptr) {
-            match = false;
-            break;
-          }
-          item.expr = MakeIdent("", v.items[found->visible_idx].name_out);
+      for (const ViewDef::ItemOut& it : v.items) {
+        if (!it.is_agg) v_groups.insert({it.table, it.col});
+      }
+      if (q_groups.size() != q.group_by.size() || q_groups != v_groups) {
+        continue;
+      }
+      for (const sql::BoundItem& item : q.items) {
+        sql::BoundItem out;
+        out.name = item.name;
+        if (item.kind == sql::BoundItem::Kind::kGroupKey) {
+          out.expr = remap(q.group_by[item.index]);
         } else {
-          auto re =
-              RewriteOverView(*stmt.items[k].expr, d.binding, col_map);
-          if (re == nullptr) {
-            match = false;
+          const AggSpec& spec = q.aggs[item.index];
+          int at = -1, ac = -1;
+          if (spec.arg != nullptr) {
+            if (spec.arg->kind() != Expr::Kind::kColumn) {
+              unmapped = true;
+              break;
+            }
+            std::tie(at, ac) = q.Locate(spec.arg->column_index());
+            at = q2v[at];
+          }
+          auto found = std::find_if(
+              v.aggs.begin(), v.aggs.end(), [&](const ViewDef::AggDef& ad) {
+                return ad.fn == spec.fn &&
+                       (ad.fn == AggSpec::Fn::kCountStar ||
+                        (ad.table == at && ad.col == ac));
+              });
+          if (found == v.aggs.end()) {
+            unmapped = true;
             break;
           }
-          item.expr = std::move(re);
+          out.expr = Expr::Column(found->visible_idx,
+                                  bs.column(found->visible_idx).type);
         }
-        rewritten.items.push_back(std::move(item));
+        rewritten.items.push_back(std::move(out));
       }
-      // group_by dropped: the backing table already holds one row per
-      // group. Residual filters may only touch group columns (a filter on
-      // a group column commutes with the aggregation).
     }
-    if (!match) continue;
-
-    sql::ParseExprPtr where;
-    for (const sql::ParseExpr* ex : extras) {
-      auto re = RewriteOverView(*ex, d.binding, col_map);
-      if (re == nullptr) {
-        match = false;
-        break;
-      }
-      where = where ? MakeAnd(std::move(where), std::move(re))
-                    : std::move(re);
+    for (size_t i = 0; i < q_locals.size(); ++i) {
+      if (consumed[i]) continue;
+      sql::BoundConjunct c;
+      c.kind = sql::BoundConjunct::Kind::kLocal;
+      c.table = 0;
+      c.expr = remap(q_locals[i].scope);
+      rewritten.where.push_back(std::move(c));
     }
-    if (!match) continue;
+    if (unmapped) continue;
 
     // 4. Staleness gate: tightest of the session knob and the view's own
     //    bound.
-    int64_t lag = 0;
-    {
-      const Timestamp cursor = v.applied_ts.load(std::memory_order_acquire);
-      for (Table* b : v.bases) {
-        if (ChangeLog* log = b->change_log()) {
-          lag =
-              std::max(lag, log->OldestPendingMicrosSince(cursor, now_us));
-        }
-      }
-    }
+    const int64_t lag = LagMicros(v, now_us);
     int64_t bound = -1;
     if (max_staleness_us >= 0) bound = max_staleness_us;
     if (v.max_staleness_us >= 0) {
@@ -1842,17 +1342,15 @@ std::optional<ViewManager::Route> ViewManager::TryRoute(
     }
     if (bound >= 0 && lag > bound) continue;
 
-    sql::TableRef ref;
-    ref.name = v.name;
-    rewritten.tables.push_back(std::move(ref));
-    rewritten.where = std::move(where);
-    for (const auto& o : stmt.order_by) {
-      sql::OrderItem oi;
-      oi.expr = CloneExpr(*o.expr);
-      oi.descending = o.descending;
-      rewritten.order_by.push_back(std::move(oi));
-    }
-    rewritten.limit = stmt.limit;
+    sql::BoundTable backing;
+    backing.table = v.backing;
+    backing.alias = v.name;
+    backing.width = static_cast<int>(bs.num_columns());
+    rewritten.from.push_back(std::move(backing));
+    rewritten.on.resize(1);
+    rewritten.order_by = q.order_by;
+    rewritten.limit = q.limit;
+    rewritten.fingerprint = q.fingerprint + " ROUTED VIA " + v.name;
 
     Route route;
     route.view = v.name;

@@ -15,6 +15,7 @@
 #include "common/types.h"
 #include "exec/operators.h"
 #include "sql/ast.h"
+#include "sql/binder.h"
 #include "storage/catalog.h"
 #include "storage/change_log.h"
 #include "txn/transaction_manager.h"
@@ -26,38 +27,32 @@ namespace view {
 // catalog table that stores its rows (queryable under the view's name),
 // and the incremental-maintenance cursor.
 //
-// Supported shapes (validated at CREATE):
+// Supported shapes (validated at CREATE from the bound definition):
 //  - join views:       SELECT cols FROM t1 JOIN t2 ON ... [WHERE ...],
 //    select list = plain column refs covering every base's primary key;
 //  - aggregate views:  SELECT group-cols + aggs FROM ... GROUP BY ...,
 //    aggregates over single columns (or COUNT(*)), at least one group
 //    column (it becomes the backing primary key).
-// WHERE/ON must decompose into single-table conjuncts plus cross-table
-// equality join edges; the join graph must be connected. DISTINCT,
-// HAVING, ORDER BY, LIMIT, views-over-views, and self-joins are
-// rejected.
+// WHERE/ON must split into single-table conjuncts plus cross-table
+// equality join edges; the binder already keys every JOIN to an earlier
+// table, so the join graph is connected. DISTINCT, HAVING, ORDER BY,
+// LIMIT, views-over-views, and self-joins are rejected.
 struct ViewDef {
   std::string name;
   bool sync = true;               // maintained at commit vs daemon cadence
   int64_t max_staleness_us = -1;  // routing bound for DEFERRED; -1 = none
-
-  sql::SelectStmt select;   // the definition (owned)
-  std::string fingerprint;  // canonical text of `select`
+  std::string definition;         // the defining SELECT's source text
 
   Table* backing = nullptr;
-  std::vector<Table*> bases;          // FROM order
-  std::vector<std::string> aliases;   // FROM aliases (default: table name)
+  std::vector<Table*> bases;  // FROM order
 
-  // WHERE/ON decomposition.
+  // WHERE/ON conjuncts: join edges, and per base its single-table
+  // conjuncts bound over the base's own columns.
   struct Edge {
     int lt, lc, rt, rc;  // bases[lt].col(lc) == bases[rt].col(rc)
   };
   std::vector<Edge> edges;
-  std::vector<std::vector<sql::ParseExprPtr>> local_preds;  // per base
-  std::vector<std::vector<ExprPtr>> local_bound;            // per base
-  // Canonical "table.col op ..." texts of local conjuncts, for routing
-  // subsumption checks.
-  std::vector<std::string> local_pred_texts;
+  std::vector<std::vector<ExprPtr>> local_bound;
 
   // Delta-join processing order starting from each base (connected
   // extension over `edges`).
@@ -81,7 +76,6 @@ struct ViewDef {
     AggSpec::Fn fn = AggSpec::Fn::kCountStar;
     int table = -1;  // -1 for COUNT(*)
     int col = -1;
-    std::string text;      // canonical "SUM(table.col)" matching key
     ValueType out_type = ValueType::kInt64;
     int visible_idx = -1;  // backing column holding the finalized value
     int count_idx = -1;    // non-null count state (visible col for COUNT)
@@ -94,10 +88,10 @@ struct ViewDef {
   std::vector<AggDef> aggs;
   int rows_idx = -1;  // backing __rows column (aggregate views)
 
-  // Definition query augmented with the hidden-state aggregates; its
+  // Bound definition with the hidden-state aggregates appended; its
   // output order equals the backing schema order. For join views this is
   // just the definition.
-  sql::SelectStmt build_query;
+  sql::BoundSelect build_query;
 
   // Maintenance state. `mu` serializes maintainers (sync commits,
   // daemon ticks, REFRESH); `applied_ts` is the cursor — every base
@@ -144,7 +138,7 @@ class ViewManager {
   size_t num_views() const;
 
   // Re-parseable CREATE MATERIALIZED VIEW statements for every registered
-  // view (definition rendered from the canonical fingerprint). The
+  // view (the definition's source text, as written). The
   // checkpoint daemon embeds these in each image so recovery from an
   // empty catalog can re-create the views — re-running the DDL rebuilds
   // each backing table from the restored bases, which is why backing
@@ -159,16 +153,20 @@ class ViewManager {
   // change (0 when fully applied).
   int64_t StalenessMicros(const std::string& name, int64_t now_us) const;
 
-  // Cost-based routing: if `stmt`'s join/aggregate shape subsumes a
+  // Cost-based routing: if `q`'s join/aggregate shape subsumes a
   // registered view whose staleness passes `max_staleness_us` (session
   // knob; -1 = unbounded) and the view's own bound, returns the query
   // rewritten over the backing table. The caller cost-compares the two
-  // plans and picks the cheaper.
+  // plans and picks the cheaper. Edges and local predicates match as bound
+  // expressions over (table, column), constants as typed values.
   struct Route {
     std::string view;
     int64_t staleness_us = 0;
-    sql::SelectStmt rewritten;
+    sql::BoundSelect rewritten;
   };
+  std::optional<Route> TryRoute(const sql::BoundSelect& q,
+                                int64_t max_staleness_us) const;
+  // Binds `stmt`, then routes it as above.
   std::optional<Route> TryRoute(const sql::SelectStmt& stmt,
                                 int64_t max_staleness_us) const;
 

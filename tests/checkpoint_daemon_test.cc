@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -317,14 +318,34 @@ TEST_F(CheckpointDaemonTest, RecoveryRebuildsViewsFromCarriedDdl) {
   Wal wal;
   Database db(&wal);
   ASSERT_TRUE(db.Execute(kCreateSql).ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE u (tag TEXT NOT NULL, w BIGINT, "
+                         "PRIMARY KEY (tag)) FORMAT COLUMN")
+                  .ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO u VALUES ('d', 1), ('it''s', 2), ('x', 3)").ok());
   InsertRange(&db, 0, 40);
+  // Doubles on both sides of the 7-significant-digit bound below; a
+  // definition rendered at six decimals would move it to 0.123457.
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1000, 'it''s', 0.1234569), "
+                         "(1001, 'd', 0.1234565), (1002, 'x', 0.1234568)")
+                  .ok());
   ASSERT_TRUE(db.Execute("CREATE MATERIALIZED VIEW agg AS "
                          "SELECT tag, COUNT(*) AS n, SUM(v) AS s "
                          "FROM t GROUP BY tag")
                   .ok());
+  ASSERT_TRUE(db.Execute("CREATE MATERIALIZED VIEW tj AS "
+                         "SELECT t.id, u.tag, t.v, u.w FROM t "
+                         "JOIN u ON t.tag = u.tag WHERE t.v > 0.1234567")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE MATERIALIZED VIEW tq DEFERRED AS "
+                         "SELECT tag, COUNT(*) AS n FROM t "
+                         "WHERE tag <> 'it''s' GROUP BY tag")
+                  .ok());
   CheckpointDaemon* d = db.EnsureCheckpointer();
   ASSERT_TRUE(d->CheckpointNow().ok());
   InsertRange(&db, 40, 70);  // tail beyond the checkpoint
+  ASSERT_TRUE(db.Execute("INSERT INTO t VALUES (1003, 'it''s', 0.5)").ok());
+  db.view_manager()->MaintainAll();
 
   CheckpointDaemon::CrashImage crash = d->CaptureCrashImage();
 
@@ -332,15 +353,42 @@ TEST_F(CheckpointDaemonTest, RecoveryRebuildsViewsFromCarriedDdl) {
   auto report = recovered.RecoverFromCheckpointStore(crash.store, crash.wal);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_GT(report->tail_txns, 0u);
-  ASSERT_TRUE(recovered.view_manager()->IsView("agg"));
 
-  auto want = db.Execute("SELECT n, s FROM agg");
-  auto got = recovered.Execute("SELECT n, s FROM agg");
-  ASSERT_TRUE(want.ok());
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->rows.size(), want->rows.size());
-  EXPECT_EQ(got->rows[0][0].AsInt64(), want->rows[0][0].AsInt64());
-  EXPECT_DOUBLE_EQ(got->rows[0][1].AsDouble(), want->rows[0][1].AsDouble());
+  for (const char* view : {"agg", "tj", "tq"}) {
+    ASSERT_TRUE(recovered.view_manager()->IsView(view)) << view;
+    const std::string sql = std::string("SELECT * FROM ") + view;
+    auto want = db.Execute(sql);
+    auto got = recovered.Execute(sql);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    // Each view's non-double columns form a key; order both sides by it,
+    // then compare doubles to within 4 ULPs and every other cell exactly.
+    auto by_key = [](const Row& a, const Row& b) {
+      for (size_t c = 0; c < a.size(); ++c) {
+        if (a[c].type() == ValueType::kDouble || a[c] == b[c]) continue;
+        return a[c] < b[c];
+      }
+      return false;
+    };
+    std::sort(want->rows.begin(), want->rows.end(), by_key);
+    std::sort(got->rows.begin(), got->rows.end(), by_key);
+    ASSERT_EQ(got->rows.size(), want->rows.size()) << view;
+    for (size_t r = 0; r < want->rows.size(); ++r) {
+      const Row& w = want->rows[r];
+      const Row& g = got->rows[r];
+      ASSERT_EQ(g.size(), w.size()) << view;
+      for (size_t c = 0; c < w.size(); ++c) {
+        ASSERT_EQ(g[c].type(), w[c].type()) << view << " col " << c;
+        ASSERT_EQ(g[c].is_null(), w[c].is_null()) << view << " col " << c;
+        if (w[c].type() == ValueType::kDouble && !w[c].is_null()) {
+          EXPECT_DOUBLE_EQ(g[c].AsDouble(), w[c].AsDouble())
+              << view << " row " << r << " col " << c;
+        } else {
+          EXPECT_EQ(g[c], w[c]) << view << " row " << r << " col " << c;
+        }
+      }
+    }
+  }
 }
 
 // Satellite: a slow checkpoint must not dam up the delta store. The pin

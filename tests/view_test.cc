@@ -93,6 +93,12 @@ TEST(ViewTest, CreateValidation) {
   EXPECT_FALSE(db.Execute("CREATE MATERIALIZED VIEW v1 AS "
                           "SELECT t.a, t.v FROM t JOIN u ON t.g = u.b")
                    .ok());
+  // SELECT *, whatever the table's width.
+  Exec(&db, "CREATE TABLE one (k INT NOT NULL, PRIMARY KEY (k))");
+  EXPECT_FALSE(
+      db.Execute("CREATE MATERIALIZED VIEW v1 AS SELECT * FROM one").ok());
+  EXPECT_FALSE(
+      db.Execute("CREATE MATERIALIZED VIEW v1 AS SELECT * FROM t").ok());
   // Disconnected join (no edge between t and u).
   EXPECT_FALSE(db.Execute("CREATE MATERIALIZED VIEW v1 AS "
                           "SELECT t.a, u.b FROM t, u WHERE t.a > 0")
@@ -399,6 +405,29 @@ TEST(ViewTest, RoutingAndStalenessGate) {
   uint64_t routed =
       obs::MetricsRegistry::Default()->GetCounter("view.routed")->Value();
   EXPECT_GT(routed, 0u);
+
+  // Constants match as typed values, not as text: both bounds below print
+  // as 0.000000 at six decimals, yet a view over v > 1e-7 cannot answer
+  // v > 4e-7.
+  Database ddb;
+  Exec(&ddb, "CREATE TABLE t (k INT NOT NULL, j INT, v DOUBLE, "
+             "PRIMARY KEY (k))");
+  for (int k = 0; k < 20; ++k) {
+    Exec(&ddb, "INSERT INTO t VALUES (" + std::to_string(k) + ", " +
+                   std::to_string(k % 4) + ", " +
+                   (k % 5 == 0 ? "0.0000002" : "0.0000005") + ")");
+  }
+  Exec(&ddb,
+       "CREATE MATERIALIZED VIEW tv SYNC AS "
+       "SELECT j, COUNT(*) AS n FROM t WHERE v > 0.0000001 GROUP BY j");
+  const std::string narrower =
+      "SELECT j, COUNT(*) AS n FROM t WHERE v > 0.0000004 GROUP BY j";
+  EXPECT_FALSE(ExplainRouted(&ddb, narrower));
+  ExpectRoutedEquals(&ddb, narrower);
+  const std::string same =
+      "SELECT j, COUNT(*) AS n FROM t WHERE v > 0.0000001 GROUP BY j";
+  EXPECT_TRUE(ExplainRouted(&ddb, same));
+  ExpectRoutedEquals(&ddb, same);
 }
 
 TEST(ViewTest, JoinViewRouting) {
@@ -427,6 +456,37 @@ TEST(ViewTest, JoinViewRouting) {
   // Different join graph must not route.
   EXPECT_FALSE(ExplainRouted(&db, "SELECT o.oid, c.seg FROM o JOIN c "
                                   "ON o.amt = c.cid"));
+
+  // Matching is independent of spelling: against a view with two local
+  // predicates, aliases, FROM order, qualification, conjunct order and a
+  // predicate written in ON all denote the same bound query.
+  Database sdb;
+  Exec(&sdb, "CREATE TABLE o (oid INT NOT NULL, cid INT, amt INT, "
+             "PRIMARY KEY (oid))");
+  Exec(&sdb, "CREATE TABLE c (cid INT NOT NULL, seg INT, PRIMARY KEY (cid))");
+  Exec(&sdb, "INSERT INTO c VALUES (1, 7), (2, 8), (3, 7)");
+  Exec(&sdb, "INSERT INTO o VALUES (10, 1, 100), (11, 1, 50), (12, 2, 30), "
+             "(13, 3, 45), (14, 3, 20), (15, 2, 90)");
+  Exec(&sdb,
+       "CREATE MATERIALIZED VIEW ocf SYNC AS "
+       "SELECT o.oid, c.cid, o.amt, c.seg FROM o JOIN c ON o.cid = c.cid "
+       "WHERE o.amt > 40 AND c.seg = 7");
+  for (const char* sql :
+       {"SELECT o.oid, o.amt, c.seg FROM o JOIN c ON o.cid = c.cid "
+        "WHERE o.amt > 40 AND c.seg = 7",
+        "SELECT x.oid, x.amt, y.seg FROM o x JOIN c y ON x.cid = y.cid "
+        "WHERE x.amt > 40 AND y.seg = 7",
+        "SELECT o.oid, o.amt, c.seg FROM c JOIN o ON o.cid = c.cid "
+        "WHERE o.amt > 40 AND c.seg = 7",
+        "SELECT oid, amt, seg FROM o JOIN c ON o.cid = c.cid "
+        "WHERE amt > 40 AND seg = 7",
+        "SELECT o.oid, o.amt, c.seg FROM o JOIN c ON o.cid = c.cid "
+        "WHERE c.seg = 7 AND o.amt > 40",
+        "SELECT o.oid, o.amt, c.seg FROM o JOIN c "
+        "ON o.cid = c.cid AND o.amt > 40 WHERE c.seg = 7"}) {
+    EXPECT_TRUE(ExplainRouted(&sdb, sql)) << sql;
+    ExpectRoutedEquals(&sdb, sql);
+  }
 }
 
 // The headline acceptance: a CH-style aggregate over a wide fact table is
