@@ -90,26 +90,24 @@ void BM_CheckpointRecovery(benchmark::State& state) {
       std::abort();
   }
   CheckpointStore store = daemon->StoreCopy();
+  const CheckpointStore no_images;
 
   double secs = 0;
   size_t tail_txns = 0;
   for (auto _ : state) {
     Database recovered;
     auto start = std::chrono::steady_clock::now();
-    if (checkpointed) {
-      auto rec = recovered.RecoverFromCheckpointStore(store, wal.buffer());
-      if (!rec.ok()) std::abort();
-      tail_txns = rec->tail_txns;
-    } else {
-      if (!recovered.catalog()
-               ->CreateTable("t", BenchSchema(), TableFormat::kColumn)
-               .ok()) {
-        std::abort();
-      }
-      auto rec = recovered.RecoverFromWal(wal.buffer());
-      if (!rec.ok()) std::abort();
-      tail_txns = rec->txns_applied;
+    // Full replay is recovery from an empty store over pre-created tables.
+    if (!checkpointed &&
+        !recovered.catalog()
+             ->CreateTable("t", BenchSchema(), TableFormat::kColumn)
+             .ok()) {
+      std::abort();
     }
+    auto rec = recovered.RecoverFromCheckpointStore(
+        checkpointed ? store : no_images, wal.buffer());
+    if (!rec.ok()) std::abort();
+    tail_txns = rec->tail_txns;
     secs = Seconds(start);
     int64_t n = 0;
     recovered.catalog()->GetTable("t")->ScanVisible(

@@ -166,8 +166,8 @@ std::string BuildLog(int64_t txns, int tables) {
 }
 
 // CPU consumed by the calling thread — for parallel replay this is the
-// recovery critical path (decode + its share of coordination) with the
-// partition applies offloaded to the pool. On a few-core host wall times
+// recovery critical path: the decode pass plus the tables the caller
+// claims as worker 0 of the apply pass. On a few-core host wall times
 // tie while this metric shows the offload; on multi-core hosts wall time
 // follows it (see EXPERIMENTS.md E18).
 double ThreadCpuSeconds() {
@@ -180,9 +180,9 @@ double ThreadCpuSeconds() {
   return 0;
 }
 
-// (b) Recovery: serial vs. parallel partitioned replay. range(0) = txns
-// in the log (scaled by OLTAP_WAL_REPLAY_SCALE), range(1) = 1 for
-// parallel.
+// (b) Recovery: serial (null pool, DOP 1) vs. parallel (4-thread pool)
+// partitioned replay. range(0) = txns in the log (scaled by
+// OLTAP_WAL_REPLAY_SCALE), range(1) = 1 for parallel.
 void BM_WalRecovery(benchmark::State& state) {
   const int kTables = 8;
   int64_t txns = state.range(0) * EnvInt("OLTAP_WAL_REPLAY_SCALE", 1);
@@ -195,9 +195,8 @@ void BM_WalRecovery(benchmark::State& state) {
     auto catalog = MakeCatalog(kTables);
     auto start = std::chrono::steady_clock::now();
     double cpu_start = ThreadCpuSeconds();
-    auto stats = parallel
-                     ? Wal::ReplayParallel(log, catalog.get(), &pool)
-                     : Wal::Replay(log, catalog.get());
+    auto stats = Wal::Replay(log, catalog.get(), {},
+                             parallel ? &pool : nullptr);
     cpu_secs = ThreadCpuSeconds() - cpu_start;
     secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          start)

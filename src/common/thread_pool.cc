@@ -1,8 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
-#include <atomic>
-
 #include "common/logging.h"
 
 namespace oltap {
@@ -53,35 +50,6 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::ParallelForChunked(
-    size_t n, const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  size_t num_chunks = std::min(n, threads_.size());
-  if (num_chunks <= 1) {
-    fn(0, n);
-    return;
-  }
-  // `done` is counted under `done_mu` (not an atomic): the waiter below
-  // must not be able to observe the final count — and destroy this stack
-  // frame — until the finishing worker has released the mutex and is done
-  // touching the captured state.
-  size_t done = 0;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    size_t begin = c * chunk;
-    size_t end = std::min(n, begin + chunk);
-    Submit([&, begin, end] {
-      fn(begin, end);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (++done == num_chunks) done_cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done == num_chunks; });
-}
-
 void ThreadPool::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
@@ -90,6 +58,31 @@ void ThreadPool::WaitIdle() {
 size_t ThreadPool::queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
+}
+
+void RunOnWorkers(ThreadPool* pool, size_t dop,
+                  const std::function<void(size_t)>& worker) {
+  if (pool == nullptr || dop <= 1) {
+    worker(0);
+    return;
+  }
+  size_t helpers = dop - 1;
+  // Completion is counted under a mutex, not an atomic: the waiter must not
+  // observe the final count — and destroy this frame — while a finishing
+  // helper still touches the captured state.
+  size_t done = 0;
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  for (size_t w = 1; w <= helpers; ++w) {
+    pool->Submit([&, w] {
+      worker(w);
+      std::lock_guard<std::mutex> lock(done_mu);
+      if (++done == helpers) done_cv.notify_all();
+    });
+  }
+  worker(0);
+  std::unique_lock<std::mutex> lock(done_mu);
+  done_cv.wait(lock, [&] { return done == helpers; });
 }
 
 }  // namespace oltap

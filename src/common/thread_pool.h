@@ -38,13 +38,6 @@ class ThreadPool {
     return fut;
   }
 
-  // Runs fn(begin, end) over a partition of [0, n) — one call per chunk,
-  // one chunk per task — and waits for completion. The callee owns the
-  // inner loop, so there is one indirect call per range, not per index,
-  // and the body can keep per-chunk state in registers.
-  void ParallelForChunked(size_t n,
-                          const std::function<void(size_t, size_t)>& fn);
-
   // Blocks until the queue is empty and all workers are idle.
   void WaitIdle();
 
@@ -62,6 +55,15 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
 };
+
+// Runs worker(worker_index) on `dop` workers total: dop-1 pool tasks plus
+// the calling thread (index 0), returning once all have finished. With a
+// null pool or dop <= 1 the caller runs alone, so serial is DOP 1 of the
+// same loop. Workers must not submit further pool work (callers run on
+// scheduler or client threads, never on the pool itself, so draining
+// cannot deadlock).
+void RunOnWorkers(ThreadPool* pool, size_t dop,
+                  const std::function<void(size_t)>& worker);
 
 }  // namespace oltap
 

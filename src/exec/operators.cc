@@ -1038,16 +1038,15 @@ void HashJoinOp::BuildTable() {
   const std::vector<const ColumnVector*> keys =
       ColumnsOf(build_batch_, build_keys_);
   build_hashes_.resize(n);
-  auto hash_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
+  // One contiguous range per granted worker; the query thread is worker 0.
+  const size_t workers = std::max<size_t>(1, ctx_.dop);
+  const size_t chunk = (n + workers - 1) / workers;
+  RunOnWorkers(ctx_.pool, workers, [&](size_t w) {
+    const size_t end = std::min(n, (w + 1) * chunk);
+    for (size_t i = w * chunk; i < end; ++i) {
       build_hashes_[i] = KeyHash(keys, i, as_double_);
     }
-  };
-  if (parallel() && ctx_.pool != nullptr) {
-    ctx_.pool->ParallelForChunked(n, hash_range);
-  } else {
-    hash_range(0, n);
-  }
+  });
   // Descending inserts leave every chain in ascending build-row order.
   size_t buckets = 16;
   while (buckets < 2 * n) buckets <<= 1;

@@ -64,14 +64,6 @@ class MorselSource {
   virtual void Drive(const MorselSink& sink) = 0;
 };
 
-// Runs worker(worker_index) on `dop` workers total: dop-1 pool tasks plus
-// the calling thread (index 0), returning once all have finished. With a
-// null pool or dop <= 1 the caller runs alone. Workers must not submit
-// further pool work (queries run on scheduler threads, never on the exec
-// pool itself, so morsel draining cannot deadlock).
-void RunOnWorkers(ThreadPool* pool, size_t dop,
-                  const std::function<void(size_t)>& worker);
-
 // Materialized slot store for a DOP >= 2 operator under a serial parent:
 // workers append batches to their slot concurrently (the slot vector is
 // pre-sized, distinct slots never alias), then NextBatch streams slots in

@@ -697,21 +697,6 @@ Result<QueryResult> Database::RunCreate(const sql::CreateTableStmt& s) {
   return result;
 }
 
-Result<Wal::ReplayStats> Database::RecoverFromWal(const std::string& wal_data,
-                                                  ThreadPool* pool) {
-  Wal::ReplayOptions options;
-  options.idempotent = true;
-  OLTAP_ASSIGN_OR_RETURN(
-      Wal::ReplayStats stats,
-      Wal::ReplayParallel(wal_data, &catalog_, pool, options));
-  txn_.AdvanceTo(stats.max_commit_ts);
-  // WAL replay bypasses the transaction path, so the in-memory change logs
-  // and view cursors do not reflect the recovered rows. Every materialized
-  // view is stale-on-recover: rebuild from the recovered bases.
-  OLTAP_RETURN_NOT_OK(views_.RebuildAllAfterRecovery());
-  return stats;
-}
-
 Result<Database::RecoveryReport> Database::RecoverFromCheckpointStore(
     const CheckpointStore& store, const std::string& wal_data,
     ThreadPool* pool) {
@@ -723,25 +708,25 @@ Result<Database::RecoveryReport> Database::RecoverFromCheckpointStore(
         ->GetCounter("ckpt.fallbacks")
         ->Add(report.fallbacks);
   }
-  if (!image.ok()) {
-    if (!image.status().IsNotFound()) return image.status();
-    // Nothing usable in the store (all images torn, or the daemon never
-    // completed a round): full WAL replay over pre-created tables.
-    OLTAP_ASSIGN_OR_RETURN(report.stats, RecoverFromWal(wal_data, pool));
-    report.tail_txns = report.stats.txns_applied;
-    return report;
-  }
+  // No usable image (all torn, or no round ever completed) means full
+  // replay over pre-created tables.
+  if (!image.ok() && !image.status().IsNotFound()) return image.status();
 
   CheckpointContents contents;
-  OLTAP_ASSIGN_OR_RETURN(
-      Wal::ReplayStats ckpt_stats,
-      RestoreCheckpoint(image->data, &catalog_, &contents, pool));
+  Wal::ReplayStats ckpt_stats;
+  if (image.ok()) {
+    OLTAP_ASSIGN_OR_RETURN(
+        ckpt_stats, RestoreCheckpoint(image->data, &catalog_, &contents, pool));
+    report.checkpoint_id = image->id;
+  }
 
-  // Validate the carried view DDL up front: the tail replay must skip the
-  // views' backing tables (their WAL records are maintenance output;
-  // re-running the DDL below rebuilds them from the recovered bases).
+  // The replay skips view backing tables: their WAL records are
+  // maintenance output, and the views are rebuilt from the recovered
+  // bases below. The carried view DDL is validated before anything
+  // replays.
   std::vector<sql::Statement> view_stmts;
   Wal::ReplayOptions options;
+  options.skip_tables = views_.ViewNames();
   for (const std::string& ddl : contents.view_ddls) {
     OLTAP_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(ddl));
     if (stmt.kind != sql::Statement::Kind::kCreateView) {
@@ -751,28 +736,28 @@ Result<Database::RecoveryReport> Database::RecoverFromCheckpointStore(
     options.skip_tables.push_back(stmt.create_view->name);
     view_stmts.push_back(std::move(stmt));
   }
-
   options.idempotent = true;
   options.skip_through_ts = contents.ts;
-  OLTAP_ASSIGN_OR_RETURN(
-      Wal::ReplayStats tail_stats,
-      Wal::ReplayParallel(wal_data, &catalog_, pool, options));
+  OLTAP_ASSIGN_OR_RETURN(Wal::ReplayStats tail_stats,
+                         Wal::Replay(wal_data, &catalog_, options, pool));
 
   report.stats.txns_applied = ckpt_stats.txns_applied + tail_stats.txns_applied;
   report.stats.ops_applied = ckpt_stats.ops_applied + tail_stats.ops_applied;
   report.stats.max_commit_ts =
       std::max(ckpt_stats.max_commit_ts, tail_stats.max_commit_ts);
   report.stats.truncated_tail = tail_stats.truncated_tail;
-  report.checkpoint_id = image->id;
   report.checkpoint_ts = contents.ts;
   report.tail_txns = tail_stats.txns_applied;
   txn_.AdvanceTo(report.stats.max_commit_ts);
 
-  // Re-run the view DDL carried in the image: each CREATE re-registers the
-  // view, re-creates its backing table, and runs the initial build over
-  // the just-recovered bases — the same stale-on-recover rebuild
-  // RecoverFromWal does, driven from the image instead of live registry
-  // state.
+  // Replay bypasses the transaction path, so no change log or view cursor
+  // saw the recovered rows: every view is stale-on-recover. Without an
+  // image, the registered views rebuild from the recovered bases; with
+  // one, re-running its view DDL re-registers each view, re-creates its
+  // backing table and builds it the same way.
+  if (!image.ok()) {
+    OLTAP_RETURN_NOT_OK(views_.RebuildAllAfterRecovery());
+  }
   for (const sql::Statement& stmt : view_stmts) {
     if (views_.IsView(stmt.create_view->name)) continue;  // re-entrant run
     OLTAP_RETURN_NOT_OK(views_.Create(*stmt.create_view));

@@ -58,15 +58,6 @@ class Database {
                               const QueryGrant& grant);
   Result<QueryResult> ExecuteIn(Transaction* txn, const std::string& sql);
 
-  // Replays a serialized WAL into this database (tables must already
-  // exist) and fast-forwards the timestamp oracle so new snapshots see the
-  // recovered state. Replay is idempotent for keyed tables, so recovery
-  // that crashed partway can simply run again over the same database.
-  // With a non-null `pool`, replay runs partitioned by table on the pool
-  // (same state, bounded by the largest table instead of the sum).
-  Result<Wal::ReplayStats> RecoverFromWal(const std::string& wal_data,
-                                          ThreadPool* pool = nullptr);
-
   // The online checkpoint daemon for this database, created on first use
   // (SQL CHECKPOINT, SET checkpoint_interval_us, or the workload driver)
   // and wired to this database's catalog, transaction manager, WAL, and
@@ -84,12 +75,19 @@ class Database {
     size_t tail_txns = 0;  // transactions replayed from the WAL tail
   };
 
-  // Bounded recovery: pick the newest valid image from `store` (falling
-  // back past torn images and a torn manifest), restore it — catalog and
-  // views are rebuilt from the image, so this works on a freshly
-  // constructed Database — then replay only the WAL tail past the
-  // checkpoint. When the store holds no usable image, degrades to full
-  // WAL replay (tables must then already exist, as in RecoverFromWal).
+  // The one recovery entry point. Picks the newest valid image from
+  // `store` (falling back past torn images and a torn manifest) and
+  // restores it — the image carries the catalog, so this works on a
+  // freshly constructed Database. Then replays the WAL past the image's
+  // timestamp, fast-forwards the timestamp oracle, and brings the views
+  // back: re-created from the image's view DDL, or, without an image,
+  // rebuilt from the recovered bases. An empty or unusable store means
+  // full WAL replay over tables that already exist. Replay skips view
+  // backing tables and is idempotent for keyed tables, so recovery that
+  // crashed partway can simply run again over the same database when
+  // every table has a primary key. With a
+  // non-null `pool`, replay runs partitioned by table on the pool (same
+  // state, bounded by the largest table instead of the sum).
   Result<RecoveryReport> RecoverFromCheckpointStore(
       const CheckpointStore& store, const std::string& wal_data,
       ThreadPool* pool = nullptr);

@@ -213,14 +213,6 @@ bool CheckpointIsValid(const std::string& image) {
   return (HashBytes(image.data(), body) ^ kImageChecksumSalt) == want;
 }
 
-Result<Timestamp> CheckpointTimestamp(const std::string& image) {
-  if (!CheckpointIsValid(image)) {
-    return Status::Corruption("checkpoint is torn");
-  }
-  Reader r{image.data() + sizeof(kImageMagic), image.data() + image.size()};
-  return r.U64();
-}
-
 Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts) {
   return WriteCheckpoint(catalog, ts, CheckpointWriteOptions{});
 }
@@ -320,58 +312,29 @@ Result<Wal::ReplayStats> RestoreCheckpoint(const std::string& image,
       OLTAP_RETURN_NOT_OK(MatchSchema(def, *existing));
     }
   }
-  size_t created = 0, verified = 0;
+  // A table that already existed may already hold the image's rows (a
+  // re-run restore), so then the data replays idempotently; tables
+  // created here are empty and skip the per-row check.
+  Wal::ReplayOptions options;
   for (const TableDef& def : tables) {
     if (catalog->GetTable(def.name) != nullptr) {
-      ++verified;
+      options.idempotent = true;
       continue;
     }
     std::vector<int> keys = def.key_columns;
     OLTAP_RETURN_NOT_OK(catalog->CreateTable(
         def.name, Schema(def.columns, std::move(keys)), def.format));
-    ++created;
   }
 
   std::string data(r.p, static_cast<size_t>(r.end - r.p));
   OLTAP_ASSIGN_OR_RETURN(Wal::ReplayStats stats,
-                         Wal::ReplayParallel(data, catalog, pool));
+                         Wal::Replay(data, catalog, options, pool));
   stats.max_commit_ts = std::max(stats.max_commit_ts, ts);
   if (contents != nullptr) {
     contents->ts = ts;
     contents->view_ddls = std::move(view_ddls);
-    contents->tables_created = created;
-    contents->tables_verified = verified;
   }
   return stats;
-}
-
-Result<Wal::ReplayStats> RecoverFromCheckpointAndLog(
-    const std::string& checkpoint, const std::string& wal_data,
-    Catalog* catalog, ThreadPool* pool) {
-  // No checkpoint at all: recovery degrades to a full replay of the
-  // retained log (tables must already exist in `catalog`).
-  if (checkpoint.empty()) {
-    return Wal::ReplayParallel(wal_data, catalog, pool, Wal::ReplayOptions{});
-  }
-  // A torn checkpoint is rejected before anything is applied, so the
-  // caller can retry an older image against the same catalog.
-  if (!CheckpointIsValid(checkpoint)) {
-    return Status::Corruption("checkpoint is torn");
-  }
-  CheckpointContents contents;
-  OLTAP_ASSIGN_OR_RETURN(
-      Wal::ReplayStats snap_stats,
-      RestoreCheckpoint(checkpoint, catalog, &contents, pool));
-  Wal::ReplayOptions tail_options;
-  tail_options.skip_through_ts = contents.ts;
-  OLTAP_ASSIGN_OR_RETURN(
-      Wal::ReplayStats tail_stats,
-      Wal::ReplayParallel(wal_data, catalog, pool, tail_options));
-  tail_stats.txns_applied += snap_stats.txns_applied;
-  tail_stats.ops_applied += snap_stats.ops_applied;
-  tail_stats.max_commit_ts =
-      std::max(tail_stats.max_commit_ts, snap_stats.max_commit_ts);
-  return tail_stats;
 }
 
 std::string SerializeManifest(

@@ -59,46 +59,26 @@ Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts,
 // checksum matches. Cheap (one hash pass); run before mutating a catalog.
 bool CheckpointIsValid(const std::string& image);
 
-// The checkpoint timestamp stored in a valid image header.
-Result<Timestamp> CheckpointTimestamp(const std::string& image);
-
 // What RestoreCheckpoint found in the image besides table data.
 struct CheckpointContents {
   Timestamp ts = 0;
   std::vector<std::string> view_ddls;
-  size_t tables_created = 0;   // created from serialized schemas
-  size_t tables_verified = 0;  // already existed with matching schemas
 };
 
 // Restores a checkpoint image. Tables missing from `catalog` are created
 // from the serialized schemas (recovery from a truly empty catalog);
 // tables that already exist must match the serialized schema exactly —
-// a mismatch fails with kCorruption before any data is applied. With a
-// non-null `pool` the data section replays partitioned by table.
+// a mismatch fails with kCorruption before any data is applied. Over
+// pre-existing tables the data section replays idempotently, so restoring
+// the same image again over keyed tables changes nothing. With a non-null
+// `pool` the data section replays partitioned by table on the pool.
+// Recovery goes through Database::RecoverFromCheckpointStore, which
+// restores the image it selects and then replays the WAL tail.
 // Failpoint site: "checkpoint.restore.error".
 Result<Wal::ReplayStats> RestoreCheckpoint(const std::string& image,
                                            Catalog* catalog,
                                            CheckpointContents* contents = nullptr,
                                            ThreadPool* pool = nullptr);
-
-// Recovery entry point: restore the checkpoint, then replay the WAL tail —
-// only records with commit_ts > the checkpoint's timestamp are applied.
-// Returns combined stats (max_commit_ts covers the tail). An empty
-// `checkpoint` means "no checkpoint": the full log replays into the
-// caller's pre-created tables.
-//
-// A torn checkpoint is detected up front (kCorruption) with `catalog`
-// untouched, so falling back to an older image may reuse the catalog. Any
-// other failure (a corrupt op body, an unknown table, a failed apply) can
-// surface mid-replay with `catalog` partially populated: discard the
-// catalog before retrying, or rows would be applied twice.
-// With a non-null `pool`, both the checkpoint restore and the tail replay
-// run partitioned by table on the pool (Wal::ReplayParallel) — same
-// resulting state, recovery time bounded by the largest table instead of
-// the sum.
-Result<Wal::ReplayStats> RecoverFromCheckpointAndLog(
-    const std::string& checkpoint, const std::string& wal_data,
-    Catalog* catalog, ThreadPool* pool = nullptr);
 
 // --- Checkpoint chain: versioned images + manifest -----------------------
 //

@@ -1,6 +1,7 @@
 #include "txn/wal.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -200,9 +201,6 @@ Status ParseBody(const char* data, size_t len, DecodedTxn* out) {
   return Status::OK();
 }
 
-// Applies one op. With `idempotent`, a keyed op the table has already seen
-// (a write to that key at >= commit_ts) is skipped — `applied` reports
-// whether the op mutated the table.
 // Collapses a commit's writes to one net op per key. A transaction may
 // write the same key several times (a NewOrder drawing the same item
 // twice updates that stock row twice); the live commit applies them in
@@ -284,11 +282,33 @@ void CollapseDuplicateKeyOps(std::vector<WalOp>* ops) {
   for (WalOp& op : keyless) ops->push_back(std::move(op));
 }
 
+// True when `table` already holds a write to `op`'s key at >= commit_ts
+// (the idempotent re-run test). Checkpoint image rows are logged keyless,
+// so an insert into a keyed table is identified by the key encoded from
+// its row. LastWriteTs reads 0 both for a key never written and for one
+// written only at ts 0 (a ts-0 image), so at commit_ts 0 the key's
+// presence decides.
+bool AlreadyApplied(const Table& table, const WalOp& op, Timestamp commit_ts) {
+  const Schema& schema = table.schema();
+  if (!schema.HasKey()) return false;
+  std::string encoded;
+  std::string_view key = op.key;
+  if (key.empty()) {
+    encoded = EncodeKey(schema, op.row);
+    key = encoded;
+  }
+  Timestamp last = table.LastWriteTs(key);
+  if (last > 0 || commit_ts > 0) return last >= commit_ts;
+  Row existing;
+  return table.Lookup(key, 0, &existing);
+}
+
+// Applies one op; with `idempotent`, an op AlreadyApplied reports is
+// skipped. `applied` reports whether the op mutated the table.
 Status ApplyOp(Table* table, const WalOp& op, Timestamp commit_ts,
                bool idempotent, bool* applied) {
   *applied = false;
-  if (idempotent && !op.key.empty() &&
-      table->LastWriteTs(op.key) >= commit_ts) {
+  if (idempotent && AlreadyApplied(*table, op, commit_ts)) {
     return Status::OK();
   }
   Status st;
@@ -611,20 +631,6 @@ void Wal::Seal() {
   SealLocked();
 }
 
-bool Wal::IsWellFormed(const std::string& data) {
-  Reader outer{data.data(), data.data() + data.size()};
-  while (outer.p < outer.end) {
-    uint32_t raw = outer.U32();
-    uint64_t checksum = outer.U64();
-    uint32_t len = raw & ~kBatchFlag;
-    if ((raw & kBatchFlag) != 0) checksum ^= kBatchChecksumSalt;
-    if (!outer.ok || !outer.Need(len)) return false;
-    if (HashBytes(outer.p, len) != checksum) return false;
-    outer.p += len;
-  }
-  return true;
-}
-
 std::string Wal::buffer() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
@@ -700,16 +706,20 @@ Status Wal::TruncateBelow(Timestamp horizon, uint64_t* dropped_bytes) {
   return Status::OK();
 }
 
-Result<Wal::ReplayStats> Wal::Replay(const std::string& data,
-                                     Catalog* catalog,
-                                     Timestamp skip_through_ts) {
-  ReplayOptions options;
-  options.skip_through_ts = skip_through_ts;
-  return Replay(data, catalog, options);
-}
-
 Result<Wal::ReplayStats> Wal::Replay(const std::string& data, Catalog* catalog,
-                                     const ReplayOptions& options) {
+                                     const ReplayOptions& options,
+                                     ThreadPool* pool) {
+  // Decode pass: partition every op by table, preserving log order within
+  // each table. Ops on different tables commute, so applying each table's
+  // ops in log order reproduces the whole log's effect.
+  struct TablePartition {
+    Table* table = nullptr;
+    std::vector<std::pair<Timestamp, WalOp>> ops;
+    Status status;
+    size_t applied = 0;
+  };
+  std::map<std::string, TablePartition> partitions;
+
   const std::set<std::string> skipped(options.skip_tables.begin(),
                                       options.skip_tables.end());
   ReplayStats stats;
@@ -721,60 +731,6 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& data, Catalog* catalog,
         // and ts-0 records (a checkpoint image's data section when the
         // snapshot predates the first commit — bulk-loaded state) must
         // still apply.
-        if (options.skip_through_ts > 0 &&
-            txn.commit_ts <= options.skip_through_ts) {
-          return Status::OK();
-        }
-        CollapseDuplicateKeyOps(&txn.ops);
-        for (const WalOp& op : txn.ops) {
-          if (skipped.count(op.table) != 0) continue;
-          Table* table = catalog->GetTable(op.table);
-          if (table == nullptr) {
-            return Status::NotFound("WAL references unknown table: " +
-                                    op.table);
-          }
-          bool applied = false;
-          OLTAP_RETURN_NOT_OK(
-              ApplyOp(table, op, txn.commit_ts, options.idempotent, &applied));
-          if (applied) ++stats.ops_applied;
-        }
-        stats.max_commit_ts = std::max(stats.max_commit_ts, txn.commit_ts);
-        ++stats.txns_applied;
-        return Status::OK();
-      });
-  if (!walk.ok()) return walk;
-  return stats;
-}
-
-Result<Wal::ReplayStats> Wal::ReplayParallel(const std::string& data,
-                                             Catalog* catalog,
-                                             ThreadPool* pool) {
-  return ReplayParallel(data, catalog, pool, ReplayOptions());
-}
-
-Result<Wal::ReplayStats> Wal::ReplayParallel(const std::string& data,
-                                             Catalog* catalog,
-                                             ThreadPool* pool,
-                                             const ReplayOptions& options) {
-  if (pool == nullptr) return Replay(data, catalog, options);
-
-  // Decode pass: partition every op by table, preserving log order within
-  // each table. Ops on different tables commute, so per-table in-order
-  // apply reproduces serial replay exactly.
-  struct TablePartition {
-    Table* table = nullptr;
-    std::vector<std::pair<Timestamp, WalOp>> ops;
-  };
-  std::map<std::string, TablePartition> partitions;
-
-  const std::set<std::string> skipped(options.skip_tables.begin(),
-                                      options.skip_tables.end());
-  ReplayStats stats;
-  DecodedTxn txn;
-  Status walk = ForEachBody(
-      data, &stats.truncated_tail, [&](const char* p, size_t len) -> Status {
-        OLTAP_RETURN_NOT_OK(ParseBody(p, len, &txn));
-        // Same ts-0 rule as serial Replay above.
         if (options.skip_through_ts > 0 &&
             txn.commit_ts <= options.skip_through_ts) {
           return Status::OK();
@@ -798,48 +754,33 @@ Result<Wal::ReplayStats> Wal::ReplayParallel(const std::string& data,
       });
   if (!walk.ok()) return walk;
 
-  // Apply pass: one task per table on the pool (deterministic per-table
-  // order = log order). Errors are collected per table; the first one
-  // (in table-name order, for determinism) is returned.
+  // Apply pass: workers claim whole tables and apply each in log order.
+  // With a null pool the caller is the only worker.
   std::vector<TablePartition*> work;
   work.reserve(partitions.size());
   for (auto& [name, part] : partitions) work.push_back(&part);
-  std::vector<Status> results(work.size());
-  std::vector<uint64_t> applied_counts(work.size(), 0);
-  pool->ParallelForChunked(work.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
+  std::atomic<size_t> cursor{0};
+  const size_t dop =
+      pool == nullptr ? 1 : std::min(work.size(), pool->num_threads() + 1);
+  RunOnWorkers(pool, dop, [&](size_t) {
+    for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+         i < work.size(); i = cursor.fetch_add(1, std::memory_order_relaxed)) {
       TablePartition* part = work[i];
       for (const auto& [commit_ts, op] : part->ops) {
         bool applied = false;
-        Status st =
+        part->status =
             ApplyOp(part->table, op, commit_ts, options.idempotent, &applied);
-        if (!st.ok()) {
-          results[i] = st;
-          break;
-        }
-        if (applied) ++applied_counts[i];
+        if (!part->status.ok()) break;
+        if (applied) ++part->applied;
       }
     }
   });
-  for (size_t i = 0; i < work.size(); ++i) {
-    if (!results[i].ok()) return results[i];
-    stats.ops_applied += applied_counts[i];
+  // Errors surface in table-name order, whichever worker hit them first.
+  for (const TablePartition* part : work) {
+    if (!part->status.ok()) return part->status;
+    stats.ops_applied += part->applied;
   }
   return stats;
-}
-
-Result<Wal::ReplayStats> Wal::ReplayFile(const std::string& path,
-                                         Catalog* catalog) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("WAL file not found: " + path);
-  std::string data;
-  char chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    data.append(chunk, n);
-  }
-  std::fclose(f);
-  return Replay(data, catalog);
 }
 
 }  // namespace oltap

@@ -26,6 +26,37 @@ struct WalOp {
   Row row;          // full image for insert/update; empty for delete
 };
 
+// What Wal::Replay applied and the options it takes (Wal::ReplayStats and
+// Wal::ReplayOptions). They live at namespace scope so that Replay's
+// `options = {}` default argument names a complete type.
+struct WalReplayStats {
+  size_t txns_applied = 0;
+  size_t ops_applied = 0;
+  Timestamp max_commit_ts = 0;
+  bool truncated_tail = false;  // hit a torn/corrupt record and stopped
+};
+
+struct WalReplayOptions {
+  // Records with commit_ts <= skip_through_ts are skipped (checkpoint
+  // recovery replays only the tail). 0 skips nothing: live commits
+  // start at ts 1, and ts-0 records — a checkpoint image's data section
+  // when the snapshot predates the first commit — must still apply.
+  Timestamp skip_through_ts = 0;
+  // Idempotent re-run: a keyed op whose table already holds a write to
+  // that key at >= the op's commit timestamp is skipped instead of
+  // re-applied, so recovery interrupted mid-replay can simply run again
+  // over the same catalog. Keyless inserts into a keyed table (checkpoint
+  // image rows) are identified by the key encoded from their row. Ops on
+  // keyless tables carry no identity and are NOT deduplicated —
+  // re-running recovery over such tables still requires a fresh catalog.
+  bool idempotent = false;
+  // Ops on these tables are dropped without touching the catalog (they
+  // need not exist). Recovery skips materialized-view backing tables
+  // this way: their WAL records are maintenance output, and the views
+  // are rebuilt from the recovered bases instead.
+  std::vector<std::string> skip_tables;
+};
+
 // Write-ahead log of committed transactions (redo-only: the deferred-write
 // transaction manager never applies uncommitted changes, so recovery is a
 // pure forward replay — the same simplification Hekaton-style in-memory
@@ -174,65 +205,25 @@ class Wal {
   // commit as a truncation pin.
   static Timestamp PeekBodyCommitTs(const std::string& body);
 
-  struct ReplayStats {
-    size_t txns_applied = 0;
-    size_t ops_applied = 0;
-    Timestamp max_commit_ts = 0;
-    bool truncated_tail = false;  // hit a torn/corrupt record and stopped
-  };
-
-  struct ReplayOptions {
-    // Records with commit_ts <= skip_through_ts are skipped (checkpoint
-    // recovery replays only the tail). 0 skips nothing: live commits
-    // start at ts 1, and ts-0 records — a checkpoint image's data section
-    // when the snapshot predates the first commit — must still apply.
-    Timestamp skip_through_ts = 0;
-    // Idempotent re-run: a keyed op whose table already saw a write to
-    // that key at >= the op's commit timestamp is skipped instead of
-    // re-applied, so recovery interrupted mid-replay can simply run
-    // again over the same catalog (the idempotence the crash-during-
-    // recovery tests pin down). Keyless appends carry no identity and
-    // are NOT deduplicated — re-running recovery over tables with
-    // keyless appends still requires a fresh catalog.
-    bool idempotent = false;
-    // Ops on these tables are dropped without touching the catalog (they
-    // need not exist). Checkpoint recovery skips materialized-view
-    // backing tables this way: their WAL records are maintenance output,
-    // and re-running the carried view DDL rebuilds them from the
-    // recovered bases instead.
-    std::vector<std::string> skip_tables;
-  };
+  using ReplayStats = WalReplayStats;
+  using ReplayOptions = WalReplayOptions;
 
   // Replays serialized log `data` into `catalog` (tables must already
-  // exist with matching schemas). Unless options.idempotent is set,
+  // exist with matching schemas). A decode pass partitions the log's ops
+  // by table, preserving log order within each table; an apply pass then
+  // applies each table's ops in that order. With a `pool` the tables
+  // apply concurrently (the caller is one of the workers); with a null
+  // pool the caller applies them alone — serial replay is DOP 1 of the
+  // same loop. Ops on different tables commute (keys are table-scoped),
+  // so the result does not depend on the pool. Nothing is applied if the
+  // log references an unknown table (the decode pass fails first); an
+  // apply failure is reported for the first failing table in name order.
+  // The caller fast-forwards the transaction manager once with
+  // AdvanceTo(stats.max_commit_ts). Unless options.idempotent is set,
   // replay into a fresh catalog.
   static Result<ReplayStats> Replay(const std::string& data, Catalog* catalog,
-                                    Timestamp skip_through_ts = 0);
-  static Result<ReplayStats> Replay(const std::string& data, Catalog* catalog,
-                                    const ReplayOptions& options);
-
-  // Parallel partitioned replay: one decode pass partitions the log's ops
-  // by table (preserving log order within each table), then the tables
-  // are applied concurrently on `pool`. Ops on different tables commute
-  // (keys are table-scoped), so the result is byte-identical to serial
-  // Replay; the caller fast-forwards the transaction manager once with
-  // AdvanceTo(stats.max_commit_ts) at the end. Unlike serial Replay,
-  // nothing is applied if the log references an unknown table (the
-  // decode pass fails first).
-  static Result<ReplayStats> ReplayParallel(const std::string& data,
-                                            Catalog* catalog, ThreadPool* pool,
-                                            const ReplayOptions& options);
-  static Result<ReplayStats> ReplayParallel(const std::string& data,
-                                            Catalog* catalog, ThreadPool* pool);
-
-  // Convenience: reads the file and replays it.
-  static Result<ReplayStats> ReplayFile(const std::string& path,
-                                        Catalog* catalog);
-
-  // True when every frame in `data` parses with a valid checksum (no torn
-  // tail). Scans frames without applying them — use to validate an image
-  // before mutating a catalog with Replay.
-  static bool IsWellFormed(const std::string& data);
+                                    const ReplayOptions& options = {},
+                                    ThreadPool* pool = nullptr);
 
  private:
   // One sealed (rotated-out, no longer appending) segment.

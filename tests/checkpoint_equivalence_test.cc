@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "storage/row.h"
 #include "txn/checkpoint.h"
 #include "txn/checkpoint_daemon.h"
@@ -22,12 +25,17 @@ const char* kTables[] = {"warehouse", "district",  "customer",
                          "orderline", "item",      "stock"};
 
 // Order-independent rendering of every committed row of every TPC-C
-// table: identical committed state => identical fingerprint.
-std::map<std::string, std::vector<std::string>> Fingerprint(Database* db) {
+// table and of the named views' backing tables: identical committed state
+// => identical fingerprint.
+std::map<std::string, std::vector<std::string>> Fingerprint(
+    Database* db, const std::vector<std::string>& views) {
+  std::vector<std::string> names(std::begin(kTables), std::end(kTables));
+  names.insert(names.end(), views.begin(), views.end());
   std::map<std::string, std::vector<std::string>> out;
-  for (const char* name : kTables) {
+  for (const std::string& name : names) {
     const Table* table = db->catalog()->GetTable(name);
     std::vector<std::string>& rows = out[name];
+    if (table == nullptr) continue;  // a missing table renders empty
     table->ScanVisible(kFarFuture, [&](const Row& row) {
       rows.push_back(RowToString(row));
     });
@@ -36,14 +44,15 @@ std::map<std::string, std::vector<std::string>> Fingerprint(Database* db) {
   return out;
 }
 
-void ExpectSameState(Database* got, Database* want, const std::string& label) {
-  auto a = Fingerprint(got);
-  auto b = Fingerprint(want);
-  for (const char* name : kTables) {
-    ASSERT_EQ(a[name].size(), b[name].size())
+void ExpectSameState(Database* got, Database* want, const std::string& label,
+                     const std::vector<std::string>& views = {}) {
+  auto a = Fingerprint(got, views);
+  auto b = Fingerprint(want, views);
+  for (const auto& [name, rows] : b) {
+    ASSERT_EQ(a[name].size(), rows.size())
         << label << ": row count diverges in " << name;
-    for (size_t i = 0; i < a[name].size(); ++i) {
-      ASSERT_EQ(a[name][i], b[name][i])
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(a[name][i], rows[i])
           << label << ": row " << i << " diverges in " << name;
     }
   }
@@ -99,8 +108,8 @@ TEST(CheckpointEquivalenceTest, CheckpointedRecoveryMatchesFullReplay) {
     CHBenchmark fresh(&full, TinyConfig());
     ASSERT_TRUE(fresh.CreateTables().ok());
     ASSERT_TRUE(fresh.Load().ok());
-    auto stats = full.RecoverFromWal(wal.buffer());
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    auto rec = full.RecoverFromCheckpointStore({}, wal.buffer());
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   }
   ExpectSameState(&full, &db, "full replay vs live");
 
@@ -166,6 +175,86 @@ TEST(CheckpointEquivalenceTest, TruncatedWalStillRecoversFromChain) {
       db.checkpointer()->StoreCopy(), wal.buffer());
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   ExpectSameState(&recovered, &db, "truncated tail");
+}
+
+// Differential recovery: one live run with a SYNC and a DEFERRED view,
+// recovered through every store shape — empty (full replay over the
+// re-loaded benchmark), each retained image alone, and the manifest's
+// choice — each serially (null pool) and on a 4-thread pool. Every
+// recovery must land on the live state byte for byte, views included.
+TEST(CheckpointEquivalenceTest, EveryStoreAndPoolRecoversLiveStateWithViews) {
+  const std::vector<std::string> kViewDdls = {
+      "CREATE MATERIALIZED VIEW ol_wd_sync SYNC AS "
+      "SELECT ol_w_id, ol_d_id, COUNT(*) AS n, SUM(ol_quantity) AS qty "
+      "FROM orderline GROUP BY ol_w_id, ol_d_id",
+      "CREATE MATERIALIZED VIEW ol_w_deferred DEFERRED AS "
+      "SELECT ol_w_id, COUNT(*) AS n, SUM(ol_quantity) AS qty "
+      "FROM orderline GROUP BY ol_w_id"};
+  const std::vector<std::string> kViews = {"ol_wd_sync", "ol_w_deferred"};
+
+  Wal wal;
+  Database db(&wal);
+  CHBenchmark bench(&db, TinyConfig());
+  ASSERT_TRUE(bench.CreateTables().ok());
+  ASSERT_TRUE(bench.Load().ok());
+  for (const std::string& ddl : kViewDdls) {
+    ASSERT_TRUE(db.Execute(ddl).ok()) << ddl;
+  }
+
+  DriverOptions opts;
+  opts.oltp_workers = 4;
+  opts.olap_workers = 0;
+  opts.ops_per_worker = 150;
+  opts.seed = 31;
+  opts.merge_delta_threshold = 128;
+  opts.merge_interval_ms = 1;
+  opts.run_checkpoint_daemon = true;
+  opts.checkpoint_interval_us = 2'000;
+  opts.checkpoint_truncate_wal = false;  // the empty store replays it all
+
+  ConcurrentDriver driver(&bench, opts);
+  DriverReport report = driver.Run();
+  ASSERT_FALSE(report.aborted) << report.abort_reason;
+  ASSERT_GE(report.checkpoints, 1u);
+  db.view_manager()->MaintainAll();  // the DEFERRED view catches up
+
+  const CheckpointStore store = db.checkpointer()->StoreCopy();
+  ASSERT_FALSE(store.images.empty());
+  std::vector<std::pair<std::string, CheckpointStore>> stores;
+  stores.push_back({"empty store", CheckpointStore{}});
+  for (const CheckpointStore::Image& img : store.images) {
+    CheckpointStore one;
+    one.images.push_back(img);
+    stores.push_back({"image " + std::to_string(img.id), std::move(one)});
+  }
+  stores.push_back({"manifest-selected image", store});
+
+  ThreadPool pool(4);
+  for (const auto& [name, candidate] : stores) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::string label =
+          name + (p == nullptr ? ", serial" : ", 4-thread pool");
+      SCOPED_TRACE(label);
+      Database recovered;
+      if (candidate.images.empty()) {
+        // No image: the bulk load (not logged) and the views come first.
+        CHBenchmark fresh(&recovered, TinyConfig());
+        ASSERT_TRUE(fresh.CreateTables().ok());
+        ASSERT_TRUE(fresh.Load().ok());
+        for (const std::string& ddl : kViewDdls) {
+          ASSERT_TRUE(recovered.Execute(ddl).ok()) << ddl;
+        }
+      }
+      auto rec = recovered.RecoverFromCheckpointStore(candidate, wal.buffer(),
+                                                      p);
+      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+      EXPECT_EQ(rec->checkpoint_id == 0, candidate.images.empty());
+      for (const std::string& view : kViews) {
+        EXPECT_TRUE(recovered.view_manager()->IsView(view)) << view;
+      }
+      ExpectSameState(&recovered, &db, label, kViews);
+    }
+  }
 }
 
 }  // namespace

@@ -73,12 +73,16 @@ TEST(CheckpointTest, CheckpointPlusWalTailRecovery) {
     expected = r->rows;
   }
 
+  // One image, no manifest: recovery scans the images and picks it.
+  CheckpointStore store;
+  store.images.push_back({1, checkpoint_ts, checkpoint});
   Database recovered;
   ASSERT_TRUE(recovered.Execute(CreateSql()).ok());
-  auto stats = RecoverFromCheckpointAndLog(checkpoint, wal.buffer(),
-                                           recovered.catalog());
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  recovered.txn_manager()->AdvanceTo(stats->max_commit_ts);
+  auto report = recovered.RecoverFromCheckpointStore(store, wal.buffer());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->checkpoint_id, 1u);
+  EXPECT_EQ(report->checkpoint_ts, checkpoint_ts);
+  EXPECT_EQ(report->tail_txns, 3u);
 
   auto r = recovered.Execute("SELECT id, tag, v FROM t ORDER BY id");
   ASSERT_TRUE(r.ok());
@@ -123,10 +127,18 @@ TEST(CheckpointTest, TornCheckpointRejected) {
   checkpoint.resize(checkpoint.size() / 2);
   Database restored;
   ASSERT_TRUE(restored.Execute(CreateSql()).ok());
-  auto stats =
-      RecoverFromCheckpointAndLog(checkpoint, "", restored.catalog());
+  auto stats = RestoreCheckpoint(checkpoint, restored.catalog());
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kCorruption);
+
+  // Recovery skips the torn image and replays the (empty) log instead.
+  CheckpointStore store;
+  store.images.push_back({1, 0, checkpoint});
+  auto report = restored.RecoverFromCheckpointStore(store, "");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->fallbacks, 1u);
+  EXPECT_EQ(report->checkpoint_id, 0u);
+  EXPECT_EQ(restored.catalog()->GetTable("t")->CountVisible(1'000'000), 0u);
 }
 
 // --- Catalog + view sections (recovery from an empty catalog) -------------
@@ -152,11 +164,10 @@ TEST(CheckpointTest, RestoreIntoEmptyCatalogCreatesTables) {
   // No CREATE TABLE on the restore side: the catalog section rebuilds both
   // tables, formats included.
   Database restored;
-  CheckpointContents contents;
-  auto stats = RestoreCheckpoint(*checkpoint, restored.catalog(), &contents);
+  ASSERT_TRUE(restored.catalog()->TableNames().empty());
+  auto stats = RestoreCheckpoint(*checkpoint, restored.catalog());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(contents.tables_created, 2u);
-  EXPECT_EQ(contents.tables_verified, 0u);
+  EXPECT_EQ(restored.catalog()->TableNames().size(), 2u);
   restored.txn_manager()->AdvanceTo(stats->max_commit_ts);
 
   ASSERT_NE(restored.catalog()->GetTable("t"), nullptr);
@@ -226,33 +237,31 @@ TEST(CheckpointTest, ViewDdlsTravelInImageWithBackingTablesExcluded) {
 
 // --- Checkpoint chain: manifest + recovery-image selection ----------------
 
-std::string ImageWithRows(Database* db, int64_t lo, int64_t hi) {
+CheckpointStore::Image ImageWithRows(Database* db, uint64_t id, int64_t lo,
+                                     int64_t hi) {
   for (int64_t i = lo; i < hi; ++i) {
     EXPECT_TRUE(db->Execute("INSERT INTO t VALUES (" + std::to_string(i) +
                             ", 'm', 1.0)")
                     .ok());
   }
-  auto ck = WriteCheckpoint(*db->catalog(),
-                            db->txn_manager()->oracle()->CurrentReadTs());
+  Timestamp ts = db->txn_manager()->oracle()->CurrentReadTs();
+  auto ck = WriteCheckpoint(*db->catalog(), ts);
   EXPECT_TRUE(ck.ok());
-  return std::move(ck).value();
+  return CheckpointStore::Image{id, ts, std::move(ck).value()};
 }
 
 CheckpointStore TwoImageStore(Database* db) {
   CheckpointStore store;
-  std::string a = ImageWithRows(db, 0, 10);
-  std::string b = ImageWithRows(db, 10, 20);
+  store.images.push_back(ImageWithRows(db, 1, 0, 10));
+  store.images.push_back(ImageWithRows(db, 2, 10, 20));
   std::vector<CheckpointManifestEntry> entries;
-  uint64_t id = 1;
-  for (std::string* img : {&a, &b}) {
+  for (const CheckpointStore::Image& img : store.images) {
     CheckpointManifestEntry e;
-    e.id = id;
-    e.ts = CheckpointTimestamp(*img).value();
-    e.checksum = CheckpointChecksum(*img);
-    e.bytes = img->size();
+    e.id = img.id;
+    e.ts = img.ts;
+    e.checksum = CheckpointChecksum(img.data);
+    e.bytes = img.data.size();
     entries.push_back(e);
-    store.images.push_back(CheckpointStore::Image{id, e.ts, std::move(*img)});
-    ++id;
   }
   store.manifest = SerializeManifest(entries);
   return store;

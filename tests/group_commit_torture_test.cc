@@ -206,11 +206,12 @@ TEST(GroupCommitTortureTest, AckedCommitsSurviveCrashUnackedNeverResurrect) {
     CHBenchmark recovered_bench(recovered.get(), config);
     ASSERT_TRUE(recovered_bench.CreateTables().ok());
     ASSERT_TRUE(recovered_bench.Load().ok());
-    auto stats = recovered->RecoverFromWal(
-        disk, (round % 2 == 1) ? &pool : nullptr);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    auto recovery = recovered->RecoverFromCheckpointStore(
+        {}, disk, (round % 2 == 1) ? &pool : nullptr);
+    ASSERT_TRUE(recovery.ok()) << recovery.status().ToString();
     if (fault == Fault::kTornBatch && fires > 0) {
-      EXPECT_TRUE(stats->truncated_tail) << "torn batch must read as a tear";
+      EXPECT_TRUE(recovery->stats.truncated_tail)
+          << "torn batch must read as a tear";
     }
 
     // Zero acked-commit loss: every acknowledged NewOrder is present.

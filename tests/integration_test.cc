@@ -134,9 +134,9 @@ TEST(IntegrationTest, WalRecoveryReproducesQueryResults) {
   // Recover into a fresh database from the log and re-run every query.
   Database recovered;
   ASSERT_TRUE(recovered.Execute(create).ok());
-  auto stats = recovered.RecoverFromWal(wal.buffer());
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_FALSE(stats->truncated_tail);
+  auto report = recovered.RecoverFromCheckpointStore({}, wal.buffer());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->stats.truncated_tail);
 
   for (size_t q = 0; q < queries.size(); ++q) {
     auto r = recovered.Execute(queries[q]);

@@ -143,8 +143,17 @@ TEST_F(LogWriterTest, FsyncStallDelaysButCommits) {
   LogWriter writer(wal->get(), opts);
   EXPECT_TRUE(writer.SubmitCommit(InsertBody(1, 1, 1)).get().ok());
 
+  std::string disk;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char chunk[1 << 16];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    disk.append(chunk, n);
+  }
+  std::fclose(f);
   auto catalog = FreshCatalog();
-  auto replay = Wal::ReplayFile(path, catalog.get());
+  auto replay = Wal::Replay(disk, catalog.get());
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   EXPECT_EQ(replay->txns_applied, 1u);
   std::remove(path.c_str());

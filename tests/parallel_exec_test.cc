@@ -27,49 +27,8 @@ namespace oltap {
 namespace {
 
 // ---------------------------------------------------------------------
-// ThreadPool::ParallelForChunked (satellite: chunked-range dispatch).
+// RunOnWorkers: the one pool fan-out primitive.
 // ---------------------------------------------------------------------
-
-TEST(ParallelExecChunkedTest, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.ParallelForChunked(hits.size(), [&](size_t begin, size_t end) {
-    ASSERT_LE(begin, end);
-    for (size_t i = begin; i < end; ++i) {
-      hits[i].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << i;
-  }
-}
-
-TEST(ParallelExecChunkedTest, ChunkCountBoundedByThreads) {
-  ThreadPool pool(3);
-  std::atomic<size_t> calls{0};
-  pool.ParallelForChunked(100, [&](size_t, size_t) {
-    calls.fetch_add(1, std::memory_order_relaxed);
-  });
-  // One invocation per chunk, not per index.
-  EXPECT_LE(calls.load(), 3u);
-  EXPECT_GE(calls.load(), 1u);
-}
-
-TEST(ParallelExecChunkedTest, EmptyAndTinyRanges) {
-  ThreadPool pool(4);
-  std::atomic<size_t> calls{0};
-  pool.ParallelForChunked(0, [&](size_t, size_t) {
-    calls.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(calls.load(), 0u);
-  std::atomic<int> sum{0};
-  pool.ParallelForChunked(1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      sum.fetch_add(static_cast<int>(i) + 1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(sum.load(), 1);
-}
 
 TEST(ParallelExecWorkersTest, RunOnWorkersAllParticipate) {
   ThreadPool pool(4);

@@ -8,6 +8,8 @@
 #include "common/failpoint.h"
 #include "failpoint_fixture.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "sql/session.h"
 #include "storage/catalog.h"
 #include "txn/checkpoint.h"
 #include "txn/transaction_manager.h"
@@ -18,11 +20,11 @@ namespace {
 
 // Randomized crash-recovery torture: rounds of commit traffic with
 // injected torn/failed WAL appends and torn/failed checkpoint writes,
-// then recovery via RecoverFromCheckpointAndLog (falling back through
-// older checkpoints when the newest is torn), verified against a shadow
-// in-memory model for exact equality. This is the end-to-end proof that
-// the durability path loses exactly the transactions whose commit failed
-// and nothing else.
+// then recovery through Database::RecoverFromCheckpointStore (falling
+// back through older checkpoints when the newest is torn), verified
+// against a shadow in-memory model for exact equality. This is the
+// end-to-end proof that the durability path loses exactly the
+// transactions whose commit failed and nothing else.
 
 constexpr Timestamp kFarFuture = 1'000'000'000;
 
@@ -79,7 +81,8 @@ TEST_F(RecoveryTortureTest, RandomizedCrashRecoverRounds) {
   int torn_wal_rounds = 0;
   int failed_checkpoint_writes = 0;
   int torn_checkpoint_images = 0;
-  int fallback_recoveries = 0;
+  size_t fallback_recoveries = 0;
+  ThreadPool pool(2);
 
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
@@ -93,9 +96,10 @@ TEST_F(RecoveryTortureTest, RandomizedCrashRecoverRounds) {
 
     Shadow shadow;
     std::vector<int64_t> live_ids;
-    // Checkpoint images found on "disk" at crash time, oldest first.
-    // Some are torn (crash during the checkpoint write).
-    std::vector<std::string> images;
+    // Checkpoint images found on "disk" at crash time, oldest first, and
+    // no manifest: recovery scans the images newest first. Some are torn
+    // (crash during the checkpoint write).
+    CheckpointStore store;
 
     // Arm this round's WAL fault: torn append, clean append error, or
     // none (crash with an intact log). skip may exceed the round's
@@ -124,8 +128,8 @@ TEST_F(RecoveryTortureTest, RandomizedCrashRecoverRounds) {
           cfg.max_fires = 1;
           FailpointRegistry::Get().Enable("checkpoint.write.torn", cfg);
         }
-        auto image =
-            WriteCheckpoint(*catalog, tm.oracle()->CurrentReadTs());
+        const Timestamp ts = tm.oracle()->CurrentReadTs();
+        auto image = WriteCheckpoint(*catalog, ts);
         if (!image.ok()) {
           // The round's WAL fault fired inside the checkpoint writer:
           // nothing reached disk, and the process died mid-checkpoint.
@@ -134,7 +138,8 @@ TEST_F(RecoveryTortureTest, RandomizedCrashRecoverRounds) {
           break;
         }
         if (tear) ++torn_checkpoint_images;
-        images.push_back(std::move(image).value());
+        store.images.push_back(
+            {store.images.size() + 1, ts, std::move(image).value()});
       }
 
       // One transaction of 1-3 ops over distinct keys.
@@ -198,43 +203,27 @@ TEST_F(RecoveryTortureTest, RandomizedCrashRecoverRounds) {
     }
 
     // --- Crash. Recover from the newest checkpoint that restores
-    // cleanly (torn ones are detected as Corruption), else full replay.
+    // cleanly (torn ones are skipped as fallbacks), else full replay over
+    // the pre-created table — serial on even rounds, on the pool on odd.
     FailpointRegistry::Get().DisableAll();
-    const std::string disk = wal.buffer();
-    std::unique_ptr<Catalog> recovered;
-    Wal::ReplayStats stats;
-    bool done = false;
-    for (size_t i = images.size(); i > 0 && !done; --i) {
-      auto attempt = FreshCatalog();
-      auto r = RecoverFromCheckpointAndLog(images[i - 1], disk,
-                                           attempt.get());
-      if (r.ok()) {
-        recovered = std::move(attempt);
-        stats = *r;
-        done = true;
-      } else {
-        ASSERT_EQ(r.status().code(), StatusCode::kCorruption);
-        ++fallback_recoveries;
-      }
-    }
-    if (!done) {
-      recovered = FreshCatalog();
-      auto r = RecoverFromCheckpointAndLog("", disk, recovered.get());
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      stats = *r;
-    }
+    Database recovered;
+    ASSERT_TRUE(recovered.catalog()
+                    ->CreateTable("t", TortureSchema(), TableFormat::kColumn)
+                    .ok());
+    auto report = recovered.RecoverFromCheckpointStore(
+        store, wal.buffer(), (round % 2 == 1) ? &pool : nullptr);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    fallback_recoveries += report->fallbacks;
 
-    ExpectShadowEquality(Snapshot(*recovered), shadow);
+    ExpectShadowEquality(Snapshot(*recovered.catalog()), shadow);
 
     // The recovered engine must accept new commits.
-    Wal wal2;
-    TransactionManager tm2(recovered.get(), &wal2);
-    tm2.AdvanceTo(stats.max_commit_ts);
-    Table* rt = recovered->GetTable("t");
-    auto txn = tm2.Begin();
+    TransactionManager* tm2 = recovered.txn_manager();
+    Table* rt = recovered.catalog()->GetTable("t");
+    auto txn = tm2->Begin();
     int64_t fresh_id = 10'000'000 + round;
     ASSERT_TRUE(txn->Insert(rt, MakeRow(fresh_id, "post", 1.0)).ok());
-    ASSERT_TRUE(tm2.Commit(txn.get()).ok());
+    ASSERT_TRUE(tm2->Commit(txn.get()).ok());
     Row out;
     EXPECT_TRUE(rt->Lookup(EncodeKey(rt->schema(), MakeRow(fresh_id, "", 0)),
                            kFarFuture, &out));
@@ -243,7 +232,7 @@ TEST_F(RecoveryTortureTest, RandomizedCrashRecoverRounds) {
   // The seeds above must actually exercise the adversity, not skate by.
   EXPECT_GT(torn_wal_rounds, 0);
   EXPECT_GT(torn_checkpoint_images, 0);
-  EXPECT_GT(fallback_recoveries, 0);
+  EXPECT_GT(fallback_recoveries, 0u);
   (void)failed_checkpoint_writes;
 }
 

@@ -581,7 +581,7 @@ TEST(ViewTest, RecoveryRebuildsViews) {
   Exec(&db2,
        "CREATE MATERIALIZED VIEW av SYNC AS "
        "SELECT j, COUNT(*) AS n, SUM(v) AS sv FROM t GROUP BY j");
-  ASSERT_TRUE(db2.RecoverFromWal(log).ok());
+  ASSERT_TRUE(db2.RecoverFromCheckpointStore({}, log).ok());
   Exec(&db2, "SET view_routing = off");
   EXPECT_EQ(Canon(Exec(&db2, "SELECT a, b, v, w FROM jv")), expect_join);
   EXPECT_EQ(Canon(Exec(&db2, "SELECT j, n, sv FROM av")), expect_agg);
