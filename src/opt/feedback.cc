@@ -37,8 +37,8 @@ void PlanFeedback::RememberOrder(const std::string& fingerprint,
 
 double PlanFeedback::Observe(const std::string& fingerprint,
                              const std::vector<OpSample>& samples) {
-  auto* registry = obs::MetricsRegistry::Default();
-  auto* qhist = registry->GetHistogram("opt.qerror_x100");
+  static obs::Histogram* qhist =
+      obs::MetricsRegistry::Default()->GetHistogram("opt.qerror_x100");
   double worst = 1.0;
   for (const OpSample& s : samples) {
     if (s.est_rows < 0) continue;
@@ -52,7 +52,9 @@ double PlanFeedback::Observe(const std::string& fingerprint,
   Entry& e = entries_[fingerprint];
   if (!e.order.empty()) {
     e.order.clear();
-    registry->GetCounter("opt.plan_invalidations")->Add(1);
+    obs::MetricsRegistry::Default()
+        ->GetCounter("opt.plan_invalidations")
+        ->Add(1);
   }
   for (const OpSample& s : samples) {
     if (s.scan_from_index < 0) continue;

@@ -50,8 +50,11 @@ Result<PlannedQuery> PlanSelect(const BoundSelect& q, const Catalog& catalog,
     pred = pred == nullptr ? local : Expr::And(pred, local);
   }
 
+  // Metric handles are resolved once: GetCounter is a registry-mutex map
+  // lookup.
   auto* metrics = obs::MetricsRegistry::Default();
-  metrics->GetCounter("opt.plans")->Add(1);
+  static obs::Counter* plans = metrics->GetCounter("opt.plans");
+  plans->Add(1);
 
   PlannedQuery out;
   out.optimized = options.use_optimizer;
@@ -126,7 +129,9 @@ Result<PlannedQuery> PlanSelect(const BoundSelect& q, const Catalog& catalog,
   } else {
     // ---- Cost-based path: pooled join graph, DPsize ordering, costed
     // scans with access-path selection, estimate annotations. ----
-    metrics->GetCounter("opt.plans_optimized")->Add(1);
+    static obs::Counter* optimized =
+        metrics->GetCounter("opt.plans_optimized");
+    optimized->Add(1);
     out.fingerprint = q.fingerprint;
 
     // Per-relation statistics and post-local-predicate cardinalities.
@@ -226,7 +231,9 @@ Result<PlannedQuery> PlanSelect(const BoundSelect& q, const Catalog& catalog,
     if (from.size() > 1) {
       if (fb.has_value() && fb->order.size() == from.size()) {
         order = fb->order;
-        metrics->GetCounter("opt.order_cache_hits")->Add(1);
+        static obs::Counter* order_hits =
+            metrics->GetCounter("opt.order_cache_hits");
+        order_hits->Add(1);
       } else {
         opt::JoinGraph graph;
         graph.rel_rows = rel_rows;
@@ -235,7 +242,9 @@ Result<PlannedQuery> PlanSelect(const BoundSelect& q, const Catalog& catalog,
         }
         order = opt::OrderJoins(graph, cm).order;
         if (used_actuals) {
-          metrics->GetCounter("opt.feedback_replans")->Add(1);
+          static obs::Counter* replans =
+              metrics->GetCounter("opt.feedback_replans");
+          replans->Add(1);
         }
         if (options.feedback != nullptr) {
           options.feedback->RememberOrder(out.fingerprint, order);
@@ -275,10 +284,10 @@ Result<PlannedQuery> PlanSelect(const BoundSelect& q, const Catalog& catalog,
       if (from[t].table->format() == TableFormat::kDual) {
         path = d.path == opt::AccessPath::kRow ? ScanOp::Path::kRow
                                                : ScanOp::Path::kColumn;
-        metrics
-            ->GetCounter(path == ScanOp::Path::kRow ? "opt.path_row"
-                                                    : "opt.path_column")
-            ->Add(1);
+        static obs::Counter* path_row = metrics->GetCounter("opt.path_row");
+        static obs::Counter* path_column =
+            metrics->GetCounter("opt.path_column");
+        (path == ScanOp::Path::kRow ? path_row : path_column)->Add(1);
       }
       // Large columnar reads run morsel-parallel at the granted DOP.
       size_t dop = 1;
@@ -430,7 +439,9 @@ Result<PlannedQuery> PlanSelect(const BoundSelect& q, const Catalog& catalog,
   }
 
   if (any_parallel) {
-    metrics->GetCounter("exec.morsel.parallel_queries")->Add(1);
+    static obs::Counter* parallel =
+        metrics->GetCounter("exec.morsel.parallel_queries");
+    parallel->Add(1);
   }
   out.root = std::move(plan);
   out.output_names = std::move(names);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
+#include <optional>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -88,24 +90,27 @@ Result<QueryResult> Database::Execute(const std::string& sql,
 
 Result<QueryResult> Database::ExecuteImpl(const std::string& sql,
                                           const QueryGrant* grant) {
-  OLTAP_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
-  if (stmt.kind == sql::Statement::Kind::kCreateTable) {
-    return RunCreate(*stmt.create);
-  }
-  if (stmt.kind == sql::Statement::Kind::kCreateView) {
-    OLTAP_RETURN_NOT_OK(views_.Create(*stmt.create_view));
-    return QueryResult{};
-  }
-  if (stmt.kind == sql::Statement::Kind::kRefreshView) {
-    OLTAP_RETURN_NOT_OK(views_.Refresh(stmt.refresh_view->name));
-    return QueryResult{};
-  }
-  if (stmt.kind == sql::Statement::Kind::kCheckpoint) {
-    // Non-transactional: the checkpoint pins its own snapshot.
-    return RunCheckpoint();
+  OLTAP_ASSIGN_OR_RETURN(Prepared p, Prepare(sql));
+  const sql::Statement& stmt = p.stmt;
+  if (p.select == nullptr) {
+    if (stmt.kind == sql::Statement::Kind::kCreateTable) {
+      return RunCreate(*stmt.create);
+    }
+    if (stmt.kind == sql::Statement::Kind::kCreateView) {
+      OLTAP_RETURN_NOT_OK(views_.Create(*stmt.create_view));
+      return QueryResult{};
+    }
+    if (stmt.kind == sql::Statement::Kind::kRefreshView) {
+      OLTAP_RETURN_NOT_OK(views_.Refresh(stmt.refresh_view->name));
+      return QueryResult{};
+    }
+    if (stmt.kind == sql::Statement::Kind::kCheckpoint) {
+      // Non-transactional: the checkpoint pins its own snapshot.
+      return RunCheckpoint();
+    }
   }
   std::unique_ptr<Transaction> txn = txn_.Begin();
-  auto result = RunStatement(txn.get(), stmt, grant);
+  auto result = RunStatement(txn.get(), p, grant);
   if (!result.ok()) {
     txn_.Abort(txn.get());
     return result;
@@ -116,21 +121,25 @@ Result<QueryResult> Database::ExecuteImpl(const std::string& sql,
 
 Result<QueryResult> Database::ExecuteIn(Transaction* txn,
                                         const std::string& sql) {
-  OLTAP_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
-  if (stmt.kind == sql::Statement::Kind::kCreateTable ||
-      stmt.kind == sql::Statement::Kind::kCreateView ||
-      stmt.kind == sql::Statement::Kind::kRefreshView) {
+  OLTAP_ASSIGN_OR_RETURN(Prepared p, Prepare(sql));
+  if (p.select == nullptr &&
+      (p.stmt.kind == sql::Statement::Kind::kCreateTable ||
+       p.stmt.kind == sql::Statement::Kind::kCreateView ||
+       p.stmt.kind == sql::Statement::Kind::kRefreshView)) {
     return Status::FailedPrecondition("DDL is not transactional");
   }
-  return RunStatement(txn, stmt);
+  return RunStatement(txn, p);
 }
 
 Result<QueryResult> Database::RunStatement(Transaction* txn,
-                                           const sql::Statement& s,
+                                           const Prepared& p,
                                            const QueryGrant* grant) {
+  if (p.select != nullptr) return RunSelect(txn, *p.select, grant);
+  const sql::Statement& s = p.stmt;
   switch (s.kind) {
     case sql::Statement::Kind::kSelect:
-      return RunSelect(txn, *s.select, s.explain, s.analyze, grant);
+      // Unreachable: Prepare returns every SELECT as a cached entry.
+      return Status::Internal("SELECT outside the statement cache");
     case sql::Statement::Kind::kInsert:
       return RunInsert(txn, *s.insert);
     case sql::Statement::Kind::kUpdate:
@@ -207,10 +216,83 @@ double MaxPlanCost(const PhysicalOp* op) {
 
 }  // namespace
 
+// Everything about a SELECT text that holds for one catalog epoch. The
+// route choice may stay fixed that long because either side answers the
+// query exactly (DESIGN.md §8, "Statement cache").
+struct Database::CachedSelect {
+  enum class Choice : int8_t { kUnmade, kBase, kView };
+
+  explicit CachedSelect(uint64_t e) : epoch(e) {}
+
+  sql::Statement stmt;  // the parse (EXPLAIN / ANALYZE flags)
+  sql::BoundSelect bound;
+  // Views the query's shape matches, in routing order.
+  std::vector<view::ViewManager::Candidate> candidates;
+  // Per candidate, the base-vs-view cost choice. The first execution that
+  // admits the candidate makes it from the two plans it needs anyway;
+  // later executions read it and plan only the chosen side. Concurrent
+  // first executions may both set it; either value is a choice made from
+  // that epoch's estimates, so the entry is shared without a lock.
+  std::unique_ptr<std::atomic<Choice>[]> choices;
+  const uint64_t epoch;
+};
+
+Result<Database::Prepared> Database::Prepare(const std::string& sql) {
+  static obs::Counter* hits =
+      obs::MetricsRegistry::Default()->GetCounter("sql.stmt_cache.hits");
+  static obs::Counter* misses =
+      obs::MetricsRegistry::Default()->GetCounter("sql.stmt_cache.misses");
+  static obs::Counter* invalidations =
+      obs::MetricsRegistry::Default()->GetCounter(
+          "sql.stmt_cache.invalidations");
+  // Read before binding: a change that lands mid-fill leaves this entry
+  // stamped older than the catalog, so the next lookup rebuilds it.
+  const uint64_t epoch = catalog_.epoch();
+  Prepared p;
+  {
+    std::shared_lock lock(stmt_cache_mu_);
+    auto it = stmt_cache_.find(sql);
+    if (it != stmt_cache_.end()) {
+      if (it->second->epoch == epoch) {
+        hits->Add(1);
+        p.select = it->second;
+        return p;
+      }
+      invalidations->Add(1);
+    }
+  }
+  OLTAP_ASSIGN_OR_RETURN(p.stmt, sql::Parse(sql));
+  if (p.stmt.kind != sql::Statement::Kind::kSelect) return p;
+  misses->Add(1);
+
+  auto entry = std::make_shared<CachedSelect>(epoch);
+  OLTAP_ASSIGN_OR_RETURN(entry->bound,
+                         sql::BindSelect(*p.stmt.select, catalog_));
+  entry->candidates = views_.Match(entry->bound);
+  // Value-initialized: every choice starts kUnmade.
+  entry->choices = std::make_unique<std::atomic<CachedSelect::Choice>[]>(
+      entry->candidates.size());
+  entry->stmt = std::move(p.stmt);
+  p.select = entry;
+
+  const size_t hash = std::hash<std::string>{}(sql);
+  if (seen_[hash % kSeenSlots].exchange(hash, std::memory_order_relaxed) !=
+      hash) {
+    return p;  // first sighting: run uncached
+  }
+  std::unique_lock lock(stmt_cache_mu_);
+  if (stmt_cache_.size() >= kStatementCacheCapacity) stmt_cache_.clear();
+  // A slower fill from an older epoch must not replace a newer entry.
+  std::shared_ptr<const CachedSelect>& slot = stmt_cache_[sql];
+  if (slot == nullptr || slot->epoch <= epoch) slot = std::move(entry);
+  return p;
+}
+
 Result<QueryResult> Database::RunSelect(Transaction* txn,
-                                        const sql::SelectStmt& s,
-                                        bool explain, bool analyze,
+                                        const CachedSelect& s,
                                         const QueryGrant* grant) {
+  const bool explain = s.stmt.explain;
+  const bool analyze = s.stmt.analyze;
   sql::PlannerOptions popts;
   popts.use_optimizer = optimizer_enabled();
   popts.feedback = &feedback_;
@@ -235,33 +317,50 @@ Result<QueryResult> Database::RunSelect(Transaction* txn,
       popts.max_dop = dop;
     }
   }
-  OLTAP_ASSIGN_OR_RETURN(sql::BoundSelect bound,
-                         sql::BindSelect(s, catalog_));
-  OLTAP_ASSIGN_OR_RETURN(
-      sql::PlannedQuery plan,
-      sql::PlanSelect(bound, catalog_, txn->begin_ts(), popts));
-
-  // Cost-based view routing: if a materialized view subsumes this query
-  // (within the session staleness bound), plan the rewritten query too and
-  // take whichever plan is cheaper.
+  // Routing: the first candidate view that passes the staleness gate
+  // right now, taken when it plans cheaper than the base query. Missing
+  // estimates (optimizer fallback paths) favour the view: its plan reads
+  // precomputed results.
+  std::optional<sql::PlannedQuery> chosen;
   std::string routed_view;
   if (view_routing_enabled() && optimizer_enabled()) {
-    if (auto route = views_.TryRoute(bound, max_staleness_us())) {
-      auto vplan =
-          sql::PlanSelect(route->rewritten, catalog_, txn->begin_ts(), popts);
-      if (vplan.ok()) {
-        double base_cost = MaxPlanCost(plan.root.get());
-        double view_cost = MaxPlanCost(vplan->root.get());
-        // Missing estimates (optimizer fallback paths) default to the
-        // view: its plan reads precomputed results.
-        if (base_cost < 0 || view_cost < 0 || view_cost <= base_cost) {
-          plan = std::move(vplan).value();
-          routed_view = route->view;
-          obs::MetricsRegistry::Default()->GetCounter("view.routed")->Add(1);
+    if (const view::ViewManager::Candidate* c =
+            views_.Admit(s.bound, s.candidates, max_staleness_us())) {
+      std::atomic<CachedSelect::Choice>& slot =
+          s.choices[static_cast<size_t>(c - s.candidates.data())];
+      CachedSelect::Choice choice = slot.load(std::memory_order_relaxed);
+      if (choice != CachedSelect::Choice::kBase) {
+        auto vplan =
+            sql::PlanSelect(c->rewritten, catalog_, txn->begin_ts(), popts);
+        if (choice == CachedSelect::Choice::kUnmade) {
+          OLTAP_ASSIGN_OR_RETURN(
+              sql::PlannedQuery base,
+              sql::PlanSelect(s.bound, catalog_, txn->begin_ts(), popts));
+          const double base_cost = MaxPlanCost(base.root.get());
+          const double view_cost =
+              vplan.ok() ? MaxPlanCost(vplan->root.get()) : 0;
+          choice = vplan.ok() && (base_cost < 0 || view_cost < 0 ||
+                                  view_cost <= base_cost)
+                       ? CachedSelect::Choice::kView
+                       : CachedSelect::Choice::kBase;
+          slot.store(choice, std::memory_order_relaxed);
+          if (choice == CachedSelect::Choice::kBase) chosen = std::move(base);
+        }
+        if (choice == CachedSelect::Choice::kView && vplan.ok()) {
+          chosen = std::move(vplan).value();
+          routed_view = c->view->name;
+          static obs::Counter* routed =
+              obs::MetricsRegistry::Default()->GetCounter("view.routed");
+          routed->Add(1);
         }
       }
     }
   }
+  if (!chosen.has_value()) {
+    OLTAP_ASSIGN_OR_RETURN(
+        chosen, sql::PlanSelect(s.bound, catalog_, txn->begin_ts(), popts));
+  }
+  sql::PlannedQuery& plan = *chosen;
 
   auto observe = [&]() {
     if (!plan.optimized || plan.fingerprint.empty()) return;

@@ -1,9 +1,12 @@
 #ifndef OLTAP_SQL_SESSION_H_
 #define OLTAP_SQL_SESSION_H_
 
+#include <array>
 #include <atomic>
 #include <memory>
+#include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -39,6 +42,13 @@ struct QueryResult {
 // inside a caller-managed transaction: DML is buffered in the transaction;
 // SELECT sees the transaction's begin snapshot (UPDATE/DELETE row selection
 // additionally sees the transaction's own writes, via Transaction::Scan).
+//
+// Both consult a statement cache keyed by the exact SQL text: a SELECT
+// (or its EXPLAIN form) seen more than once is parsed, bound and matched
+// against the views once per catalog epoch, and its base-vs-view cost
+// choice is made once; every execution still takes its own snapshot,
+// grant, session flags and view-staleness check, and plans the chosen
+// side afresh (sql.stmt_cache.* counters).
 class Database {
  public:
   explicit Database(Wal* wal = nullptr);
@@ -146,14 +156,32 @@ class Database {
   }
 
  private:
+  // A SELECT's front-end work for one catalog epoch (defined in
+  // session.cc). Immutable once cached.
+  struct CachedSelect;
+  // A statement ready to run: a SELECT from the statement cache, or any
+  // other statement parsed fresh.
+  struct Prepared {
+    std::shared_ptr<const CachedSelect> select;
+    sql::Statement stmt;  // when `select` is null
+  };
+  // Entries the statement cache holds before it is cleared whole.
+  static constexpr size_t kStatementCacheCapacity = 1024;
+  // Slots of the table of SELECT-text hashes seen once (direct-mapped).
+  static constexpr size_t kSeenSlots = 4096;
+
+  // Looks `sql` up in the statement cache; on a miss or an entry from an
+  // older epoch, parses it, and prepares it afresh. A SELECT enters the
+  // cache on its second sighting, so a text that never repeats (a literal
+  // that changes per request) is neither kept nor flushes hot entries.
+  Result<Prepared> Prepare(const std::string& sql);
   Result<QueryResult> ExecuteImpl(const std::string& sql,
                                   const QueryGrant* grant);
-  Result<QueryResult> RunStatement(Transaction* txn, const sql::Statement& s,
+  Result<QueryResult> RunStatement(Transaction* txn, const Prepared& p,
                                    const QueryGrant* grant = nullptr);
   // CHECKPOINT: one synchronous round on the (lazily created) daemon.
   Result<QueryResult> RunCheckpoint();
-  Result<QueryResult> RunSelect(Transaction* txn, const sql::SelectStmt& s,
-                                bool explain, bool analyze,
+  Result<QueryResult> RunSelect(Transaction* txn, const CachedSelect& s,
                                 const QueryGrant* grant = nullptr);
   // SHOW STATS: one row per metric from the global registry (histograms
   // expand to .count/.mean/.p50/.p95/.p99/.p999/.max rows), with storage
@@ -177,6 +205,10 @@ class Database {
   std::atomic<size_t> max_dop_{0};  // 0 = auto (pool threads + 1)
   opt::PlanFeedback feedback_;
   view::ViewManager views_{&catalog_, &txn_};
+  std::shared_mutex stmt_cache_mu_;
+  std::unordered_map<std::string, std::shared_ptr<const CachedSelect>>
+      stmt_cache_;
+  std::array<std::atomic<size_t>, kSeenSlots> seen_{};
   // Declared after views_/txn_/catalog_: the daemon references all three,
   // so it must destroy (and join its thread) first.
   std::mutex checkpointer_mu_;

@@ -1,6 +1,8 @@
 #ifndef OLTAP_STORAGE_CATALOG_H_
 #define OLTAP_STORAGE_CATALOG_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -33,6 +35,7 @@ class Catalog {
     auto [it, inserted] = tables_.emplace(
         name, std::make_unique<Table>(name, std::move(schema), format));
     if (!inserted) return Status::AlreadyExists("table exists: " + name);
+    BumpEpoch();
     return Status::OK();
   }
 
@@ -43,6 +46,7 @@ class Catalog {
     std::unique_lock lock(mu_);
     tables_.erase(name);
     stats_.erase(name);
+    BumpEpoch();
   }
 
   Table* GetTable(const std::string& name) const {
@@ -74,6 +78,7 @@ class Catalog {
                      std::shared_ptr<const opt::TableStats> stats) {
     std::unique_lock lock(mu_);
     stats_[name] = std::move(stats);
+    BumpEpoch();
   }
 
   std::shared_ptr<const opt::TableStats> GetTableStats(
@@ -83,7 +88,16 @@ class Catalog {
     return it == stats_.end() ? nullptr : it->second;
   }
 
+  // Catalog epoch: bumped by every change that can alter how a SELECT
+  // binds, costs or routes — CreateTable, DropTable, SetTableStats, and
+  // materialized-view registration. Cached front-end work stamped with an
+  // older epoch is rebuilt. Each bump happens after its change is
+  // visible, so work that read the new epoch also sees the change.
+  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
+
  private:
+  std::atomic<uint64_t> epoch_{0};
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   std::unordered_map<std::string, std::shared_ptr<const opt::TableStats>>

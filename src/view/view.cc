@@ -131,26 +131,59 @@ int64_t LagMicros(const ViewDef& v, int64_t now_us) {
   return lag;
 }
 
-// Metric handles (preregistered in obs/metrics.cc; GetX is idempotent).
+// Tightest of the session knob and the view's own bound, against the
+// view's lag at `now_us`.
+bool WithinStaleness(const ViewDef& v, int64_t max_staleness_us,
+                     int64_t now_us) {
+  int64_t bound = -1;
+  if (max_staleness_us >= 0) bound = max_staleness_us;
+  if (v.max_staleness_us >= 0) {
+    bound = bound < 0 ? v.max_staleness_us
+                      : std::min(bound, v.max_staleness_us);
+  }
+  return bound < 0 || LagMicros(v, now_us) <= bound;
+}
+
+// Metric handles, resolved once (GetX is a registry-mutex map lookup).
 obs::Counter* MaintainRuns() {
-  return obs::MetricsRegistry::Default()->GetCounter("view.maintain_runs");
+  static obs::Counter* c =
+      obs::MetricsRegistry::Default()->GetCounter("view.maintain_runs");
+  return c;
 }
 obs::Counter* ChangesApplied() {
-  return obs::MetricsRegistry::Default()->GetCounter("view.changes_applied");
+  static obs::Counter* c =
+      obs::MetricsRegistry::Default()->GetCounter("view.changes_applied");
+  return c;
 }
 obs::Counter* Rebuilds() {
-  return obs::MetricsRegistry::Default()->GetCounter("view.rebuilds");
+  static obs::Counter* c =
+      obs::MetricsRegistry::Default()->GetCounter("view.rebuilds");
+  return c;
 }
 obs::Counter* GroupRecomputes() {
-  return obs::MetricsRegistry::Default()->GetCounter(
-      "view.group_recomputes");
+  static obs::Counter* c =
+      obs::MetricsRegistry::Default()->GetCounter("view.group_recomputes");
+  return c;
 }
 obs::Histogram* MaintainNs() {
-  return obs::MetricsRegistry::Default()->GetHistogram("view.maintain_ns");
+  static obs::Histogram* h =
+      obs::MetricsRegistry::Default()->GetHistogram("view.maintain_ns");
+  return h;
 }
 obs::Histogram* FreshnessLagUs() {
-  return obs::MetricsRegistry::Default()->GetHistogram(
-      "view.freshness_lag_us");
+  static obs::Histogram* h =
+      obs::MetricsRegistry::Default()->GetHistogram("view.freshness_lag_us");
+  return h;
+}
+obs::Counter* RouteConsidered() {
+  static obs::Counter* c =
+      obs::MetricsRegistry::Default()->GetCounter("view.route_considered");
+  return c;
+}
+
+// Routing handles neither DISTINCT nor HAVING.
+bool RoutableShape(const sql::BoundSelect& q) {
+  return !q.distinct && q.having == nullptr;
 }
 
 }  // namespace
@@ -439,6 +472,8 @@ Status ViewManager::Create(const sql::CreateViewStmt& stmt) {
     }
     views_.push_back(std::move(def));
   }
+  // Registration can change how existing SELECTs route.
+  catalog_->BumpEpoch();
   return Status::OK();
 }
 
@@ -1127,21 +1162,9 @@ void ViewManager::AppendStatsRows(std::vector<Row>* rows) const {
 // Routing
 // ---------------------------------------------------------------------------
 
-std::optional<ViewManager::Route> ViewManager::TryRoute(
-    const sql::SelectStmt& stmt, int64_t max_staleness_us) const {
-  if (num_views() == 0) return std::nullopt;
-  auto bound = sql::BindSelect(stmt, *catalog_);
-  if (!bound.ok()) return std::nullopt;
-  return TryRoute(*bound, max_staleness_us);
-}
-
-std::optional<ViewManager::Route> ViewManager::TryRoute(
-    const sql::BoundSelect& q, int64_t max_staleness_us) const {
-  if (q.distinct || q.having != nullptr) return std::nullopt;
-  if (num_views() == 0) return std::nullopt;
-  obs::MetricsRegistry::Default()
-      ->GetCounter("view.route_considered")
-      ->Add(1);
+template <typename Take>
+void ViewManager::ForEachMatch(const sql::BoundSelect& q, Take&& take) const {
+  if (!RoutableShape(q) || num_views() == 0) return;
 
   // A join edge as an unordered pair of (base table, column).
   using EdgeKey = std::pair<std::pair<const Table*, int>,
@@ -1171,18 +1194,16 @@ std::optional<ViewManager::Route> ViewManager::TryRoute(
     return true;
   };
   for (const sql::BoundConjunct& c : q.where) {
-    if (!add_conjunct(c)) return std::nullopt;
+    if (!add_conjunct(c)) return;
   }
   for (const auto& on : q.on) {
     for (const sql::BoundConjunct& c : on) {
-      if (!add_conjunct(c)) return std::nullopt;
+      if (!add_conjunct(c)) return;
     }
   }
   std::sort(q_edges.begin(), q_edges.end());
   const size_t num_cols =
       static_cast<size_t>(q.from.back().offset + q.from.back().width);
-
-  const int64_t now_us = SystemClock::Get()->NowMicros();
 
   std::shared_lock lock(mu_);
   for (const auto& vp : views_) {
@@ -1331,17 +1352,6 @@ std::optional<ViewManager::Route> ViewManager::TryRoute(
     }
     if (unmapped) continue;
 
-    // 4. Staleness gate: tightest of the session knob and the view's own
-    //    bound.
-    const int64_t lag = LagMicros(v, now_us);
-    int64_t bound = -1;
-    if (max_staleness_us >= 0) bound = max_staleness_us;
-    if (v.max_staleness_us >= 0) {
-      bound = bound < 0 ? v.max_staleness_us
-                        : std::min(bound, v.max_staleness_us);
-    }
-    if (bound >= 0 && lag > bound) continue;
-
     sql::BoundTable backing;
     backing.table = v.backing;
     backing.alias = v.name;
@@ -1351,14 +1361,46 @@ std::optional<ViewManager::Route> ViewManager::TryRoute(
     rewritten.order_by = q.order_by;
     rewritten.limit = q.limit;
     rewritten.fingerprint = q.fingerprint + " ROUTED VIA " + v.name;
-
-    Route route;
-    route.view = v.name;
-    route.staleness_us = lag;
-    route.rewritten = std::move(rewritten);
-    return route;
+    if (take(v, std::move(rewritten))) return;
   }
-  return std::nullopt;
+}
+
+std::vector<ViewManager::Candidate> ViewManager::Match(
+    const sql::BoundSelect& q) const {
+  std::vector<Candidate> out;
+  ForEachMatch(q, [&](const ViewDef& v, sql::BoundSelect&& rewritten) {
+    out.push_back({&v, std::move(rewritten)});
+    return false;
+  });
+  return out;
+}
+
+const ViewManager::Candidate* ViewManager::Admit(
+    const sql::BoundSelect& q, const std::vector<Candidate>& candidates,
+    int64_t max_staleness_us) const {
+  if (!RoutableShape(q) || num_views() == 0) return nullptr;
+  RouteConsidered()->Add(1);
+  const int64_t now_us = SystemClock::Get()->NowMicros();
+  for (const Candidate& c : candidates) {
+    if (WithinStaleness(*c.view, max_staleness_us, now_us)) return &c;
+  }
+  return nullptr;
+}
+
+std::optional<ViewManager::Route> ViewManager::TryRoute(
+    const sql::SelectStmt& stmt, int64_t max_staleness_us) const {
+  if (num_views() == 0) return std::nullopt;
+  auto bound = sql::BindSelect(stmt, *catalog_);
+  if (!bound.ok() || !RoutableShape(*bound)) return std::nullopt;
+  RouteConsidered()->Add(1);
+  const int64_t now_us = SystemClock::Get()->NowMicros();
+  std::optional<Route> route;
+  ForEachMatch(*bound, [&](const ViewDef& v, sql::BoundSelect&& rewritten) {
+    if (!WithinStaleness(v, max_staleness_us, now_us)) return false;
+    route = Route{v.name, std::move(rewritten)};
+    return true;
+  });
+  return route;
 }
 
 }  // namespace view

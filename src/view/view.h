@@ -153,20 +153,34 @@ class ViewManager {
   // change (0 when fully applied).
   int64_t StalenessMicros(const std::string& name, int64_t now_us) const;
 
-  // Cost-based routing: if `q`'s join/aggregate shape subsumes a
-  // registered view whose staleness passes `max_staleness_us` (session
-  // knob; -1 = unbounded) and the view's own bound, returns the query
-  // rewritten over the backing table. The caller cost-compares the two
-  // plans and picks the cheaper. Edges and local predicates match as bound
-  // expressions over (table, column), constants as typed values.
-  struct Route {
-    std::string view;
-    int64_t staleness_us = 0;
+  // Cost-based routing, in two halves. Match does the shape work: every
+  // registered view whose base set and join edges equal `q`'s and whose
+  // local predicates `q` subsumes, in registration order, each with `q`
+  // rewritten over the view's backing table. Edges and local predicates
+  // match as bound expressions over (table, column), constants as typed
+  // values. It reads only `q` and the view registry, so its result stays
+  // valid until the next view registration (which bumps the catalog
+  // epoch). Admit is the per-execution staleness gate: the first
+  // candidate whose view's lag passes `max_staleness_us` (session knob;
+  // -1 = unbounded) and the view's own bound, or nullptr. It counts
+  // view.route_considered for every `q` of routable shape (no DISTINCT or
+  // HAVING) while any view exists. The caller cost-compares the rewritten
+  // plan with the base plan.
+  struct Candidate {
+    const ViewDef* view = nullptr;
     sql::BoundSelect rewritten;
   };
-  std::optional<Route> TryRoute(const sql::BoundSelect& q,
-                                int64_t max_staleness_us) const;
-  // Binds `stmt`, then routes it as above.
+  std::vector<Candidate> Match(const sql::BoundSelect& q) const;
+  const Candidate* Admit(const sql::BoundSelect& q,
+                         const std::vector<Candidate>& candidates,
+                         int64_t max_staleness_us) const;
+
+  // Binds `stmt`, then Match plus Admit in one pass: the first view that
+  // matches and passes the staleness gate (later views are not matched).
+  struct Route {
+    std::string view;
+    sql::BoundSelect rewritten;
+  };
   std::optional<Route> TryRoute(const sql::SelectStmt& stmt,
                                 int64_t max_staleness_us) const;
 
@@ -174,6 +188,11 @@ class ViewManager {
   void AppendStatsRows(std::vector<Row>* rows) const;
 
  private:
+  // The body of Match: calls `take(view, rewritten)` for each matching
+  // view in registration order, under the registry lock, until it
+  // returns true.
+  template <typename Take>
+  void ForEachMatch(const sql::BoundSelect& q, Take&& take) const;
   Status MaintainLocked(ViewDef* v);
   Status RefreshLocked(ViewDef* v);
   ViewDef* Find(const std::string& name) const;
