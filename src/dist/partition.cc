@@ -330,9 +330,21 @@ double DistributedEngine::SumWhere(int filter_col, CompareOp op,
           leader = tablet.replicas[tablet.leader_r].get();
         }
         ColumnTable::Snapshot snap = leader->GetSnapshot(read_ts);
-        // Main fragment: packed scan + gather.
+        // The walk hands over the delta rows before the main is scanned;
+        // their values are added after the main's, keeping the sum's
+        // order (and so its rounding) main first.
         BitVector sel;
-        snap.main->VisibleMask(read_ts, &sel);
+        std::vector<double> delta_vals;
+        snap.ScanVisible(&sel, [&](const Row& row) {
+          const Value& f = row[filter_col];
+          if (f.is_null() || row[agg_col].is_null()) return;
+          int64_t x = f.AsInt64();
+          int cmp = x < constant ? -1 : x > constant ? 1 : 0;
+          if (CompareHolds(op, cmp)) {
+            delta_vals.push_back(row[agg_col].AsDouble());
+          }
+        });
+        // Main fragment: packed scan + gather.
         if (snap.main->num_rows() > 0) {
           BitVector hits;
           snap.main->column(filter_col)
@@ -342,36 +354,7 @@ double DistributedEngine::SumWhere(int filter_col, CompareOp op,
           snap.main->column(agg_col).GatherDoubles(&sel, &vals, nullptr);
           for (double v : vals) sum += v;
         }
-        // Delta rows.
-        auto eval = [&](uint32_t, const Row& row) {
-          const Value& f = row[filter_col];
-          if (f.is_null()) return;
-          int64_t x = f.AsInt64();
-          bool hit = false;
-          switch (op) {
-            case CompareOp::kEq:
-              hit = x == constant;
-              break;
-            case CompareOp::kNe:
-              hit = x != constant;
-              break;
-            case CompareOp::kLt:
-              hit = x < constant;
-              break;
-            case CompareOp::kLe:
-              hit = x <= constant;
-              break;
-            case CompareOp::kGt:
-              hit = x > constant;
-              break;
-            case CompareOp::kGe:
-              hit = x >= constant;
-              break;
-          }
-          if (hit && !row[agg_col].is_null()) sum += row[agg_col].AsDouble();
-        };
-        if (snap.frozen != nullptr) snap.frozen->ForEachVisible(read_ts, eval);
-        snap.delta->ForEachVisible(read_ts, eval);
+        for (double v : delta_vals) sum += v;
       }
       net_.Transfer(node, 0, 64);
       node_sums[node] = sum;
@@ -393,13 +376,10 @@ size_t DistributedEngine::TotalRows() {
       std::lock_guard<std::mutex> lock(tablet.mu);
       leader = tablet.replicas[tablet.leader_r].get();
     }
-    ColumnTable::Snapshot snap = leader->GetSnapshot(read_ts);
     BitVector sel;
-    snap.main->VisibleMask(read_ts, &sel);
+    leader->GetSnapshot(read_ts).ScanVisible(&sel,
+                                             [&](const Row&) { ++total; });
     total += sel.CountSet();
-    auto count = [&](uint32_t, const Row&) { ++total; };
-    if (snap.frozen != nullptr) snap.frozen->ForEachVisible(read_ts, count);
-    snap.delta->ForEachVisible(read_ts, count);
   }
   return total;
 }
@@ -410,20 +390,8 @@ bool DistributedEngine::CheckReplicasConsistent() {
     Tablet& tablet = *tablets_[p];
     std::vector<std::vector<Row>> contents(tablet.replicas.size());
     for (size_t r = 0; r < tablet.replicas.size(); ++r) {
-      ColumnTable::Snapshot snap = tablet.replicas[r]->GetSnapshot(read_ts);
-      BitVector sel;
-      snap.main->VisibleMask(read_ts, &sel);
-      for (size_t i = sel.FindNextSet(0); i < sel.size();
-           i = sel.FindNextSet(i + 1)) {
-        contents[r].push_back(snap.main->GetRow(static_cast<RowId>(i)));
-      }
-      auto collect = [&](uint32_t, const Row& row) {
-        contents[r].push_back(row);
-      };
-      if (snap.frozen != nullptr) {
-        snap.frozen->ForEachVisible(read_ts, collect);
-      }
-      snap.delta->ForEachVisible(read_ts, collect);
+      tablet.replicas[r]->GetSnapshot(read_ts).ScanVisible(
+          [&](const Row& row) { contents[r].push_back(row); });
       std::sort(contents[r].begin(), contents[r].end(),
                 [](const Row& a, const Row& b) {
                   return HashKeyOf(a) < HashKeyOf(b);

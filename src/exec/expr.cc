@@ -5,25 +5,6 @@
 namespace oltap {
 namespace {
 
-bool CompareValues(CompareOp op, const Value& a, const Value& b) {
-  int cmp = a.Compare(b);
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp == 0;
-    case CompareOp::kNe:
-      return cmp != 0;
-    case CompareOp::kLt:
-      return cmp < 0;
-    case CompareOp::kLe:
-      return cmp <= 0;
-    case CompareOp::kGt:
-      return cmp > 0;
-    case CompareOp::kGe:
-      return cmp >= 0;
-  }
-  return false;
-}
-
 CompareOp FlipOp(CompareOp op) {
   switch (op) {
     case CompareOp::kLt:
@@ -123,7 +104,7 @@ Value Expr::EvalRow(const Row& row) const {
       Value a = children_[0]->EvalRow(row);
       Value b = children_[1]->EvalRow(row);
       if (a.is_null() || b.is_null()) return Value::Null();
-      return Value::Bool(CompareValues(compare_op_, a, b));
+      return Value::Bool(CompareHolds(compare_op_, a.Compare(b)));
     }
     case Kind::kAnd: {
       Value a = children_[0]->EvalRow(row);
@@ -347,7 +328,8 @@ void Expr::EvalPredicate(const Batch& batch, BitVector* out) const {
       ColumnVector b = r->EvalBatch(batch);
       for (size_t i = 0; i < n; ++i) {
         if (a.IsNull(i) || b.IsNull(i)) continue;
-        if (CompareValues(compare_op_, a.GetValue(i), b.GetValue(i))) {
+        if (CompareHolds(compare_op_,
+                         a.GetValue(i).Compare(b.GetValue(i)))) {
           out->Set(i);
         }
       }

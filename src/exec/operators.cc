@@ -416,9 +416,9 @@ void ScanOp::PrepareMorsels() {
   if (path_ == Path::kRow && table_->row_table() != nullptr) {
     columnar_ = false;
   }
-  // Delta, frozen-delta and row-engine rows: row-at-a-time with the full
-  // predicate, tested in place; the projected cells of those that pass
-  // collect in serial iteration order.
+  // Delta and row-engine rows: row-at-a-time with the full predicate,
+  // tested in place; the projected cells of those that pass collect in
+  // serial iteration order.
   auto consume = [&](const Row& row) {
     ++rows_scanned_;
     if (predicate_ != nullptr) {
@@ -473,13 +473,10 @@ void ScanOp::PrepareMorsels() {
       residual_ == nullptr ? nullptr
                            : RemapExprColumns(residual_, schema_to_batch);
 
+  // The snapshot walk: main visibility into main_sel_, delta rows through
+  // the row-at-a-time path.
+  snap_->ScanVisible(&main_sel_, consume);
   PrepareMainSelection();
-
-  auto consume_delta = [&](uint32_t, const Row& row) { consume(row); };
-  if (snap_->frozen != nullptr) {
-    snap_->frozen->ForEachVisible(read_ts_, consume_delta);
-  }
-  snap_->delta->ForEachVisible(read_ts_, consume_delta);
 
   num_main_morsels_ = (main_sel_.size() + kMorselRows - 1) / kMorselRows;
   num_slots_ = num_main_morsels_ + (pending_.num_rows() == 0 ? 0 : 1);
@@ -487,7 +484,6 @@ void ScanOp::PrepareMorsels() {
 
 void ScanOp::PrepareMainSelection() {
   const MainFragment& main = *snap_->main;
-  main.VisibleMask(read_ts_, &main_sel_);
   rows_scanned_ += main.num_rows();
   if (main.num_rows() == 0) return;  // empty main has no segments to scan
   for (const Expr::ColumnPredicate& cp : pushed_) {

@@ -164,6 +164,8 @@ class ScanOp final : public MorselOp {
   void DriveSlots(const MorselSink& sink) override;
 
  private:
+  // Narrows main_sel_, the walk's main visibility mask, by the pushed
+  // single-column predicates (zone-pruned packed scans).
   void PrepareMainSelection();
   // Takes the next up to kDefaultBatchRows selected main rows in
   // [*pos, end), runs the residual and gathers the projected columns of

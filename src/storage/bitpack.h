@@ -18,6 +18,28 @@ enum class CompareOp : uint8_t {
   kGe,
 };
 
+// True when a three-way comparison result `cmp` (negative, zero or
+// positive as the value is below, equal to or above the constant)
+// satisfies `op`. Kernels that hoist the switch out of their loop keep
+// their own.
+inline bool CompareHolds(CompareOp op, int cmp) {
+  switch (op) {
+    case CompareOp::kEq:
+      return cmp == 0;
+    case CompareOp::kNe:
+      return cmp != 0;
+    case CompareOp::kLt:
+      return cmp < 0;
+    case CompareOp::kLe:
+      return cmp <= 0;
+    case CompareOp::kGt:
+      return cmp > 0;
+    case CompareOp::kGe:
+      return cmp >= 0;
+  }
+  return false;
+}
+
 // Minimum bits needed to represent values in [0, max_value].
 int BitsForMax(uint32_t max_value);
 

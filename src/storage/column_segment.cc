@@ -8,29 +8,6 @@
 namespace oltap {
 namespace {
 
-// Applies `op` to the comparison result sign (cmp = v - c conceptually).
-bool EvalCompare(CompareOp op, int cmp) {
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp == 0;
-    case CompareOp::kNe:
-      return cmp != 0;
-    case CompareOp::kLt:
-      return cmp < 0;
-    case CompareOp::kLe:
-      return cmp <= 0;
-    case CompareOp::kGt:
-      return cmp > 0;
-    case CompareOp::kGe:
-      return cmp >= 0;
-  }
-  return false;
-}
-
-}  // namespace
-
-namespace {
-
 // Builds the int64 encoding into `seg` (helper shared by the RLE-allowed
 // and RLE-suppressed entry points).
 constexpr size_t kMinAvgRunForRle = 8;
@@ -261,7 +238,7 @@ void ColumnSegment::ScanInt64(CompareOp op, int64_t constant,
     for (size_t r = 0; r < rle_values_.size(); ++r) {
       int64_t v = rle_values_[r];
       int cmp = v < constant ? -1 : v > constant ? 1 : 0;
-      if (EvalCompare(op, cmp)) {
+      if (CompareHolds(op, cmp)) {
         out->SetRange(rle_starts_[r], rle_starts_[r + 1]);
       }
     }
@@ -310,7 +287,7 @@ void ColumnSegment::ScanInt64(CompareOp op, int64_t constant,
     if (has_nulls_ && nulls_.Get(i)) continue;
     int64_t v = raw_i64_[i];
     int cmp = v < constant ? -1 : v > constant ? 1 : 0;
-    if (EvalCompare(op, cmp)) out->Set(i);
+    if (CompareHolds(op, cmp)) out->Set(i);
   }
 }
 
@@ -322,7 +299,7 @@ void ColumnSegment::ScanDouble(CompareOp op, double constant,
     if (has_nulls_ && nulls_.Get(i)) continue;
     double v = raw_f64_[i];
     int cmp = v < constant ? -1 : v > constant ? 1 : 0;
-    if (EvalCompare(op, cmp)) out->Set(i);
+    if (CompareHolds(op, cmp)) out->Set(i);
   }
 }
 
@@ -415,7 +392,7 @@ void ColumnSegment::ScanCompare(CompareOp op, const Value& constant,
           double v = static_cast<double>(GetInt64(i));
           double c = constant.AsDouble();
           int cmp = v < c ? -1 : v > c ? 1 : 0;
-          if (EvalCompare(op, cmp)) out->Set(i);
+          if (CompareHolds(op, cmp)) out->Set(i);
         }
         return;
       }

@@ -99,6 +99,24 @@ ColumnTable::Snapshot ColumnTable::GetSnapshot(Timestamp read_ts) const {
   return Snapshot{main_, frozen_delta_, delta_, read_ts};
 }
 
+void ColumnTable::Snapshot::ScanVisible(const RowFn& fn) const {
+  BitVector visible;
+  main->VisibleMask(read_ts, &visible);
+  for (size_t r = visible.FindNextSet(0); r < visible.size();
+       r = visible.FindNextSet(r + 1)) {
+    fn(main->GetRow(static_cast<RowId>(r)));
+  }
+  if (frozen != nullptr) frozen->ForEachVisible(read_ts, fn);
+  delta->ForEachVisible(read_ts, fn);
+}
+
+void ColumnTable::Snapshot::ScanVisible(BitVector* main_visible,
+                                        const RowFn& delta_fn) const {
+  main->VisibleMask(read_ts, main_visible);
+  if (frozen != nullptr) frozen->ForEachVisible(read_ts, delta_fn);
+  delta->ForEachVisible(read_ts, delta_fn);
+}
+
 const DeltaStore* ColumnTable::DeltaFor(const Location& loc) const {
   OLTAP_DCHECK(loc.in_delta);
   if (loc.gen == delta_gen_) return delta_.get();

@@ -2,6 +2,7 @@
 #define OLTAP_STORAGE_COLUMN_STORE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -101,11 +102,23 @@ class ColumnTable {
   // A consistent view of the table. Rows visible = main rows live at
   // read_ts, plus frozen-delta rows (merge in progress when taken), plus
   // delta rows, all filtered by [insert_ts, delete_ts).
+  //
+  // ScanVisible is the one walk of that set; every reader of a columnar
+  // snapshot goes through it. Order: main rows by rowid, then frozen-delta
+  // rows, then delta rows, each delta in insertion order.
   struct Snapshot {
     std::shared_ptr<const MainFragment> main;
     std::shared_ptr<const DeltaStore> frozen;  // null unless merging
     std::shared_ptr<const DeltaStore> delta;
     Timestamp read_ts = 0;
+
+    using RowFn = std::function<void(const Row&)>;
+    // Row form: reconstructs every visible main row, then the delta rows.
+    void ScanVisible(const RowFn& fn) const;
+    // Column form, for callers that scan the main fragment segment-wise:
+    // writes the main rows' visibility mask to `main_visible`, then passes
+    // each visible delta row to `delta_fn`.
+    void ScanVisible(BitVector* main_visible, const RowFn& delta_fn) const;
   };
   Snapshot GetSnapshot(Timestamp read_ts) const;
 

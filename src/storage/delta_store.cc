@@ -41,13 +41,10 @@ bool DeltaStore::GetIfVisible(uint32_t idx, Timestamp read_ts,
 }
 
 void DeltaStore::ForEachVisible(
-    Timestamp read_ts,
-    const std::function<void(uint32_t, const Row&)>& fn) const {
+    Timestamp read_ts, const std::function<void(const Row&)>& fn) const {
   std::shared_lock lock(mu_);
   for (size_t i = 0; i < rows_.size(); ++i) {
-    if (insert_ts_[i] <= read_ts && delete_ts_[i] > read_ts) {
-      fn(static_cast<uint32_t>(i), rows_[i]);
-    }
+    if (insert_ts_[i] <= read_ts && delete_ts_[i] > read_ts) fn(rows_[i]);
   }
 }
 

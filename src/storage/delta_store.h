@@ -48,10 +48,10 @@ class DeltaStore {
   // Copies row `idx` into *out if visible at read_ts; returns visibility.
   bool GetIfVisible(uint32_t idx, Timestamp read_ts, Row* out) const;
 
-  // Invokes fn(idx, row) for every row visible at read_ts, in insertion
-  // order. The row reference is only valid during the callback.
+  // Invokes fn(row) for every row visible at read_ts, in insertion order.
+  // The row reference is only valid during the callback.
   void ForEachVisible(Timestamp read_ts,
-                      const std::function<void(uint32_t, const Row&)>& fn) const;
+                      const std::function<void(const Row&)>& fn) const;
 
   // Merge support: snapshot of per-row timestamps (index-aligned).
   void SnapshotTimestamps(std::vector<Timestamp>* insert_ts,

@@ -3,9 +3,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 
+#include "common/status.h"
+#include "common/types.h"
 #include "storage/row.h"
 #include "storage/schema.h"
 
@@ -94,6 +97,53 @@ class RowStore {
   std::atomic<int> max_height_{1};
   std::atomic<uint64_t> height_seed_{0x2545F4914F6CDD1DULL};
   std::atomic<size_t> num_entries_{0};
+};
+
+// Committed-write row engine: a thin transactional veneer over the
+// lock-free skip list. Versions carry final commit timestamps (the
+// transaction layer validates and orders commits before applying). This is
+// the row mirror of a `Table`: the whole of a kRow table and the OLTP half
+// of a kDual one.
+class RowTable {
+ public:
+  explicit RowTable(Schema schema);
+
+  const Schema& schema() const { return store_.schema(); }
+
+  Status InsertCommitted(const Row& row, Timestamp ts);
+  Status DeleteCommitted(std::string_view key, Timestamp ts);
+  Status UpdateCommitted(std::string_view key, const Row& new_row,
+                         Timestamp ts);
+
+  bool Lookup(std::string_view key, Timestamp read_ts, Row* out) const;
+
+  // Commit timestamp of the last write to `key`; 0 if never written.
+  Timestamp LastWriteTs(std::string_view key) const;
+
+  // Invokes fn for every row visible at read_ts, in key order.
+  void ScanVisible(Timestamp read_ts,
+                   const std::function<void(const Row&)>& fn) const;
+
+  // Ordered short-range scan: visits up to `limit` visible rows with
+  // encoded key >= start_key, in key order — the skip list's signature
+  // OLTP access path (TPC-C "next orders of this district"), which
+  // hash-indexed columnar tables cannot serve without a full scan.
+  // Returns the number of rows visited.
+  size_t ScanRange(std::string_view start_key, size_t limit,
+                   Timestamp read_ts,
+                   const std::function<void(const Row&)>& fn) const;
+
+  size_t num_keys() const { return store_.num_entries(); }
+  RowStore* store() { return &store_; }
+  const RowStore* store() const { return &store_; }
+
+ private:
+  // Key for a row: the schema key, or an internal sequence for keyless
+  // tables (append-only, e.g. TPC-C HISTORY).
+  std::string KeyFor(const Row& row);
+
+  RowStore store_;
+  std::atomic<uint64_t> seq_{0};
 };
 
 }  // namespace oltap

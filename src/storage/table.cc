@@ -19,34 +19,38 @@ const char* TableFormatToString(TableFormat f) {
   return "?";
 }
 
+namespace {
+
+// Applies a committed write to each mirror a table has. The row mirror goes
+// first and its status is the result; the column mirror runs the same
+// checks against the same state, so it must then succeed too.
+template <typename Write>
+Status ApplyToMirrors(RowTable* row, ColumnTable* column, const Write& write) {
+  if (row == nullptr) return write(column);
+  OLTAP_RETURN_NOT_OK(write(row));
+  if (column != nullptr) {
+    Status col = write(column);
+    OLTAP_CHECK(col.ok()) << "dual-format divergence: " << col.ToString();
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Table::Table(std::string name, Schema schema, TableFormat format)
-    : name_(std::move(name)), schema_(std::move(schema)), format_(format) {
-  switch (format_) {
-    case TableFormat::kRow:
-      row_ = std::make_unique<RowTable>(schema_);
-      break;
-    case TableFormat::kColumn:
-      column_ = std::make_unique<ColumnTable>(schema_);
-      break;
-    case TableFormat::kDual:
-      dual_ = std::make_unique<DualTable>(schema_);
-      break;
+    : name_(std::move(name)), schema_(std::move(schema)) {
+  if (format != TableFormat::kColumn) {
+    row_ = std::make_unique<RowTable>(schema_);
+  }
+  if (format != TableFormat::kRow) {
+    column_ = std::make_unique<ColumnTable>(schema_);
   }
 }
 
 Status Table::InsertCommitted(const Row& row, Timestamp ts) {
-  Status s = Status::Internal("bad format");
-  switch (format_) {
-    case TableFormat::kRow:
-      s = row_->InsertCommitted(row, ts);
-      break;
-    case TableFormat::kColumn:
-      s = column_->InsertCommitted(row, ts);
-      break;
-    case TableFormat::kDual:
-      s = dual_->InsertCommitted(row, ts);
-      break;
-  }
+  Status s = ApplyToMirrors(row_.get(), column_.get(), [&](auto* mirror) {
+    return mirror->InsertCommitted(row, ts);
+  });
   if (s.ok()) {
     mod_count_.fetch_add(1, std::memory_order_relaxed);
     if (ChangeLog* log = change_log()) {
@@ -64,18 +68,9 @@ Status Table::DeleteCommitted(std::string_view key, Timestamp ts) {
   bool have_pre = false;
   ChangeLog* log = change_log();
   if (log != nullptr) have_pre = Lookup(key, ts, &pre);
-  Status s = Status::Internal("bad format");
-  switch (format_) {
-    case TableFormat::kRow:
-      s = row_->DeleteCommitted(key, ts);
-      break;
-    case TableFormat::kColumn:
-      s = column_->DeleteCommitted(key, ts);
-      break;
-    case TableFormat::kDual:
-      s = dual_->DeleteCommitted(key, ts);
-      break;
-  }
+  Status s = ApplyToMirrors(row_.get(), column_.get(), [&](auto* mirror) {
+    return mirror->DeleteCommitted(key, ts);
+  });
   if (s.ok()) {
     mod_count_.fetch_add(1, std::memory_order_relaxed);
     if (log != nullptr && have_pre) {
@@ -92,18 +87,9 @@ Status Table::UpdateCommitted(std::string_view key, const Row& new_row,
   bool have_pre = false;
   ChangeLog* log = change_log();
   if (log != nullptr) have_pre = Lookup(key, ts, &pre);
-  Status s = Status::Internal("bad format");
-  switch (format_) {
-    case TableFormat::kRow:
-      s = row_->UpdateCommitted(key, new_row, ts);
-      break;
-    case TableFormat::kColumn:
-      s = column_->UpdateCommitted(key, new_row, ts);
-      break;
-    case TableFormat::kDual:
-      s = dual_->UpdateCommitted(key, new_row, ts);
-      break;
-  }
+  Status s = ApplyToMirrors(row_.get(), column_.get(), [&](auto* mirror) {
+    return mirror->UpdateCommitted(key, new_row, ts);
+  });
   if (s.ok()) {
     mod_count_.fetch_add(1, std::memory_order_relaxed);
     if (log != nullptr) {
@@ -120,59 +106,28 @@ Status Table::UpdateCommitted(std::string_view key, const Row& new_row,
 }
 
 bool Table::Lookup(std::string_view key, Timestamp read_ts, Row* out) const {
-  switch (format_) {
-    case TableFormat::kRow:
-      return row_->Lookup(key, read_ts, out);
-    case TableFormat::kColumn:
-      return column_->Lookup(key, read_ts, out);
-    case TableFormat::kDual:
-      return dual_->Lookup(key, read_ts, out);
-  }
-  return false;
+  if (row_ != nullptr) return row_->Lookup(key, read_ts, out);
+  return column_->Lookup(key, read_ts, out);
 }
 
 Timestamp Table::LastWriteTs(std::string_view key) const {
-  switch (format_) {
-    case TableFormat::kRow:
-      return row_->LastWriteTs(key);
-    case TableFormat::kColumn:
-      return column_->LastWriteTs(key);
-    case TableFormat::kDual:
-      return dual_->LastWriteTs(key);
-  }
-  return 0;
+  if (row_ != nullptr) return row_->LastWriteTs(key);
+  return column_->LastWriteTs(key);
 }
 
 void Table::ScanVisible(Timestamp read_ts,
                         const std::function<void(const Row&)>& fn) const {
-  if (format_ == TableFormat::kRow) {
+  if (column_ != nullptr) {
+    column_->GetSnapshot(read_ts).ScanVisible(fn);
+  } else {
     row_->ScanVisible(read_ts, fn);
-    return;
   }
-  std::optional<ColumnTable::Snapshot> snap = GetColumnSnapshot(read_ts);
-  OLTAP_DCHECK(snap.has_value());
-  const MainFragment& main = *snap->main;
-  BitVector visible;
-  main.VisibleMask(read_ts, &visible);
-  for (size_t r = visible.FindNextSet(0); r < visible.size();
-       r = visible.FindNextSet(r + 1)) {
-    fn(main.GetRow(static_cast<RowId>(r)));
-  }
-  if (snap->frozen != nullptr) {
-    snap->frozen->ForEachVisible(
-        read_ts, [&](uint32_t, const Row& row) { fn(row); });
-  }
-  snap->delta->ForEachVisible(read_ts,
-                              [&](uint32_t, const Row& row) { fn(row); });
 }
 
 size_t Table::ScanRange(std::string_view start_key, size_t limit,
                         Timestamp read_ts,
                         const std::function<void(const Row&)>& fn) const {
-  const RowTable* rows = row_table();
-  if (rows != nullptr) {
-    return rows->ScanRange(start_key, limit, read_ts, fn);
-  }
+  if (row_ != nullptr) return row_->ScanRange(start_key, limit, read_ts, fn);
   // Columnar-only: collect matching keys via a full visible scan, then
   // emit the first `limit` in key order (the cost E4 quantifies).
   std::vector<std::pair<std::string, Row>> matches;
@@ -189,27 +144,12 @@ size_t Table::ScanRange(std::string_view start_key, size_t limit,
 
 std::optional<ColumnTable::Snapshot> Table::GetColumnSnapshot(
     Timestamp read_ts) const {
-  switch (format_) {
-    case TableFormat::kRow:
-      return std::nullopt;
-    case TableFormat::kColumn:
-      return column_->GetSnapshot(read_ts);
-    case TableFormat::kDual:
-      return dual_->GetColumnSnapshot(read_ts);
-  }
-  return std::nullopt;
+  if (column_ == nullptr) return std::nullopt;
+  return column_->GetSnapshot(read_ts);
 }
 
 size_t Table::MergeDelta(Timestamp merge_ts, Timestamp gc_horizon) {
-  switch (format_) {
-    case TableFormat::kRow:
-      return 0;
-    case TableFormat::kColumn:
-      return column_->MergeDelta(merge_ts, gc_horizon);
-    case TableFormat::kDual:
-      return dual_->MergeDelta(merge_ts, gc_horizon);
-  }
-  return 0;
+  return column_ == nullptr ? 0 : column_->MergeDelta(merge_ts, gc_horizon);
 }
 
 size_t Table::CountVisible(Timestamp read_ts) const {
@@ -219,27 +159,23 @@ size_t Table::CountVisible(Timestamp read_ts) const {
 }
 
 Status Table::BulkLoadToMain(const std::vector<Row>& rows, Timestamp ts) {
-  ColumnTable* ct = column_table();
-  if (ct == nullptr) {
+  if (column_ == nullptr) {
     return Status::FailedPrecondition("BulkLoadToMain requires a column side");
   }
-  if (format_ == TableFormat::kDual) {
+  if (row_ != nullptr) {
     // Keep the mirrors consistent: load the row side too.
     for (const Row& r : rows) {
-      OLTAP_RETURN_NOT_OK(dual_->row_side()->InsertCommitted(r, ts));
+      OLTAP_RETURN_NOT_OK(row_->InsertCommitted(r, ts));
     }
   }
-  Status s = ct->BulkLoadToMain(rows, ts);
+  Status s = column_->BulkLoadToMain(rows, ts);
   if (s.ok()) mod_count_.fetch_add(rows.size(), std::memory_order_relaxed);
   return s;
 }
 
 size_t Table::ApproxRowCount() const {
-  const RowTable* rt = row_table();
-  if (rt != nullptr) return rt->num_keys();
-  const ColumnTable* ct = column_table();
-  if (ct != nullptr) return ct->main_size() + ct->delta_size();
-  return 0;
+  if (row_ != nullptr) return row_->num_keys();
+  return column_->main_size() + column_->delta_size();
 }
 
 ChangeLog* Table::EnsureChangeLog() {
@@ -252,24 +188,6 @@ ChangeLog* Table::EnsureChangeLog() {
                           std::memory_order_release);
   }
   return change_log_holder_.get();
-}
-
-RowTable* Table::row_table() {
-  if (format_ == TableFormat::kRow) return row_.get();
-  if (format_ == TableFormat::kDual) return dual_->row_side();
-  return nullptr;
-}
-const RowTable* Table::row_table() const {
-  return const_cast<Table*>(this)->row_table();
-}
-
-ColumnTable* Table::column_table() {
-  if (format_ == TableFormat::kColumn) return column_.get();
-  if (format_ == TableFormat::kDual) return dual_->column_side();
-  return nullptr;
-}
-const ColumnTable* Table::column_table() const {
-  return const_cast<Table*>(this)->column_table();
 }
 
 }  // namespace oltap

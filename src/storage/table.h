@@ -13,8 +13,8 @@
 #include "common/types.h"
 #include "storage/change_log.h"
 #include "storage/column_store.h"
-#include "storage/dual_table.h"
 #include "storage/row.h"
+#include "storage/row_store.h"
 #include "storage/schema.h"
 
 namespace oltap {
@@ -29,16 +29,28 @@ enum class TableFormat : uint8_t {
 
 const char* TableFormatToString(TableFormat f);
 
-// Unified table facade over the three storage engines. All mutating calls
-// are *committed* writes stamped with a commit timestamp; the transaction
-// layer (txn/) buffers uncommitted changes and drives these at commit.
+// A table is one or two mirrors of the same rows: a row mirror (skip-list
+// RowTable, OLTP point access), a columnar mirror (delta + main
+// ColumnTable, analytic scans), or both (kDual, Oracle Database In-Memory
+// [22] / fractured mirrors [33]). The format is which mirrors exist. Every
+// committed write applies to each mirror at the same commit timestamp, so
+// the two are transactionally consistent at every read timestamp. Point
+// reads use the row mirror when there is one; scans use the column mirror
+// when there is one.
+//
+// All mutating calls are *committed* writes stamped with a commit
+// timestamp; the transaction layer (txn/) buffers uncommitted changes and
+// drives these at commit.
 class Table {
  public:
   Table(std::string name, Schema schema, TableFormat format);
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  TableFormat format() const { return format_; }
+  TableFormat format() const {
+    if (row_ == nullptr) return TableFormat::kColumn;
+    return column_ == nullptr ? TableFormat::kRow : TableFormat::kDual;
+  }
 
   Status InsertCommitted(const Row& row, Timestamp ts);
   Status DeleteCommitted(std::string_view key, Timestamp ts);
@@ -48,9 +60,10 @@ class Table {
   bool Lookup(std::string_view key, Timestamp read_ts, Row* out) const;
   Timestamp LastWriteTs(std::string_view key) const;
 
-  // Row-wise scan of all rows visible at read_ts (any format). The
-  // columnar engines reconstruct tuples; the vectorized/columnar execution
-  // paths in exec/ bypass this and scan segments directly.
+  // Row-wise scan of all rows visible at read_ts (any format). Reads the
+  // column mirror's snapshot walk when there is one, reconstructing
+  // tuples; the columnar execution paths in exec/ use the walk's column
+  // form instead.
   void ScanVisible(Timestamp read_ts,
                    const std::function<void(const Row&)>& fn) const;
 
@@ -67,7 +80,7 @@ class Table {
       Timestamp read_ts) const;
 
   // True when the format has a delta/main lifecycle to merge.
-  bool Mergeable() const { return format_ != TableFormat::kRow; }
+  bool Mergeable() const { return column_ != nullptr; }
   // Folds the columnar delta into the main; no-op (returns 0) for kRow.
   size_t MergeDelta(Timestamp merge_ts, Timestamp gc_horizon);
 
@@ -87,7 +100,8 @@ class Table {
     return mod_count_.load(std::memory_order_relaxed);
   }
 
-  // Fast bulk ingest into an empty kColumn table's main fragment.
+  // Fast bulk ingest into an empty column mirror's main fragment (and, for
+  // kDual, the row mirror).
   // Bypasses the change log: views over a bulk-loaded table must be
   // REFRESHed (the view subsystem does this on creation anyway).
   Status BulkLoadToMain(const std::vector<Row>& rows, Timestamp ts);
@@ -102,21 +116,18 @@ class Table {
     return change_log_ptr_.load(std::memory_order_acquire);
   }
 
-  // Engine accessors for specialized paths (may be null depending on
-  // format).
-  RowTable* row_table();
-  const RowTable* row_table() const;
-  ColumnTable* column_table();
-  const ColumnTable* column_table() const;
+  // The mirrors, for specialized paths; null when the format lacks one.
+  RowTable* row_table() { return row_.get(); }
+  const RowTable* row_table() const { return row_.get(); }
+  ColumnTable* column_table() { return column_.get(); }
+  const ColumnTable* column_table() const { return column_.get(); }
 
  private:
   std::string name_;
   Schema schema_;
-  TableFormat format_;
 
-  std::unique_ptr<RowTable> row_;       // kRow
-  std::unique_ptr<ColumnTable> column_; // kColumn
-  std::unique_ptr<DualTable> dual_;     // kDual
+  std::unique_ptr<RowTable> row_;        // kRow, kDual
+  std::unique_ptr<ColumnTable> column_;  // kColumn, kDual
 
   std::atomic<uint64_t> mod_count_{0};
 

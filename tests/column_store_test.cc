@@ -109,8 +109,7 @@ TEST(ColumnTableTest, SnapshotSeesConsistentState) {
   // A later delete must not affect the snapshot's view at ts 10.
   ASSERT_TRUE(table.DeleteCommitted(KeyOf(1), 20).ok());
   size_t visible = 0;
-  snap.delta->ForEachVisible(snap.read_ts,
-                             [&](uint32_t, const Row&) { ++visible; });
+  snap.ScanVisible([&](const Row&) { ++visible; });
   EXPECT_EQ(visible, 1u);
 }
 

@@ -33,19 +33,9 @@ std::string KeyOf(int64_t id) {
 std::set<std::pair<int64_t, int64_t>> VisibleSet(const ColumnTable& table,
                                                  Timestamp read_ts) {
   std::set<std::pair<int64_t, int64_t>> out;
-  ColumnTable::Snapshot snap = table.GetSnapshot(read_ts);
-  BitVector mask;
-  snap.main->VisibleMask(read_ts, &mask);
-  for (size_t i = mask.FindNextSet(0); i < mask.size();
-       i = mask.FindNextSet(i + 1)) {
-    Row r = snap.main->GetRow(static_cast<RowId>(i));
+  table.GetSnapshot(read_ts).ScanVisible([&](const Row& r) {
     out.insert({r[0].AsInt64(), r[1].AsInt64()});
-  }
-  auto visit = [&](uint32_t, const Row& r) {
-    out.insert({r[0].AsInt64(), r[1].AsInt64()});
-  };
-  if (snap.frozen != nullptr) snap.frozen->ForEachVisible(read_ts, visit);
-  snap.delta->ForEachVisible(read_ts, visit);
+  });
   return out;
 }
 
@@ -146,9 +136,9 @@ TEST(MergeTest, SnapshotTakenBeforeMergeStaysValid) {
   }
   ColumnTable::Snapshot snap = table.GetSnapshot(10);
   table.MergeDelta(100, 100);
-  // The pinned delta still serves the old snapshot.
+  // The pinned main and delta still serve the old snapshot.
   size_t count = 0;
-  snap.delta->ForEachVisible(10, [&](uint32_t, const Row&) { ++count; });
+  snap.ScanVisible([&](const Row&) { ++count; });
   EXPECT_EQ(count, 50u);
 }
 

@@ -108,6 +108,44 @@ TEST(RowStoreTest, ConcurrentDistinctInserts) {
   EXPECT_EQ(count, static_cast<size_t>(kThreads) * kPerThread);
 }
 
+// A fresh store starts at height 1, so the first concurrent inserts race
+// to raise the list height. An insert that searched below the old height
+// must still link its upper levels from the head sentinel.
+TEST(RowStoreTest, ConcurrentInsertsIntoFreshStores) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 64;
+  constexpr int kRounds = 200;
+  for (int round = 0; round < kRounds; ++round) {
+    RowStore store(TestSchema());
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&store, &ready, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        for (int i = 0; i < kPerThread; ++i) {
+          store.GetOrCreate(Key(i * kThreads + t));
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    constexpr size_t kTotal = static_cast<size_t>(kThreads) * kPerThread;
+    ASSERT_EQ(store.num_entries(), kTotal) << "round " << round;
+    RowStore::Iterator it(&store);
+    int64_t expected = 0;
+    for (it.SeekToFirst(); it.Valid(); it.Next(), ++expected) {
+      ASSERT_EQ(it.key(), Key(expected)) << "round " << round;
+    }
+    ASSERT_EQ(expected, static_cast<int64_t>(kTotal)) << "round " << round;
+    for (int64_t id = 0; id < static_cast<int64_t>(kTotal); ++id) {
+      RowStore::Entry* e = store.Get(Key(id));
+      ASSERT_NE(e, nullptr) << "round " << round << " id " << id;
+      ASSERT_EQ(e->key, Key(id));
+    }
+  }
+}
+
 TEST(RowStoreTest, ConcurrentSameKeyInsertsYieldOneEntry) {
   RowStore store(TestSchema());
   constexpr int kThreads = 8;

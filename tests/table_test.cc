@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "storage/dual_table.h"
+#include "common/rng.h"
 #include "storage/table.h"
 
 namespace oltap {
@@ -26,25 +30,16 @@ std::string KeyOf(int64_t id) {
   return EncodeKey(s, MakeRow(id, 0));
 }
 
-// Reads the same logical state through both mirrors and compares.
-void ExpectMirrorsAgree(DualTable* table, Timestamp read_ts) {
+// Reads the same logical state through both mirrors of a kDual table and
+// compares.
+void ExpectMirrorsAgree(const Table& table, Timestamp read_ts) {
   std::set<std::pair<int64_t, int64_t>> row_side, col_side;
-  table->row_side()->ScanVisible(read_ts, [&](const Row& r) {
+  table.row_table()->ScanVisible(read_ts, [&](const Row& r) {
     row_side.insert({r[0].AsInt64(), r[1].AsInt64()});
   });
-  ColumnTable::Snapshot snap = table->GetColumnSnapshot(read_ts);
-  BitVector mask;
-  snap.main->VisibleMask(read_ts, &mask);
-  for (size_t i = mask.FindNextSet(0); i < mask.size();
-       i = mask.FindNextSet(i + 1)) {
-    Row r = snap.main->GetRow(static_cast<RowId>(i));
+  table.GetColumnSnapshot(read_ts)->ScanVisible([&](const Row& r) {
     col_side.insert({r[0].AsInt64(), r[1].AsInt64()});
-  }
-  auto visit = [&](uint32_t, const Row& r) {
-    col_side.insert({r[0].AsInt64(), r[1].AsInt64()});
-  };
-  if (snap.frozen != nullptr) snap.frozen->ForEachVisible(read_ts, visit);
-  snap.delta->ForEachVisible(read_ts, visit);
+  });
   EXPECT_EQ(row_side, col_side) << "at ts " << read_ts;
 }
 
@@ -106,7 +101,7 @@ TEST(RowTableTest, LastWriteTs) {
 }
 
 TEST(DualTableTest, MirrorsStayConsistent) {
-  DualTable table(TestSchema());
+  Table table("t", TestSchema(), TableFormat::kDual);
   for (int64_t i = 0; i < 50; ++i) {
     ASSERT_TRUE(table.InsertCommitted(MakeRow(i, i), 10).ok());
   }
@@ -117,12 +112,12 @@ TEST(DualTableTest, MirrorsStayConsistent) {
     ASSERT_TRUE(table.UpdateCommitted(KeyOf(i), MakeRow(i, i + 100), 30).ok());
   }
   for (Timestamp ts : {10u, 20u, 25u, 30u, 40u}) {
-    ExpectMirrorsAgree(&table, ts);
+    ExpectMirrorsAgree(table, ts);
   }
 }
 
 TEST(DualTableTest, MirrorsConsistentAcrossMerge) {
-  DualTable table(TestSchema());
+  Table table("t", TestSchema(), TableFormat::kDual);
   for (int64_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(table.InsertCommitted(MakeRow(i, i), 10).ok());
   }
@@ -131,16 +126,26 @@ TEST(DualTableTest, MirrorsConsistentAcrossMerge) {
   for (int64_t i = 100; i < 120; ++i) {
     ASSERT_TRUE(table.InsertCommitted(MakeRow(i, i), 60).ok());
   }
-  ExpectMirrorsAgree(&table, 70);
+  for (Timestamp ts : {50u, 60u, 70u}) {  // at or above the GC horizon
+    ExpectMirrorsAgree(table, ts);
+  }
 }
 
 TEST(DualTableTest, PointReadsServedByRowSide) {
-  DualTable table(TestSchema());
+  Table table("t", TestSchema(), TableFormat::kDual);
   ASSERT_TRUE(table.InsertCommitted(MakeRow(7, 70), 5).ok());
   Row out;
   ASSERT_TRUE(table.Lookup(KeyOf(7), 5, &out));
   EXPECT_EQ(out[1].AsInt64(), 70);
   EXPECT_EQ(table.LastWriteTs(KeyOf(7)), 5u);
+  // A row written to the row mirror alone is seen by point reads but not
+  // by scans, which read the column mirror.
+  ASSERT_TRUE(table.row_table()->InsertCommitted(MakeRow(8, 80), 6).ok());
+  ASSERT_TRUE(table.Lookup(KeyOf(8), 6, &out));
+  EXPECT_EQ(out[1].AsInt64(), 80);
+  EXPECT_EQ(table.LastWriteTs(KeyOf(8)), 6u);
+  EXPECT_FALSE(table.column_table()->Lookup(KeyOf(8), 6, &out));
+  EXPECT_EQ(table.CountVisible(6), 1u);
 }
 
 TEST(TableFacadeTest, FormatsDispatchCorrectly) {
@@ -204,6 +209,104 @@ TEST(TableFacadeTest, ScanRangeAllFormatsAgree) {
     EXPECT_EQ(n, 4u) << TableFormatToString(format);
     EXPECT_EQ(seen, (std::vector<int64_t>{10, 11, 12, 13}))
         << TableFormatToString(format);
+  }
+}
+
+// Everything a table answers at timestamp `ts`, in a form that compares
+// across formats: the visible rows as a sorted list, plus each key's point
+// read.
+struct TableState {
+  std::vector<std::pair<int64_t, int64_t>> scan;
+  size_t count = 0;
+  std::vector<std::pair<bool, int64_t>> lookups;
+  bool operator==(const TableState& o) const {
+    return scan == o.scan && count == o.count && lookups == o.lookups;
+  }
+};
+
+TableState StateAt(const Table& table, Timestamp ts, int64_t num_keys) {
+  TableState s;
+  table.ScanVisible(ts, [&](const Row& r) {
+    s.scan.push_back({r[0].AsInt64(), r[1].AsInt64()});
+  });
+  std::sort(s.scan.begin(), s.scan.end());
+  s.count = table.CountVisible(ts);
+  for (int64_t id = 0; id < num_keys; ++id) {
+    Row out;
+    bool found = table.Lookup(KeyOf(id), ts, &out);
+    s.lookups.push_back({found, found ? out[1].AsInt64() : 0});
+  }
+  return s;
+}
+
+std::vector<Timestamp> LastWrites(const Table& table, int64_t num_keys) {
+  std::vector<Timestamp> out;
+  for (int64_t id = 0; id < num_keys; ++id) {
+    out.push_back(table.LastWriteTs(KeyOf(id)));
+  }
+  return out;
+}
+
+// One seeded history of committed inserts, updates and deletes, fed into a
+// row, a column and a dual table: every format must answer every read
+// identically at every timestamp, before and after merges (which move the
+// delta into the main and carry older versions along).
+TEST(TableFacadeTest, FormatsAgreeOnOneHistory) {
+  constexpr int64_t kKeys = 40;
+  std::vector<std::unique_ptr<Table>> tables;
+  for (TableFormat format :
+       {TableFormat::kRow, TableFormat::kColumn, TableFormat::kDual}) {
+    tables.push_back(std::make_unique<Table>("t", TestSchema(), format));
+  }
+  Rng rng(20);
+  std::vector<bool> live(kKeys, false);
+  Timestamp ts = 0;
+  auto write_phase = [&](int steps) {
+    for (int i = 0; i < steps; ++i) {
+      ++ts;
+      int64_t id = static_cast<int64_t>(rng.Uniform(kKeys));
+      int64_t v = static_cast<int64_t>(ts) * 10;
+      uint64_t pick = rng.Uniform(3);
+      for (auto& t : tables) {
+        Status s;
+        if (!live[id]) {
+          s = t->InsertCommitted(MakeRow(id, v), ts);
+        } else if (pick == 0) {
+          s = t->DeleteCommitted(KeyOf(id), ts);
+        } else {
+          s = t->UpdateCommitted(KeyOf(id), MakeRow(id, v), ts);
+        }
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      }
+      if (!live[id] || pick == 0) live[id] = !live[id];
+      for (size_t f = 1; f < tables.size(); ++f) {
+        ASSERT_EQ(LastWrites(*tables[f], kKeys), LastWrites(*tables[0], kKeys))
+            << TableFormatToString(tables[f]->format()) << " at ts " << ts;
+      }
+    }
+  };
+  auto expect_agree = [&](const char* phase) {
+    for (Timestamp read_ts = 0; read_ts <= ts + 1; ++read_ts) {
+      TableState want = StateAt(*tables[0], read_ts, kKeys);
+      EXPECT_EQ(want.count, want.scan.size());
+      for (size_t f = 1; f < tables.size(); ++f) {
+        EXPECT_TRUE(StateAt(*tables[f], read_ts, kKeys) == want)
+            << TableFormatToString(tables[f]->format()) << " " << phase
+            << " at ts " << read_ts;
+      }
+    }
+  };
+  write_phase(150);
+  expect_agree("before merge");
+  for (auto& t : tables) t->MergeDelta(ts, /*gc_horizon=*/0);
+  expect_agree("after merge");
+  write_phase(150);
+  expect_agree("delta over a merged main");
+  for (auto& t : tables) t->MergeDelta(ts, /*gc_horizon=*/0);
+  expect_agree("after second merge");
+  for (size_t f = 1; f < tables.size(); ++f) {
+    EXPECT_EQ(LastWrites(*tables[f], kKeys), LastWrites(*tables[0], kKeys))
+        << TableFormatToString(tables[f]->format()) << " after merges";
   }
 }
 
