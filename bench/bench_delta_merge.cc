@@ -1,11 +1,17 @@
 // E3 — Delta/main lifecycle: differential files + LSM-style merge [29,16].
 //
-// Shape reproduced: analytic scan latency grows with the delta's share of
-// the data (the delta is row-wise and predicate evaluation there is
-// tuple-at-a-time), and merging restores columnar scan speed at a bulk
-// reorganization cost that amortizes over subsequent scans. The merge-
-// threshold sweep shows the freshness/throughput trade-off knob every
-// surveyed engine exposes.
+// Shape under test: analytic scan latency as the delta's share of the data
+// grows, and the bulk reorganization cost at which merging restores the
+// main's encoded, zone-mapped layout. The delta is columnar (typed chunks,
+// scanned as morsels like the main) but has no dictionary, bit packing or
+// zone map, so its predicates run over raw cells. The merge-threshold
+// sweep shows the freshness/throughput trade-off knob every surveyed
+// engine exposes.
+//
+// Besides google-benchmark's console output, each case records its mean
+// into BENCH_delta_merge.json (bench_reporter.h): scan_ms.delta_<rows>,
+// delta_ingest_rows_s, merge_ms.delta_<rows> and
+// ingest_rows_s.merge_every_<rows>.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +19,9 @@
 
 OLTAP_BENCH_REPORTER("delta_merge");
 
+#include <chrono>
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "exec/executor.h"
@@ -22,6 +30,11 @@ OLTAP_BENCH_REPORTER("delta_merge");
 
 namespace oltap {
 namespace {
+
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 Schema BenchSchema() {
   return SchemaBuilder()
@@ -80,9 +93,13 @@ void BM_ScanWithDeltaShare(benchmark::State& state) {
     it = cache->emplace(state.range(0), BuildTable(kTotal - delta, delta))
              .first;
   }
+  auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     benchmark::DoNotOptimize(ScanQuery(it->second.get()));
   }
+  bench::Reporter::Get()->Metric(
+      "scan_ms.delta_" + std::to_string(delta),
+      1e3 * SecondsSince(t0) / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() * kTotal);
   state.counters["delta_rows"] = static_cast<double>(delta);
 }
@@ -92,6 +109,7 @@ void BM_DeltaIngest(benchmark::State& state) {
   auto table = BuildTable(0, 0);
   Rng rng(9);
   int64_t id = 0;
+  auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     Status st = table->InsertCommitted(
         Row{Value::Int64(id++), Value::Int64(rng.UniformRange(0, 999)),
@@ -99,6 +117,9 @@ void BM_DeltaIngest(benchmark::State& state) {
         3);
     benchmark::DoNotOptimize(st.ok());
   }
+  bench::Reporter::Get()->Metric(
+      "delta_ingest_rows_s",
+      static_cast<double>(state.iterations()) / SecondsSince(t0));
   state.SetItemsProcessed(state.iterations());
 }
 
@@ -106,12 +127,18 @@ void BM_DeltaIngest(benchmark::State& state) {
 void BM_MergeCost(benchmark::State& state) {
   constexpr size_t kMain = 1 << 20;
   size_t delta = static_cast<size_t>(state.range(0));
+  double merge_s = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto table = BuildTable(kMain, delta);
     state.ResumeTiming();
+    auto t0 = std::chrono::steady_clock::now();
     benchmark::DoNotOptimize(table->MergeDelta(100, 100));
+    merge_s += SecondsSince(t0);
   }
+  bench::Reporter::Get()->Metric(
+      "merge_ms.delta_" + std::to_string(delta),
+      1e3 * merge_s / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() * (kMain + delta));
 }
 
@@ -123,11 +150,13 @@ void BM_IngestScanMergeEvery(benchmark::State& state) {
   size_t merge_every = static_cast<size_t>(state.range(0));
   constexpr size_t kIngest = 200000;
   constexpr size_t kScanEvery = 20000;
+  double run_s = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto table = BuildTable(0, 0);
     Rng rng(4);
     state.ResumeTiming();
+    auto t0 = std::chrono::steady_clock::now();
     Timestamp ts = 10;
     for (size_t i = 0; i < kIngest; ++i) {
       Status st = table->InsertCommitted(
@@ -140,7 +169,11 @@ void BM_IngestScanMergeEvery(benchmark::State& state) {
         benchmark::DoNotOptimize(ScanQuery(table.get()));
       }
     }
+    run_s += SecondsSince(t0);
   }
+  bench::Reporter::Get()->Metric(
+      "ingest_rows_s.merge_every_" + std::to_string(merge_every),
+      static_cast<double>(state.iterations() * kIngest) / run_s);
   state.SetItemsProcessed(state.iterations() * kIngest);
   state.counters["merge_every"] = static_cast<double>(merge_every);
 }

@@ -1,6 +1,7 @@
 #ifndef OLTAP_COMMON_TYPES_H_
 #define OLTAP_COMMON_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -20,6 +21,10 @@ using Timestamp = uint64_t;
 inline constexpr Timestamp kMaxTimestamp =
     std::numeric_limits<Timestamp>::max() >> 1;  // below the txn-id flag
 inline constexpr Timestamp kTxnIdFlag = uint64_t{1} << 63;
+
+// Rows per execution batch (a few L1-friendly vectors), and so per chunk of
+// a columnar delta, whose chunks a scan consumes one batch at a time.
+inline constexpr size_t kDefaultBatchRows = 2048;
 
 inline constexpr bool IsTxnId(Timestamp t) { return (t & kTxnIdFlag) != 0; }
 inline constexpr uint64_t TxnIdOf(Timestamp t) { return t & ~kTxnIdFlag; }

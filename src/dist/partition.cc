@@ -330,20 +330,9 @@ double DistributedEngine::SumWhere(int filter_col, CompareOp op,
           leader = tablet.replicas[tablet.leader_r].get();
         }
         ColumnTable::Snapshot snap = leader->GetSnapshot(read_ts);
-        // The walk hands over the delta rows before the main is scanned;
-        // their values are added after the main's, keeping the sum's
-        // order (and so its rounding) main first.
         BitVector sel;
-        std::vector<double> delta_vals;
-        snap.ScanVisible(&sel, [&](const Row& row) {
-          const Value& f = row[filter_col];
-          if (f.is_null() || row[agg_col].is_null()) return;
-          int64_t x = f.AsInt64();
-          int cmp = x < constant ? -1 : x > constant ? 1 : 0;
-          if (CompareHolds(op, cmp)) {
-            delta_vals.push_back(row[agg_col].AsDouble());
-          }
-        });
+        std::vector<DeltaStore::ChunkRef> chunks;
+        snap.ScanVisible(&sel, &chunks);
         // Main fragment: packed scan + gather.
         if (snap.main->num_rows() > 0) {
           BitVector hits;
@@ -354,7 +343,18 @@ double DistributedEngine::SumWhere(int filter_col, CompareOp op,
           snap.main->column(agg_col).GatherDoubles(&sel, &vals, nullptr);
           for (double v : vals) sum += v;
         }
-        for (double v : delta_vals) sum += v;
+        // Delta chunks after the main, in walk order.
+        for (const DeltaStore::ChunkRef& ref : chunks) {
+          BitVector visible;
+          ref.chunk->VisibleMask(ref.rows, read_ts, &visible);
+          ref.chunk->column(filter_col)
+              .Filter(op, Value::Int64(constant), &visible);
+          const DeltaStore::Column& agg = ref.chunk->column(agg_col);
+          for (size_t i = visible.FindNextSet(0); i < visible.size();
+               i = visible.FindNextSet(i + 1)) {
+            if (!agg.IsNull(i)) sum += agg.GetValue(i).AsDouble();
+          }
+        }
       }
       net_.Transfer(node, 0, 64);
       node_sums[node] = sum;
@@ -377,9 +377,14 @@ size_t DistributedEngine::TotalRows() {
       leader = tablet.replicas[tablet.leader_r].get();
     }
     BitVector sel;
-    leader->GetSnapshot(read_ts).ScanVisible(&sel,
-                                             [&](const Row&) { ++total; });
+    std::vector<DeltaStore::ChunkRef> chunks;
+    leader->GetSnapshot(read_ts).ScanVisible(&sel, &chunks);
     total += sel.CountSet();
+    for (const DeltaStore::ChunkRef& ref : chunks) {
+      BitVector visible;
+      ref.chunk->VisibleMask(ref.rows, read_ts, &visible);
+      total += visible.CountSet();
+    }
   }
   return total;
 }

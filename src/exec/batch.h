@@ -7,6 +7,7 @@
 
 #include "common/bitvector.h"
 #include "common/logging.h"
+#include "common/types.h"
 #include "storage/row.h"
 #include "storage/value.h"
 
@@ -101,9 +102,6 @@ inline void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
   }
   ++size_;
 }
-
-// Default number of rows per batch (a few L1-friendly vectors).
-inline constexpr size_t kDefaultBatchRows = 2048;
 
 }  // namespace oltap
 

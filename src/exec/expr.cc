@@ -258,35 +258,50 @@ ColumnVector Expr::EvalBatch(const Batch& batch) const {
 }
 
 void Expr::EvalPredicate(const Batch& batch, BitVector* out) const {
+  EvalTruth(batch, out, nullptr);
+}
+
+void Expr::EvalTruth(const Batch& batch, BitVector* is_true,
+                     BitVector* is_false) const {
   size_t n = batch.num_rows();
+  auto start = [n](BitVector* bits) {
+    if (bits == nullptr) return;
+    bits->Resize(n);
+    bits->ClearAll();
+  };
   switch (kind_) {
     case Kind::kAnd: {
-      children_[0]->EvalPredicate(batch, out);
-      BitVector rhs;
-      children_[1]->EvalPredicate(batch, &rhs);
-      out->And(rhs);
+      // True where both are true; false where either is false.
+      children_[0]->EvalTruth(batch, is_true, is_false);
+      BitVector rhs_true, rhs_false;
+      children_[1]->EvalTruth(batch, &rhs_true,
+                              is_false != nullptr ? &rhs_false : nullptr);
+      is_true->And(rhs_true);
+      if (is_false != nullptr) is_false->Or(rhs_false);
       return;
     }
     case Kind::kOr: {
-      children_[0]->EvalPredicate(batch, out);
-      BitVector rhs;
-      children_[1]->EvalPredicate(batch, &rhs);
-      out->Or(rhs);
+      // True where either is true; false where both are false.
+      children_[0]->EvalTruth(batch, is_true, is_false);
+      BitVector rhs_true, rhs_false;
+      children_[1]->EvalTruth(batch, &rhs_true,
+                              is_false != nullptr ? &rhs_false : nullptr);
+      is_true->Or(rhs_true);
+      if (is_false != nullptr) is_false->And(rhs_false);
       return;
     }
     case Kind::kNot: {
-      children_[0]->EvalPredicate(batch, out);
-      out->Not();
-      // NULL-as-false asymmetry: NOT(NULL)=NULL=false, but the child
-      // already collapsed NULL to false, so NOT flips it to true. For the
-      // engine's two-valued semantics this is accepted and documented.
+      // NOT swaps true and false; NULL stays NULL.
+      BitVector child_true;
+      children_[0]->EvalTruth(batch, &child_true, is_true);
+      if (is_false != nullptr) *is_false = std::move(child_true);
       return;
     }
     case Kind::kCompare: {
       const ExprPtr& l = children_[0];
       const ExprPtr& r = children_[1];
-      out->Resize(n);
-      out->ClearAll();
+      start(is_true);
+      start(is_false);
       // Fast path: column vs constant on numeric columns.
       if (l->kind_ == Kind::kColumn && r->kind_ == Kind::kConst &&
           !r->constant_.is_null()) {
@@ -318,7 +333,11 @@ void Expr::EvalPredicate(const Batch& batch, BitVector* out) const {
                 hit = v[i] >= c;
                 break;
             }
-            if (hit) out->Set(i);
+            if (hit) {
+              is_true->Set(i);
+            } else if (is_false != nullptr) {
+              is_false->Set(i);
+            }
           }
           return;
         }
@@ -330,27 +349,38 @@ void Expr::EvalPredicate(const Batch& batch, BitVector* out) const {
         if (a.IsNull(i) || b.IsNull(i)) continue;
         if (CompareHolds(compare_op_,
                          a.GetValue(i).Compare(b.GetValue(i)))) {
-          out->Set(i);
+          is_true->Set(i);
+        } else if (is_false != nullptr) {
+          is_false->Set(i);
         }
       }
       return;
     }
     case Kind::kIsNull: {
+      // Never NULL itself.
       ColumnVector a = children_[0]->EvalBatch(batch);
-      out->Resize(n);
-      out->ClearAll();
+      start(is_true);
       for (size_t i = 0; i < n; ++i) {
-        if (a.IsNull(i)) out->Set(i);
+        if (a.IsNull(i)) is_true->Set(i);
+      }
+      if (is_false != nullptr) {
+        *is_false = *is_true;
+        is_false->Not();
       }
       return;
     }
     default: {
-      // Arbitrary expression as predicate: nonzero and non-null = true.
+      // Arbitrary expression as predicate: nonzero = true, zero = false.
       ColumnVector a = EvalBatch(batch);
-      out->Resize(n);
-      out->ClearAll();
+      start(is_true);
+      start(is_false);
       for (size_t i = 0; i < n; ++i) {
-        if (!a.IsNull(i) && a.GetValue(i).AsBool()) out->Set(i);
+        if (a.IsNull(i)) continue;
+        if (a.GetValue(i).AsBool()) {
+          is_true->Set(i);
+        } else if (is_false != nullptr) {
+          is_false->Set(i);
+        }
       }
       return;
     }

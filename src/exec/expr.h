@@ -66,7 +66,8 @@ class Expr {
   ColumnVector EvalBatch(const Batch& batch) const;
 
   // Vectorized predicate evaluation: sets bit i iff the expression is true
-  // for row i (NULL counts as false).
+  // for row i under EvalRow's three-valued logic (so NOT of a NULL
+  // comparison is NULL, and NULL counts as false at the boundary).
   void EvalPredicate(const Batch& batch, BitVector* out) const;
 
   // A single (column <op> constant) term usable by storage scan kernels.
@@ -96,6 +97,12 @@ class Expr {
 
  private:
   Expr() = default;
+
+  // Three-valued EvalPredicate: `is_true` gets the rows where the
+  // expression is true and `is_false`, when not null, those where it is
+  // false; NULL rows are in neither.
+  void EvalTruth(const Batch& batch, BitVector* is_true,
+                 BitVector* is_false) const;
 
   Kind kind_ = Kind::kConst;
   ValueType type_ = ValueType::kInt64;

@@ -193,31 +193,6 @@ Batch CollectBatch(PhysicalOp* op) {
   return all;
 }
 
-// Reads rows `rids` of a main-fragment column.
-ColumnVector GatherSegment(const ColumnSegment& seg,
-                           const std::vector<uint32_t>& rids) {
-  ColumnVector cv(seg.type());
-  cv.Reserve(rids.size());
-  for (uint32_t rid : rids) {
-    if (seg.IsNull(rid)) {
-      cv.AppendNull();
-      continue;
-    }
-    switch (seg.type()) {
-      case ValueType::kInt64:
-        cv.AppendInt64(seg.GetInt64(rid));
-        break;
-      case ValueType::kDouble:
-        cv.AppendDouble(seg.GetDouble(rid));
-        break;
-      case ValueType::kString:
-        cv.AppendString(std::string(seg.GetString(rid)));
-        break;
-    }
-  }
-  return cv;
-}
-
 void ExplainInto(const PhysicalOp* op, int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   out->append(op->Describe());
@@ -397,6 +372,7 @@ void ScanOp::Open() {
   prepared_ = false;
   PrepareMorsels();
   main_pos_ = 0;
+  delta_pos_ = 0;
   pending_pos_ = 0;
   if (parallel()) DriveIntoSlotBuffer();
 }
@@ -404,9 +380,9 @@ void ScanOp::Open() {
 void ScanOp::PrepareMorsels() {
   if (prepared_) return;
   prepared_ = true;
-  rows_scanned_ = 0;
   zones_pruned_ = 0;
   pending_.Reset(out_types_);
+  delta_chunks_.clear();
   num_main_morsels_ = 0;
 
   // Resolve the physical side: column whenever one exists (historical
@@ -416,23 +392,20 @@ void ScanOp::PrepareMorsels() {
   if (path_ == Path::kRow && table_->row_table() != nullptr) {
     columnar_ = false;
   }
-  // Delta and row-engine rows: row-at-a-time with the full predicate,
-  // tested in place; the projected cells of those that pass collect in
-  // serial iteration order.
-  auto consume = [&](const Row& row) {
-    ++rows_scanned_;
-    if (predicate_ != nullptr) {
-      Value v = predicate_->EvalRow(row);
-      if (v.is_null() || !v.AsBool()) return;
-    }
-    for (size_t p = 0; p < projection_.size(); ++p) {
-      pending_.columns[p].AppendValue(row[projection_[p]]);
-    }
-  };
   if (!columnar_) {
     // Row engine (or forced row mirror of a dual table): one pass over
-    // the visible rows (OLTP-sized tables).
-    table_->row_table()->ScanVisible(read_ts_, consume);
+    // the visible rows (OLTP-sized tables), each tested in place with the
+    // full predicate; the projected cells of those that pass collect in
+    // iteration order.
+    table_->row_table()->ScanVisible(read_ts_, [&](const Row& row) {
+      if (predicate_ != nullptr) {
+        Value v = predicate_->EvalRow(row);
+        if (v.is_null() || !v.AsBool()) return;
+      }
+      for (size_t p = 0; p < projection_.size(); ++p) {
+        pending_.columns[p].AppendValue(row[projection_[p]]);
+      }
+    });
     num_slots_ = pending_.num_rows() == 0 ? 0 : 1;
     return;
   }
@@ -473,18 +446,17 @@ void ScanOp::PrepareMorsels() {
       residual_ == nullptr ? nullptr
                            : RemapExprColumns(residual_, schema_to_batch);
 
-  // The snapshot walk: main visibility into main_sel_, delta rows through
-  // the row-at-a-time path.
-  snap_->ScanVisible(&main_sel_, consume);
+  // The snapshot walk: main visibility into main_sel_, the delta chunks
+  // as slots after the main's morsels.
+  snap_->ScanVisible(&main_sel_, &delta_chunks_);
   PrepareMainSelection();
 
   num_main_morsels_ = (main_sel_.size() + kMorselRows - 1) / kMorselRows;
-  num_slots_ = num_main_morsels_ + (pending_.num_rows() == 0 ? 0 : 1);
+  num_slots_ = num_main_morsels_ + delta_chunks_.size();
 }
 
 void ScanOp::PrepareMainSelection() {
   const MainFragment& main = *snap_->main;
-  rows_scanned_ += main.num_rows();
   if (main.num_rows() == 0) return;  // empty main has no segments to scan
   for (const Expr::ColumnPredicate& cp : pushed_) {
     const ColumnSegment& seg = main.column(cp.column);
@@ -496,6 +468,26 @@ void ScanOp::PrepareMainSelection() {
     zones_pruned_ += pruned;
     main_sel_.And(hits);
   }
+}
+
+template <typename GatherFn>
+void ScanOp::ApplyResidual(std::vector<uint32_t>* rows,
+                           GatherFn gather) const {
+  if (residual_remapped_ == nullptr || rows->empty()) return;
+  Batch res;
+  res.columns.reserve(residual_cols_.size());
+  for (int c : residual_cols_) {
+    res.columns.emplace_back(table_->schema().column(c).type);
+    gather(c, &res.columns.back());
+  }
+  BitVector keep;
+  residual_remapped_->EvalPredicate(res, &keep);
+  size_t kept = 0;
+  for (size_t r = keep.FindNextSet(0); r < keep.size();
+       r = keep.FindNextSet(r + 1)) {
+    (*rows)[kept++] = (*rows)[r];
+  }
+  rows->resize(kept);
 }
 
 bool ScanOp::GatherMain(size_t* pos, size_t end, Batch* out) const {
@@ -513,25 +505,33 @@ bool ScanOp::GatherMain(size_t* pos, size_t end, Batch* out) const {
 
   // Run the residual over its own columns and narrow the rowids to the
   // rows that pass; only then gather the projected columns.
-  if (residual_remapped_ != nullptr) {
-    Batch res;
-    res.columns.reserve(residual_cols_.size());
-    for (int c : residual_cols_) {
-      res.columns.push_back(GatherSegment(main.column(c), rids));
-    }
-    BitVector keep;
-    residual_remapped_->EvalPredicate(res, &keep);
-    size_t kept = 0;
-    for (size_t r = keep.FindNextSet(0); r < keep.size();
-         r = keep.FindNextSet(r + 1)) {
-      rids[kept++] = rids[r];
-    }
-    rids.resize(kept);
+  ApplyResidual(&rids, [&](int c, ColumnVector* cells) {
+    main.column(c).Gather(rids, cells);
+  });
+  out->Reset(out_types_);
+  for (size_t p = 0; p < projection_.size(); ++p) {
+    main.column(projection_[p]).Gather(rids, &out->columns[p]);
   }
-  out->columns.clear();
-  out->columns.reserve(projection_.size());
-  for (int c : projection_) {
-    out->columns.push_back(GatherSegment(main.column(c), rids));
+  return true;
+}
+
+bool ScanOp::GatherDelta(size_t k, Batch* out) const {
+  const DeltaStore::ChunkRef& ref = delta_chunks_[k];
+  const DeltaStore::Chunk& chunk = *ref.chunk;
+  BitVector sel;
+  chunk.VisibleMask(ref.rows, read_ts_, &sel);
+  for (const Expr::ColumnPredicate& cp : pushed_) {
+    chunk.column(cp.column).Filter(cp.op, cp.constant, &sel);
+  }
+  std::vector<uint32_t> rows;
+  sel.AppendSetIndices(&rows);
+  ApplyResidual(&rows, [&](int c, ColumnVector* cells) {
+    chunk.column(c).Gather(rows, cells);
+  });
+  if (rows.empty()) return false;
+  out->Reset(out_types_);
+  for (size_t p = 0; p < projection_.size(); ++p) {
+    chunk.column(projection_[p]).Gather(rows, &out->columns[p]);
   }
   return true;
 }
@@ -549,14 +549,15 @@ bool ScanOp::EmitPending(size_t* pos, Batch* out) const {
 bool ScanOp::NextBatch(Batch* out) {
   out->columns.clear();
   if (parallel()) return slot_buf_.Next(out);
-  if (columnar_) {
-    while (GatherMain(&main_pos_, main_sel_.size(), out)) {
-      if (out->num_rows() > 0) return true;
-      // fully filtered batch; try the next chunk
-    }
+  if (!columnar_) return EmitPending(&pending_pos_, out);
+  while (GatherMain(&main_pos_, main_sel_.size(), out)) {
+    if (out->num_rows() > 0) return true;
+    // fully filtered batch; try the next chunk
   }
-  // Pending rows: the delta tail, or the whole row-engine result.
-  return EmitPending(&pending_pos_, out);
+  while (delta_pos_ < delta_chunks_.size()) {
+    if (GatherDelta(delta_pos_++, out)) return true;
+  }
+  return false;
 }
 
 void ScanOp::DriveSlots(const MorselSink& sink) {
@@ -579,8 +580,13 @@ void ScanOp::DriveSlots(const MorselSink& sink) {
           rows.fetch_add(batch.num_rows(), std::memory_order_relaxed);
           sink(m, std::move(batch));
         }
+      } else if (columnar_) {
+        if (GatherDelta(m - num_main_morsels_, &batch)) {
+          rows.fetch_add(batch.num_rows(), std::memory_order_relaxed);
+          sink(m, std::move(batch));
+        }
       } else {
-        size_t pos = 0;  // the trailing slot: pending delta rows
+        size_t pos = 0;  // the row engine's one slot: its pending rows
         while (EmitPending(&pos, &batch)) {
           rows.fetch_add(batch.num_rows(), std::memory_order_relaxed);
           sink(m, std::move(batch));

@@ -117,17 +117,19 @@ class MorselOp : public PhysicalOp, public MorselSource {
 
 // Table scan with predicate pushdown. For columnar tables, the pushable
 // (column <op> const) conjuncts run as packed-segment kernels with zone-map
-// pruning, the residual predicate runs vectorized per batch over only the
-// columns it reads, and only the projected columns of the rows that pass
-// are gathered. Delta rows and row-table rows are tested in place and
-// their projected cells appended to a columnar pending batch.
+// pruning over the main and as typed compare loops over each delta chunk,
+// the residual predicate runs vectorized per batch over only the columns
+// it reads, and only the projected columns of the rows that pass are
+// gathered. Row-table rows are tested in place and their projected cells
+// appended to a columnar pending batch.
 //
-// At DOP >= 2 (columnar reads only) the selection — visibility mask plus
-// zone-pruned pushdown kernels over whole segments — still runs serially
-// in PrepareMorsels(), and the per-row gather / residual / project runs
-// per kMorselRows morsel of the main fragment, claimed by the workers from
-// a shared cursor; the filtered delta rows form one trailing slot. Slot m
-// holds exactly the rows the DOP-1 scan emits at that position.
+// Columnar scans are split into slots: one per kMorselRows morsel of the
+// main fragment, then one per delta chunk (the frozen delta's, then the
+// live delta's, each in insertion order). At DOP >= 2 the main's
+// selection — visibility mask plus zone-pruned pushdown kernels over whole
+// segments — still runs serially in PrepareMorsels(), and the workers
+// claim slots from a shared cursor. Slot m holds exactly the rows the
+// DOP-1 scan emits at that position.
 //
 // `predicate` refers to columns by *table schema* index; `projection`
 // selects and orders the output columns (empty = all columns). Describe()
@@ -155,7 +157,6 @@ class ScanOp final : public MorselOp {
   size_t slots() const override { return num_slots_; }
 
   // Scan statistics for tests/benches.
-  size_t rows_scanned() const { return rows_scanned_; }
   size_t zones_pruned() const { return zones_pruned_; }
   const Table* table() const { return table_; }
   Path path() const { return path_; }
@@ -172,6 +173,14 @@ class ScanOp final : public MorselOp {
   // those that pass into `out` (which may end up empty). False once no
   // selected row is left before `end`.
   bool GatherMain(size_t* pos, size_t end, Batch* out) const;
+  // Runs the visibility mask, pushed predicates and residual over delta
+  // chunk `k` and gathers the projected columns of the rows that pass into
+  // `out`; false if none pass.
+  bool GatherDelta(size_t k, Batch* out) const;
+  // Narrows `rows` to those passing the residual, read through `gather`,
+  // which appends a schema column's cells at `rows` to a vector.
+  template <typename GatherFn>
+  void ApplyResidual(std::vector<uint32_t>* rows, GatherFn gather) const;
   // Copies the next up to kDefaultBatchRows pending rows from *pos into
   // `out`; false once none are left.
   bool EmitPending(size_t* pos, Batch* out) const;
@@ -196,14 +205,15 @@ class ScanOp final : public MorselOp {
   bool columnar_ = false;
   std::optional<ColumnTable::Snapshot> snap_;
   BitVector main_sel_;
-  Batch pending_;  // projected cells of the passing delta / row-table rows
+  std::vector<DeltaStore::ChunkRef> delta_chunks_;
+  Batch pending_;  // projected cells of the passing row-table rows
   size_t num_main_morsels_ = 0;
   size_t num_slots_ = 0;
   // DOP-1 stream positions.
   size_t main_pos_ = 0;
+  size_t delta_pos_ = 0;
   size_t pending_pos_ = 0;
 
-  size_t rows_scanned_ = 0;
   size_t zones_pruned_ = 0;
 };
 

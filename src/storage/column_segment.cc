@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "exec/batch.h"
 
 namespace oltap {
 namespace {
@@ -540,6 +541,50 @@ void ColumnSegment::ScanCompareZoned(CompareOp op, const Value& constant,
     }
   }
   ApplyNullMask(out);
+}
+
+void ColumnSegment::Gather(const std::vector<uint32_t>& rids,
+                           ColumnVector* out) const {
+  OLTAP_DCHECK(out->type() == type_);
+  out->Reserve(out->size() + rids.size());
+  // `cell(rid)` appends one non-null cell; nulls are handled here.
+  auto each = [&](auto cell) {
+    for (uint32_t rid : rids) {
+      if (has_nulls_ && nulls_.Get(rid)) {
+        out->AppendNull();
+      } else {
+        cell(rid);
+      }
+    }
+  };
+  switch (encoding()) {
+    case Encoding::kRle: {
+      // Ascending rids: the run index only moves forward.
+      size_t run = 0;
+      each([&](uint32_t rid) {
+        while (rle_starts_[run + 1] <= rid) ++run;
+        out->AppendInt64(rle_values_[run]);
+      });
+      return;
+    }
+    case Encoding::kPacked:
+      each([&](uint32_t rid) {
+        out->AppendInt64(for_base_ + static_cast<int64_t>(packed_.Get(rid)));
+      });
+      return;
+    case Encoding::kDictionary:
+      each([&](uint32_t rid) {
+        out->AppendString(std::string(dict_->Decode(packed_.Get(rid))));
+      });
+      return;
+    case Encoding::kRaw:
+      if (type_ == ValueType::kDouble) {
+        each([&](uint32_t rid) { out->AppendDouble(raw_f64_[rid]); });
+      } else {
+        each([&](uint32_t rid) { out->AppendInt64(raw_i64_[rid]); });
+      }
+      return;
+  }
 }
 
 void ColumnSegment::GatherDoubles(const BitVector* sel,

@@ -15,6 +15,8 @@
 
 namespace oltap {
 
+class ColumnVector;
+
 // Immutable, read-optimized storage for one column of a columnar main
 // fragment. Built once (bulk load or merge), then scanned concurrently
 // without synchronization.
@@ -71,6 +73,11 @@ class ColumnSegment {
   // `zones_pruned`, if given, receives the number of skipped zones.
   void ScanCompareZoned(CompareOp op, const Value& constant, BitVector* out,
                         size_t* zones_pruned = nullptr) const;
+
+  // Appends rows `rids` (ascending) to `out`, a vector of this segment's
+  // type. Switches on the encoding once per call; an RLE segment walks its
+  // runs forward instead of searching per row.
+  void Gather(const std::vector<uint32_t>& rids, ColumnVector* out) const;
 
   // Bulk decode of int64/double content into `out[i]` for selected rows;
   // used by vectorized aggregation. `sel` may be null (all rows).

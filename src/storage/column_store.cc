@@ -12,8 +12,7 @@ MainFragment::MainFragment(std::vector<ColumnSegment> columns,
     : columns_(std::move(columns)),
       num_rows_(num_rows),
       build_ts_(build_ts),
-      insert_ts_(std::move(insert_ts)),
-      deleted_(num_rows) {
+      insert_ts_(std::move(insert_ts)) {
   OLTAP_CHECK(insert_ts_.empty() || insert_ts_.size() == num_rows_);
   max_insert_ts_ = build_ts_;
   for (Timestamp t : insert_ts_) max_insert_ts_ = std::max(max_insert_ts_, t);
@@ -22,35 +21,27 @@ MainFragment::MainFragment(std::vector<ColumnSegment> columns,
 void MainFragment::MarkDeleted(RowId rid, Timestamp ts) {
   std::unique_lock lock(delete_mu_);
   OLTAP_DCHECK(rid < num_rows_);
-  deleted_.Set(rid);
-  auto [it, inserted] = delete_ts_.emplace(rid, ts);
-  if (!inserted && ts < it->second) it->second = ts;
+  if (delete_ts_.empty()) delete_ts_.assign(num_rows_, kMaxTimestamp);
+  if (ts >= delete_ts_[rid]) return;
+  if (delete_ts_[rid] == kMaxTimestamp) ++num_deleted_;
+  delete_ts_[rid] = ts;
+  delete_log_.push_back(Delete{rid, ts});
 }
 
 bool MainFragment::VisibleAt(RowId rid, Timestamp read_ts) const {
   if (rid >= num_rows_) return false;
-  if (!insert_ts_.empty()) {
-    if (insert_ts_[rid] > read_ts) return false;
-  } else if (build_ts_ > read_ts) {
-    return false;
-  }
+  if (InsertTsOf(rid) > read_ts) return false;
   std::shared_lock lock(delete_mu_);
-  if (!deleted_.Get(rid)) return true;
-  auto it = delete_ts_.find(rid);
-  return it != delete_ts_.end() && it->second > read_ts;
+  return delete_ts_.empty() || delete_ts_[rid] > read_ts;
 }
 
-void MainFragment::VisibleMask(Timestamp read_ts, BitVector* out) const {
-  {
-    std::shared_lock lock(delete_mu_);
-    *out = deleted_;
-    out->Not();
-    // Rows deleted after read_ts are still visible at read_ts.
-    for (const auto& [rid, ts] : delete_ts_) {
-      if (ts > read_ts) out->Set(rid);
-    }
+void MainFragment::BuildMask(Timestamp read_ts, BitVector* out) const {
+  out->Resize(num_rows_);
+  out->SetAll();
+  for (const Delete& d : delete_log_) {
+    if (d.ts <= read_ts) out->Clear(d.rid);
   }
-  if (read_ts >= max_insert_ts_) return;  // fast path: everything inserted
+  if (read_ts >= max_insert_ts_) return;
   if (!insert_ts_.empty()) {
     for (size_t i = 0; i < num_rows_; ++i) {
       if (insert_ts_[i] > read_ts) out->Clear(i);
@@ -60,9 +51,38 @@ void MainFragment::VisibleMask(Timestamp read_ts, BitVector* out) const {
   }
 }
 
+void MainFragment::VisibleMask(Timestamp read_ts, BitVector* out) const {
+  if (read_ts < max_insert_ts_) {
+    std::shared_lock lock(delete_mu_);
+    BuildMask(read_ts, out);
+    return;
+  }
+  std::lock_guard<std::mutex> cache_lock(cache_mu_);
+  std::shared_lock lock(delete_mu_);
+  if (read_ts < cache_newest_ts_) {
+    BuildMask(read_ts, out);
+    return;
+  }
+  if (cache_mask_.size() != num_rows_) cache_mask_.Resize(num_rows_, true);
+  *out = cache_mask_;
+  if (cache_applied_ == delete_log_.size()) return;
+  Timestamp newest = cache_newest_ts_;
+  for (size_t e = cache_applied_; e < delete_log_.size(); ++e) {
+    const Delete& d = delete_log_[e];
+    if (d.ts <= read_ts) out->Clear(d.rid);
+    newest = std::max(newest, d.ts);
+  }
+  // Every new entry applied: `out` is the cache's next state.
+  if (newest <= read_ts) {
+    cache_mask_ = *out;
+    cache_applied_ = delete_log_.size();
+    cache_newest_ts_ = newest;
+  }
+}
+
 size_t MainFragment::num_deleted() const {
   std::shared_lock lock(delete_mu_);
-  return delete_ts_.size();
+  return num_deleted_;
 }
 
 Row MainFragment::GetRow(RowId rid) const {
@@ -74,17 +94,25 @@ Row MainFragment::GetRow(RowId rid) const {
   return row;
 }
 
-void MainFragment::SnapshotDeletes(
-    std::unordered_map<RowId, Timestamp>* out) const {
+size_t MainFragment::SnapshotDeletes(std::vector<Timestamp>* delete_ts) const {
   std::shared_lock lock(delete_mu_);
-  *out = delete_ts_;
+  *delete_ts = delete_ts_;
+  return delete_log_.size();
+}
+
+std::vector<MainFragment::Delete> MainFragment::DeletesSince(
+    size_t from) const {
+  std::shared_lock lock(delete_mu_);
+  return std::vector<Delete>(delete_log_.begin() + from, delete_log_.end());
 }
 
 size_t MainFragment::MemoryBytes() const {
   size_t total = 0;
   for (const ColumnSegment& c : columns_) total += c.MemoryBytes();
-  total += deleted_.num_words() * sizeof(uint64_t);
   total += insert_ts_.capacity() * sizeof(Timestamp);
+  std::shared_lock lock(delete_mu_);
+  total += delete_ts_.capacity() * sizeof(Timestamp);
+  total += delete_log_.capacity() * sizeof(Delete);
   return total;
 }
 
@@ -92,7 +120,7 @@ ColumnTable::ColumnTable(Schema schema)
     : schema_(std::move(schema)),
       keyed_(schema_.HasKey()),
       main_(std::make_shared<MainFragment>()),
-      delta_(std::make_shared<DeltaStore>()) {}
+      delta_(std::make_shared<DeltaStore>(schema_)) {}
 
 ColumnTable::Snapshot ColumnTable::GetSnapshot(Timestamp read_ts) const {
   std::lock_guard<std::mutex> lock(snap_mu_);
@@ -106,15 +134,22 @@ void ColumnTable::Snapshot::ScanVisible(const RowFn& fn) const {
        r = visible.FindNextSet(r + 1)) {
     fn(main->GetRow(static_cast<RowId>(r)));
   }
-  if (frozen != nullptr) frozen->ForEachVisible(read_ts, fn);
-  delta->ForEachVisible(read_ts, fn);
+  std::vector<DeltaStore::ChunkRef> chunks;
+  if (frozen != nullptr) frozen->Capture(&chunks);
+  delta->Capture(&chunks);
+  for (const DeltaStore::ChunkRef& ref : chunks) {
+    for (size_t i = 0; i < ref.rows; ++i) {
+      if (ref.chunk->VisibleAt(i, read_ts)) fn(ref.chunk->GetRow(i));
+    }
+  }
 }
 
-void ColumnTable::Snapshot::ScanVisible(BitVector* main_visible,
-                                        const RowFn& delta_fn) const {
+void ColumnTable::Snapshot::ScanVisible(
+    BitVector* main_visible,
+    std::vector<DeltaStore::ChunkRef>* delta_chunks) const {
   main->VisibleMask(read_ts, main_visible);
-  if (frozen != nullptr) frozen->ForEachVisible(read_ts, delta_fn);
-  delta->ForEachVisible(read_ts, delta_fn);
+  if (frozen != nullptr) frozen->Capture(delta_chunks);
+  delta->Capture(delta_chunks);
 }
 
 const DeltaStore* ColumnTable::DeltaFor(const Location& loc) const {

@@ -55,8 +55,12 @@ class MainFragment {
 
   bool VisibleAt(RowId rid, Timestamp read_ts) const;
 
-  // Writes the visibility mask at read_ts: bit set = row visible. O(rows/64)
-  // plus the (small) set of deleted rows on the fast path.
+  // Writes the visibility mask at read_ts: bit set = row visible. A mask
+  // cached per fragment reflects a prefix of the delete log and serves
+  // every read_ts at or above both the newest delete it reflects and
+  // max_insert_ts(); a call copies it and applies only the log entries
+  // appended since, advancing the cache when all of them are at or below
+  // read_ts. An older read_ts rebuilds the mask from the log.
   void VisibleMask(Timestamp read_ts, BitVector* out) const;
 
   size_t num_deleted() const;
@@ -64,12 +68,24 @@ class MainFragment {
   // Reconstructs a full row (tuple reconstruction across segments).
   Row GetRow(RowId rid) const;
 
-  // Merge support: copies the delete map.
-  void SnapshotDeletes(std::unordered_map<RowId, Timestamp>* out) const;
+  // One MarkDeleted that set or lowered a row's delete timestamp.
+  struct Delete {
+    RowId rid = 0;
+    Timestamp ts = 0;
+  };
+  // Merge support: copies the per-row delete timestamps (kMaxTimestamp =
+  // live; left empty when no row was ever deleted) and returns the length
+  // of the delete log they reflect.
+  size_t SnapshotDeletes(std::vector<Timestamp>* delete_ts) const;
+  // The delete-log entries from position `from` on, in append order.
+  std::vector<Delete> DeletesSince(size_t from) const;
 
   size_t MemoryBytes() const;
 
  private:
+  // The mask at read_ts from scratch. Requires delete_mu_ held.
+  void BuildMask(Timestamp read_ts, BitVector* out) const;
+
   std::vector<ColumnSegment> columns_;
   size_t num_rows_ = 0;
   Timestamp build_ts_ = 0;
@@ -77,12 +93,21 @@ class MainFragment {
   std::vector<Timestamp> insert_ts_;  // empty = all rows at build_ts_
 
   mutable std::shared_mutex delete_mu_;
-  BitVector deleted_;
-  std::unordered_map<RowId, Timestamp> delete_ts_;
+  std::vector<Timestamp> delete_ts_;  // per row; empty until a delete
+  std::vector<Delete> delete_log_;    // append order
+  size_t num_deleted_ = 0;
+
+  // The cached mask: visibility at any read_ts >= max(cache_newest_ts_,
+  // max_insert_ts_) given delete_log_[0, cache_applied_). Lock order:
+  // cache_mu_, then delete_mu_.
+  mutable std::mutex cache_mu_;
+  mutable BitVector cache_mask_;
+  mutable size_t cache_applied_ = 0;
+  mutable Timestamp cache_newest_ts_ = 0;
 };
 
 // Columnar table with the delta/main lifecycle every surveyed column store
-// uses (HANA, DB2 BLU, MemSQL, Kudu): committed writes land in the row-wise
+// uses (HANA, DB2 BLU, MemSQL, Kudu): committed writes land in the columnar
 // DeltaStore; an explicit MergeDelta() folds delta + positional deletes
 // into a fresh immutable main; scans read (main ∪ frozen-delta ∪ delta) at
 // read_ts through a Snapshot that pins the structures via shared_ptr, so
@@ -115,10 +140,13 @@ class ColumnTable {
     using RowFn = std::function<void(const Row&)>;
     // Row form: reconstructs every visible main row, then the delta rows.
     void ScanVisible(const RowFn& fn) const;
-    // Column form, for callers that scan the main fragment segment-wise:
-    // writes the main rows' visibility mask to `main_visible`, then passes
-    // each visible delta row to `delta_fn`.
-    void ScanVisible(BitVector* main_visible, const RowFn& delta_fn) const;
+    // Column form, for callers that scan segment- and chunk-wise: writes
+    // the main rows' visibility mask to `main_visible` and appends the
+    // delta chunks in walk order, each cut at the rows published when it
+    // was captured. A chunk's visible rows are its
+    // DeltaStore::Chunk::VisibleMask at read_ts.
+    void ScanVisible(BitVector* main_visible,
+                     std::vector<DeltaStore::ChunkRef>* delta_chunks) const;
   };
   Snapshot GetSnapshot(Timestamp read_ts) const;
 

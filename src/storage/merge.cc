@@ -1,5 +1,5 @@
 // Delta→main merge for ColumnTable: the LSM-style reorganization step
-// ("differential files" [29,16]) that folds the writable row-wise delta and
+// ("differential files" [29,16]) that folds the writable columnar delta and
 // the positional delete vector into a fresh, fully re-encoded columnar main
 // fragment (dictionaries rebuilt, frame-of-reference re-based, zone maps
 // recomputed).
@@ -14,10 +14,10 @@
 // Snapshots taken at any point remain valid: they pin the structures they
 // saw via shared_ptr.
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
+#include "exec/batch.h"
 #include "storage/column_store.h"
 
 namespace oltap {
@@ -50,19 +50,17 @@ class MergeJob {
     frozen_ = t_->delta_;
     frozen_gen_ = t_->delta_gen_;
     t_->frozen_delta_ = frozen_;
-    t_->delta_ = std::make_shared<DeltaStore>();
+    t_->delta_ = std::make_shared<DeltaStore>(t_->schema_);
     ++t_->delta_gen_;
     old_main_ = t_->main_;
   }
 
   void Build() {
-    old_main_->SnapshotDeletes(&main_deletes_at_build_);
-    frozen_->SnapshotTimestamps(&delta_insert_ts_, &delta_deletes_at_build_);
+    main_log_at_build_ = old_main_->SnapshotDeletes(&main_deletes_at_build_);
+    frozen_->Capture(&frozen_chunks_);
 
     const size_t n_old = old_main_->num_rows();
-    const size_t n_delta = delta_insert_ts_.size();
     main_to_new_.assign(n_old, kInvalidRowId);
-    delta_to_new_.assign(n_delta, kInvalidRowId);
 
     // Decide which rows survive. A deleted row is physically dropped only
     // if no current or future snapshot (read_ts >= horizon_) can see it.
@@ -73,59 +71,51 @@ class MergeJob {
     };
     std::vector<CarriedDelete> carried;
     RowId next = 0;
+    std::vector<uint32_t> main_rows;  // surviving old-main rowids
     for (size_t r = 0; r < n_old; ++r) {
-      auto del = main_deletes_at_build_.find(static_cast<RowId>(r));
-      if (del != main_deletes_at_build_.end() && del->second < horizon_) {
-        continue;  // drop
-      }
+      Timestamp del = main_deletes_at_build_.empty()
+                          ? kMaxTimestamp
+                          : main_deletes_at_build_[r];
+      if (del < horizon_) continue;  // drop
       main_to_new_[r] = next;
-      if (del != main_deletes_at_build_.end()) {
-        carried.push_back({next, del->second});
-      }
+      if (del != kMaxTimestamp) carried.push_back({next, del});
       new_insert_ts.push_back(old_main_->InsertTsOf(static_cast<RowId>(r)));
+      main_rows.push_back(static_cast<uint32_t>(r));
       ++next;
     }
-    for (size_t d = 0; d < n_delta; ++d) {
-      if (delta_deletes_at_build_[d] < horizon_) continue;  // drop
-      delta_to_new_[d] = next;
-      if (delta_deletes_at_build_[d] != kMaxTimestamp) {
-        carried.push_back({next, delta_deletes_at_build_[d]});
+    // Surviving rows of each frozen chunk, by in-chunk position.
+    std::vector<std::vector<uint32_t>> chunk_rows(frozen_chunks_.size());
+    for (size_t k = 0; k < frozen_chunks_.size(); ++k) {
+      const DeltaStore::ChunkRef& ref = frozen_chunks_[k];
+      for (size_t i = 0; i < ref.rows; ++i) {
+        const Timestamp del = ref.chunk->delete_ts(i);
+        delta_deletes_at_build_.push_back(del);
+        delta_to_new_.push_back(kInvalidRowId);
+        if (del < horizon_) continue;  // drop
+        delta_to_new_.back() = next;
+        if (del != kMaxTimestamp) carried.push_back({next, del});
+        new_insert_ts.push_back(ref.chunk->insert_ts(i));
+        chunk_rows[k].push_back(static_cast<uint32_t>(i));
+        ++next;
       }
-      new_insert_ts.push_back(delta_insert_ts_[d]);
-      ++next;
     }
 
+    // Build each column from the old main's surviving cells, gathered in
+    // rowid order, followed by the frozen delta's typed cells.
     const size_t n_new = next;
     const Schema& schema = t_->schema_;
     std::vector<ColumnSegment> segments;
     segments.reserve(schema.num_columns());
-    std::vector<Value> column_values(n_new);
-    // Materialize delta rows once (row-wise store), then build column-wise.
-    std::vector<Row> delta_rows(n_delta);
-    for (size_t d = 0; d < n_delta; ++d) {
-      if (delta_to_new_[d] != kInvalidRowId) {
-        delta_rows[d] = frozen_->GetRaw(static_cast<uint32_t>(d));
-      }
-    }
     for (size_t c = 0; c < schema.num_columns(); ++c) {
+      ColumnVector cells(schema.column(c).type);
+      cells.Reserve(n_new);
       // The first merge starts from an empty main with no column
       // segments; don't form a reference into its empty vector.
-      if (n_old > 0) {
-        const ColumnSegment& old_col = old_main_->column(c);
-        for (size_t r = 0; r < n_old; ++r) {
-          if (main_to_new_[r] != kInvalidRowId) {
-            column_values[main_to_new_[r]] =
-                old_col.GetValue(static_cast<RowId>(r));
-          }
-        }
+      if (n_old > 0) old_main_->column(c).Gather(main_rows, &cells);
+      for (size_t k = 0; k < frozen_chunks_.size(); ++k) {
+        frozen_chunks_[k].chunk->column(c).Gather(chunk_rows[k], &cells);
       }
-      for (size_t d = 0; d < n_delta; ++d) {
-        if (delta_to_new_[d] != kInvalidRowId) {
-          column_values[delta_to_new_[d]] = delta_rows[d][c];
-        }
-      }
-      segments.push_back(
-          ColumnSegment::Build(schema.column(c).type, column_values));
+      segments.push_back(BuildSegment(cells));
     }
 
     new_main_ = std::make_shared<MainFragment>(
@@ -135,29 +125,47 @@ class MergeJob {
     }
   }
 
+  static ColumnSegment BuildSegment(const ColumnVector& cells) {
+    BitVector nulls;
+    if (cells.has_nulls()) {
+      nulls.Resize(cells.size());
+      for (size_t i = 0; i < cells.size(); ++i) {
+        if (cells.IsNull(i)) nulls.Set(i);
+      }
+    }
+    const BitVector* nulls_ptr = cells.has_nulls() ? &nulls : nullptr;
+    switch (cells.type()) {
+      case ValueType::kInt64:
+        return ColumnSegment::BuildInt64(cells.i64(), nulls_ptr);
+      case ValueType::kDouble:
+        return ColumnSegment::BuildDouble(cells.f64(), nulls_ptr);
+      case ValueType::kString:
+        return ColumnSegment::BuildString(cells.str(), nulls_ptr);
+    }
+    return ColumnSegment();
+  }
+
   void Publish() {
     std::unique_lock index_lock(t_->index_mu_);
 
     // Deletes that committed during Build targeted the old structures (the
-    // key index still pointed there). Re-read and forward them.
-    std::unordered_map<RowId, Timestamp> main_deletes_now;
-    old_main_->SnapshotDeletes(&main_deletes_now);
-    for (const auto& [rid, ts] : main_deletes_now) {
-      auto before = main_deletes_at_build_.find(rid);
-      if (before != main_deletes_at_build_.end() && before->second <= ts) {
-        continue;  // already carried (or dropped pre-horizon)
-      }
-      if (main_to_new_[rid] != kInvalidRowId) {
-        new_main_->MarkDeleted(main_to_new_[rid], ts);
+    // key index still pointed there). Forward them: the main's from its
+    // delete log, the frozen delta's from its delete timestamps.
+    for (const MainFragment::Delete& d :
+         old_main_->DeletesSince(main_log_at_build_)) {
+      if (main_to_new_[d.rid] != kInvalidRowId) {
+        new_main_->MarkDeleted(main_to_new_[d.rid], d.ts);
       }
     }
-    std::vector<Timestamp> unused_ins, delta_deletes_now;
-    frozen_->SnapshotTimestamps(&unused_ins, &delta_deletes_now);
-    for (size_t d = 0; d < delta_deletes_now.size(); ++d) {
-      if (delta_deletes_now[d] != kMaxTimestamp &&
-          delta_deletes_at_build_[d] == kMaxTimestamp &&
-          delta_to_new_[d] != kInvalidRowId) {
-        new_main_->MarkDeleted(delta_to_new_[d], delta_deletes_now[d]);
+    size_t d = 0;
+    for (const DeltaStore::ChunkRef& ref : frozen_chunks_) {
+      for (size_t i = 0; i < ref.rows; ++i, ++d) {
+        const Timestamp now = ref.chunk->delete_ts(i);
+        if (now != kMaxTimestamp &&
+            delta_deletes_at_build_[d] == kMaxTimestamp &&
+            delta_to_new_[d] != kInvalidRowId) {
+          new_main_->MarkDeleted(delta_to_new_[d], now);
+        }
       }
     }
 
@@ -205,8 +213,9 @@ class MergeJob {
   std::shared_ptr<DeltaStore> frozen_;
   uint32_t frozen_gen_ = 0;
 
-  std::unordered_map<RowId, Timestamp> main_deletes_at_build_;
-  std::vector<Timestamp> delta_insert_ts_;
+  std::vector<Timestamp> main_deletes_at_build_;  // empty = none
+  size_t main_log_at_build_ = 0;
+  std::vector<DeltaStore::ChunkRef> frozen_chunks_;
   std::vector<Timestamp> delta_deletes_at_build_;
   std::vector<RowId> main_to_new_;
   std::vector<RowId> delta_to_new_;

@@ -182,5 +182,102 @@ TEST(MainFragmentTest, GetRowReconstructsTuple) {
   EXPECT_EQ(r[1].AsString(), "y");
 }
 
+// The main's visible mask is cached per fragment; these pin when the
+// cache may serve a read_ts and when it must not.
+TEST(MainFragmentTest, DeleteAfterCachedMaskSeenByNextSnapshot) {
+  std::vector<ColumnSegment> cols;
+  cols.push_back(ColumnSegment::BuildInt64({1, 2, 3, 4}));
+  MainFragment main(std::move(cols), 4, 5);
+  BitVector mask;
+  main.VisibleMask(10, &mask);  // caches the all-visible mask
+  EXPECT_EQ(mask.CountSet(), 4u);
+  main.MarkDeleted(2, 15);
+  main.VisibleMask(20, &mask);
+  EXPECT_EQ(mask.CountSet(), 3u);
+  EXPECT_FALSE(mask.Get(2));
+  main.VisibleMask(14, &mask);  // before the delete
+  EXPECT_TRUE(mask.Get(2));
+  main.VisibleMask(20, &mask);
+  EXPECT_FALSE(mask.Get(2));
+}
+
+TEST(MainFragmentTest, SnapshotOlderThanCachedDeleteSeesRow) {
+  std::vector<ColumnSegment> cols;
+  cols.push_back(ColumnSegment::BuildInt64({1, 2, 3, 4}));
+  MainFragment main(std::move(cols), 4, 5);
+  main.MarkDeleted(1, 30);
+  BitVector mask;
+  main.VisibleMask(40, &mask);  // the cache now reflects the delete at 30
+  EXPECT_FALSE(mask.Get(1));
+  main.VisibleMask(25, &mask);
+  EXPECT_TRUE(mask.Get(1));
+  EXPECT_EQ(mask.CountSet(), 4u);
+  // A delete newer than the reader lands after caching: the reader still
+  // sees the row, and a later reader does not.
+  main.MarkDeleted(3, 60);
+  main.VisibleMask(50, &mask);
+  EXPECT_TRUE(mask.Get(3));
+  EXPECT_FALSE(mask.Get(1));
+  main.VisibleMask(60, &mask);
+  EXPECT_FALSE(mask.Get(3));
+  main.VisibleMask(45, &mask);
+  EXPECT_TRUE(mask.Get(3));
+}
+
+// The cached mask against VisibleAt over a seeded history of deletes and
+// reads at read timestamps above and below the cache's newest delete.
+TEST(MainFragmentTest, CachedMaskMatchesVisibleAt) {
+  constexpr size_t kRows = 300;
+  std::vector<int64_t> values(kRows);
+  for (size_t i = 0; i < kRows; ++i) values[i] = static_cast<int64_t>(i);
+  std::vector<Timestamp> insert_ts(kRows);
+  for (size_t i = 0; i < kRows; ++i) insert_ts[i] = 1 + i % 5;
+  std::vector<ColumnSegment> cols;
+  cols.push_back(ColumnSegment::BuildInt64(values));
+  MainFragment main(std::move(cols), kRows, 5, insert_ts);
+  uint64_t state = 12345;
+  auto next = [&state](uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  Timestamp now = 10;
+  for (int step = 0; step < 400; ++step) {
+    if (next(3) == 0) {
+      now += 1 + next(3);
+      main.MarkDeleted(static_cast<RowId>(next(kRows)), now - next(4));
+    }
+    Timestamp read_ts = next(4) == 0 ? next(now + 1) : now;
+    BitVector mask;
+    main.VisibleMask(read_ts, &mask);
+    ASSERT_EQ(mask.size(), kRows);
+    for (size_t r = 0; r < kRows; ++r) {
+      ASSERT_EQ(mask.Get(r), main.VisibleAt(static_cast<RowId>(r), read_ts))
+          << "step " << step << " read_ts " << read_ts << " row " << r;
+    }
+  }
+}
+
+// Through the table: a delete committed after a snapshot cached the mask
+// reaches the next snapshot, and an older snapshot keeps the row.
+TEST(ColumnTableTest, MainDeletesAfterCachedMask) {
+  ColumnTable table(KeyedSchema());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 10; ++i) rows.push_back(MakeRow(i, "n", i));
+  ASSERT_TRUE(table.BulkLoadToMain(rows, 1).ok());
+  auto count = [&](Timestamp ts) {
+    size_t n = 0;
+    table.GetSnapshot(ts).ScanVisible([&](const Row&) { ++n; });
+    return n;
+  };
+  EXPECT_EQ(count(5), 10u);
+  ASSERT_TRUE(table.DeleteCommitted(KeyOf(3), 10).ok());
+  EXPECT_EQ(count(10), 9u);
+  EXPECT_EQ(count(9), 10u);
+  ASSERT_TRUE(table.DeleteCommitted(KeyOf(4), 20).ok());
+  EXPECT_EQ(count(20), 8u);
+  EXPECT_EQ(count(15), 9u);
+  EXPECT_EQ(count(5), 10u);
+}
+
 }  // namespace
 }  // namespace oltap

@@ -56,6 +56,46 @@ TEST(ExprTest, ThreeValuedAndOr) {
   EXPECT_TRUE(Expr::And(null_cmp, t)->EvalRow(row).is_null());
 }
 
+// The vectorized predicate keeps EvalRow's three-valued logic: a row is
+// selected iff EvalRow yields a non-NULL true, including under NOT.
+TEST(ExprTest, EvalPredicateMatchesEvalRowWithNulls) {
+  std::vector<ValueType> types = {ValueType::kInt64, ValueType::kInt64};
+  std::vector<Row> rows;
+  for (int a = -1; a < 4; ++a) {
+    for (int b = -1; b < 4; ++b) {
+      rows.push_back({a < 0 ? Value::Null() : Value::Int64(a),
+                      b < 0 ? Value::Null() : Value::Int64(b)});
+    }
+  }
+  Batch batch = MakeBatch(rows, types);
+  ExprPtr x = Expr::Column(0, ValueType::kInt64);
+  ExprPtr y = Expr::Column(1, ValueType::kInt64);
+  ExprPtr x_gt_1 =
+      Expr::Compare(CompareOp::kGt, x, Expr::Constant(Value::Int64(1)));
+  ExprPtr y_eq_2 =
+      Expr::Compare(CompareOp::kEq, y, Expr::Constant(Value::Int64(2)));
+  ExprPtr x_lt_y = Expr::Compare(CompareOp::kLt, x, y);
+  std::vector<ExprPtr> preds = {
+      Expr::Not(x_gt_1),
+      Expr::Not(Expr::And(x_gt_1, y_eq_2)),
+      Expr::Not(Expr::Or(x_gt_1, y_eq_2)),
+      Expr::Not(Expr::Not(x_lt_y)),
+      Expr::And(Expr::Not(x_lt_y), Expr::Or(y_eq_2, Expr::IsNull(x))),
+      Expr::Not(Expr::IsNull(y)),
+      Expr::Not(Expr::Arith(Expr::Kind::kSub, x, y)),
+  };
+  for (const ExprPtr& p : preds) {
+    BitVector bits;
+    p->EvalPredicate(batch, &bits);
+    ASSERT_EQ(bits.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      Value v = p->EvalRow(rows[i]);
+      EXPECT_EQ(bits.Get(i), !v.is_null() && v.AsBool())
+          << p->ToString() << " row " << RowToString(rows[i]);
+    }
+  }
+}
+
 TEST(ExprTest, ArithmeticPromotion) {
   ExprPtr int_add =
       Expr::Arith(Expr::Kind::kAdd, Expr::Constant(Value::Int64(2)),

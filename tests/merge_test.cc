@@ -245,5 +245,99 @@ TEST(MergeTest, RebuildsEncodings) {
   EXPECT_EQ(snap.main->column(1).dictionary()->size(), 2u);
 }
 
+// The visible (id, v) pairs of a snapshot's column form: the main rows its
+// mask selects, then the captured delta chunks' rows visible at read_ts.
+std::vector<std::pair<int64_t, int64_t>> ColumnFormRows(
+    const ColumnTable::Snapshot& snap, const BitVector& main_visible,
+    const std::vector<DeltaStore::ChunkRef>& chunks) {
+  std::vector<std::pair<int64_t, int64_t>> out;
+  for (size_t r = main_visible.FindNextSet(0); r < main_visible.size();
+       r = main_visible.FindNextSet(r + 1)) {
+    Row row = snap.main->GetRow(static_cast<RowId>(r));
+    out.push_back({row[0].AsInt64(), row[1].AsInt64()});
+  }
+  for (const DeltaStore::ChunkRef& ref : chunks) {
+    BitVector mask;
+    ref.chunk->VisibleMask(ref.rows, snap.read_ts, &mask);
+    for (size_t i = mask.FindNextSet(0); i < mask.size();
+         i = mask.FindNextSet(i + 1)) {
+      out.push_back({ref.chunk->column(0).GetInt64(i),
+                     ref.chunk->column(1).GetInt64(i)});
+    }
+  }
+  return out;
+}
+
+// A scan that captured a frozen columnar delta (snapshot taken while a
+// merge runs) keeps returning the rows it saw after the merge publishes:
+// the chunks it holds are pinned, never moved or rewritten.
+TEST(MergeTest, ScanHoldingFrozenDeltaSurvivesPublish) {
+  // Large enough that the merge's build phase, the frozen window, spans
+  // many polls.
+  const int64_t n = 16 * static_cast<int64_t>(DeltaStore::kChunkRows);
+  bool caught = false;
+  for (int attempt = 0; attempt < 20 && !caught; ++attempt) {
+    ColumnTable table(TestSchema());
+    for (int64_t i = 0; i < 500; ++i) {
+      ASSERT_TRUE(table.InsertCommitted(MakeRow(i, i), 5).ok());
+    }
+    table.MergeDelta(6, 6);  // rows [0, 500) in the main
+    std::vector<std::pair<int64_t, int64_t>> want;
+    for (int64_t i = 0; i < 500; ++i) {
+      if (i % 10 == 0) {
+        ASSERT_TRUE(table.DeleteCommitted(KeyOf(i), 20).ok());
+      } else {
+        want.push_back({i, i});
+      }
+    }
+    for (int64_t i = 500; i < n; ++i) {
+      ASSERT_TRUE(table.InsertCommitted(MakeRow(i, i * 3), 10).ok());
+      if (i % 7 == 0) {
+        ASSERT_TRUE(table.DeleteCommitted(KeyOf(i), 20).ok());
+      } else {
+        want.push_back({i, i * 3});
+      }
+    }
+
+    std::atomic<bool> started{false}, merged{false};
+    std::thread merger([&] {
+      started.store(true);
+      table.MergeDelta(100, 100);  // drops the deleted rows
+      merged.store(true);
+    });
+    while (!started.load()) std::this_thread::yield();
+    ColumnTable::Snapshot snap;
+    do {
+      snap = table.GetSnapshot(50);
+    } while (snap.frozen == nullptr && !merged.load());
+    if (snap.frozen == nullptr) {
+      merger.join();
+      continue;
+    }
+    BitVector main_visible;
+    std::vector<DeltaStore::ChunkRef> chunks;
+    snap.ScanVisible(&main_visible, &chunks);
+    merger.join();
+    caught = true;
+
+    ASSERT_EQ(table.GetSnapshot(50).frozen, nullptr);  // published
+    EXPECT_EQ(chunks.size(), 16u);
+    EXPECT_EQ(ColumnFormRows(snap, main_visible, chunks), want);
+    std::vector<std::pair<int64_t, int64_t>> rows;
+    snap.ScanVisible([&](const Row& r) {
+      rows.push_back({r[0].AsInt64(), r[1].AsInt64()});
+    });
+    EXPECT_EQ(rows, want);
+    // The merged table serves the same rows in the same order.
+    ColumnTable::Snapshot after = table.GetSnapshot(150);
+    BitVector after_visible;
+    std::vector<DeltaStore::ChunkRef> after_chunks;
+    after.ScanVisible(&after_visible, &after_chunks);
+    EXPECT_TRUE(after_chunks.empty());
+    EXPECT_EQ(ColumnFormRows(after, after_visible, after_chunks), want);
+  }
+  EXPECT_TRUE(caught) << "no snapshot observed the frozen delta";
+}
+
 }  // namespace
 }  // namespace oltap

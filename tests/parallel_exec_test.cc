@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "exec/operators.h"
 #include "exec/parallel/morsel.h"
 #include "obs/metrics.h"
 #include "sched/workload_manager.h"
@@ -386,6 +387,233 @@ TEST(ParallelExecFeedbackTest, ScanActualsReachFeedbackAtAnyDop) {
   EXPECT_TRUE(parallel.parallel_plan);
   EXPECT_TRUE(parallel.has_actuals);
   EXPECT_EQ(parallel.replans, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Differential scan: the columnar delta's vectorized predicate (typed
+// compare loops for pushed terms, EvalPredicate for the residual) must
+// return the rows the row engine's EvalRow returns, at every DOP, with the
+// optimizer on and off, and before, during and after a merge.
+// ---------------------------------------------------------------------
+
+struct DiffQuery {
+  std::string where;  // SQL predicate over t
+  ExprPtr pred;       // the same predicate over t's schema indices
+};
+
+std::vector<DiffQuery> DeltaDiffQueries() {
+  auto col = [](int c, ValueType t) { return Expr::Column(c, t); };
+  auto lit = [](Value v) { return Expr::Constant(std::move(v)); };
+  const ExprPtr i = col(1, ValueType::kInt64);
+  const ExprPtr d = col(2, ValueType::kDouble);
+  const ExprPtr s = col(3, ValueType::kString);
+  const ExprPtr j = col(4, ValueType::kInt64);
+  return {
+      // NULL cells in an int column.
+      {"i > 40", Expr::Compare(CompareOp::kGt, i, lit(Value::Int64(40)))},
+      // An int column against a double literal.
+      {"i >= 12.5",
+       Expr::Compare(CompareOp::kGe, i, lit(Value::Double(12.5)))},
+      // A double column with NULLs against an int literal.
+      {"d <> 2", Expr::Compare(CompareOp::kNe, d, lit(Value::Int64(2)))},
+      // String equality and a string range.
+      {"s = 's7'",
+       Expr::Compare(CompareOp::kEq, s, lit(Value::String("s7")))},
+      {"s >= 's3' AND s < 's6'",
+       Expr::And(Expr::Compare(CompareOp::kGe, s, lit(Value::String("s3"))),
+                 Expr::Compare(CompareOp::kLt, s, lit(Value::String("s6"))))},
+      // Non-pushable residual terms: arithmetic over two nullable
+      // columns, and an OR beside a pushed term.
+      {"i + j > 50",
+       Expr::Compare(CompareOp::kGt, Expr::Arith(Expr::Kind::kAdd, i, j),
+                     lit(Value::Int64(50)))},
+      // NOT over NULL comparisons: NULL, so the row is dropped.
+      {"NOT (i > 40)",
+       Expr::Not(Expr::Compare(CompareOp::kGt, i, lit(Value::Int64(40))))},
+      {"NOT (s = 's3' OR d < 1)",
+       Expr::Not(Expr::Or(
+           Expr::Compare(CompareOp::kEq, s, lit(Value::String("s3"))),
+           Expr::Compare(CompareOp::kLt, d, lit(Value::Int64(1)))))},
+      {"k > 100 AND (i < 10 OR s = 's2')",
+       Expr::And(Expr::Compare(CompareOp::kGt, col(0, ValueType::kInt64),
+                               lit(Value::Int64(100))),
+                 Expr::Or(Expr::Compare(CompareOp::kLt, i,
+                                        lit(Value::Int64(10))),
+                          Expr::Compare(CompareOp::kEq, s,
+                                        lit(Value::String("s2")))))},
+  };
+}
+
+// Row k of the differential table; `salt` varies the non-key cells.
+Row DiffRow(int k, int salt) {
+  const int n = k + salt;
+  return Row{Value::Int64(k),
+             n % 9 == 0 ? Value::Null(ValueType::kInt64)
+                        : Value::Int64(n % 61 - 5),
+             n % 11 == 0 ? Value::Null(ValueType::kDouble)
+                         : Value::Double((n % 8) * 0.5),
+             n % 13 == 0 ? Value::Null(ValueType::kString)
+                         : Value::String("s" + std::to_string(n % 10)),
+             n % 7 == 0 ? Value::Null(ValueType::kInt64)
+                        : Value::Int64(n % 23)};
+}
+
+std::vector<std::string> Sorted(std::vector<std::string> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+std::vector<std::string> RenderRows(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
+  for (const Row& row : rows) out.push_back(RowToString(row));
+  return out;
+}
+
+class ParallelExecDeltaScanTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    pool_ = std::make_unique<ThreadPool>(3);
+    db_.set_exec_pool(pool_.get());
+    ASSERT_TRUE(db_.Execute("CREATE TABLE t (k INT, i INT, d DOUBLE, "
+                            "s STRING, j INT, PRIMARY KEY (k)) FORMAT DUAL")
+                    .ok());
+    Load(0, 3000);
+    db_.MergeAll();
+    Dirty(3000);
+    ASSERT_TRUE(db_.Execute("ANALYZE").ok());
+  }
+
+  // Runs `op(txn, table, k)` for k in [first, end) step `step` in one
+  // committed transaction; a key an earlier round deleted is skipped.
+  template <typename Op>
+  void Write(int first, int end, int step, Op op) {
+    auto txn = db_.txn_manager()->Begin();
+    Table* t = db_.catalog()->GetTable("t");
+    for (int k = first; k < end; k += step) {
+      Status st = op(txn.get(), t, k);
+      ASSERT_TRUE(st.ok() || st.IsNotFound()) << k << ": " << st.ToString();
+    }
+    ASSERT_TRUE(db_.txn_manager()->Commit(txn.get()).ok());
+  }
+
+  void Load(int first, int count) {
+    Write(first, first + count, 1, [](Transaction* txn, Table* t, int k) {
+      return txn->Insert(t, DiffRow(k, 0));
+    });
+  }
+
+  // A live delta of more than three chunks: fresh rows, and updates and
+  // deletes of main and delta rows.
+  void Dirty(int first) {
+    const int fresh = 3 * static_cast<int>(DeltaStore::kChunkRows) + 300;
+    Load(first, fresh);
+    const int end = first + fresh;
+    Write(first - 2999, end, 17, [](Transaction* txn, Table* t, int k) {
+      return txn->Update(t, DiffRow(k, 5));
+    });
+    Write(first - 2995, end, 29, [](Transaction* txn, Table* t, int k) {
+      return txn->Delete(t, DiffRow(k, 0));
+    });
+  }
+
+  const Table* table() { return db_.catalog()->GetTable("t"); }
+  Timestamp now() { return db_.txn_manager()->oracle()->CurrentReadTs(); }
+
+  std::vector<std::string> Scan(const ExprPtr& pred, ScanOp::Path path,
+                                size_t dop) {
+    ScanOp scan(table(), now(), pred, {}, path, {pool_.get(), dop});
+    return RenderRows(CollectRows(&scan));
+  }
+
+  // Every access path, DOP and optimizer mode against the row engine.
+  // Returns the column path's row stream, whose order is the snapshot
+  // walk's: main by rowid, then the delta in insertion order.
+  std::vector<std::string> CheckAllPaths(const DiffQuery& q) {
+    const std::vector<std::string> want =
+        Sorted(Scan(q.pred, ScanOp::Path::kRow, 1));
+    const std::vector<std::string> column =
+        Scan(q.pred, ScanOp::Path::kColumn, 1);
+    EXPECT_EQ(Sorted(column), want) << q.where;
+    for (size_t dop = 2; dop <= 4; ++dop) {
+      EXPECT_EQ(Scan(q.pred, ScanOp::Path::kColumn, dop), column)
+          << q.where << " dop " << dop;
+    }
+    const std::string sql = "SELECT k, i, d, s, j FROM t WHERE " + q.where;
+    for (const char* optimizer : {"on", "off"}) {
+      EXPECT_TRUE(
+          db_.Execute(std::string("SET optimizer = ") + optimizer).ok());
+      std::vector<std::string> first;
+      for (size_t dop = 1; dop <= 4; ++dop) {
+        EXPECT_TRUE(
+            db_.Execute("SET max_dop = " + std::to_string(dop)).ok());
+        auto r = db_.Execute(sql);
+        EXPECT_TRUE(r.ok()) << sql;
+        if (!r.ok()) continue;
+        std::vector<std::string> got = Render(*r);
+        EXPECT_EQ(Sorted(got), want) << sql << " optimizer " << optimizer;
+        if (dop == 1) {
+          first = got;
+        } else {
+          EXPECT_EQ(got, first) << sql << " optimizer " << optimizer
+                                << " dop " << dop;
+        }
+      }
+    }
+    return column;
+  }
+
+  std::unique_ptr<ThreadPool> pool_;
+  Database db_;
+};
+
+TEST_F(ParallelExecDeltaScanTest, VectorizedDeltaMatchesRowEngine) {
+  ASSERT_GT(table()->column_table()->delta_size(),
+            3 * DeltaStore::kChunkRows);
+  std::vector<std::vector<std::string>> before;
+  for (const DiffQuery& q : DeltaDiffQueries()) {
+    before.push_back(CheckAllPaths(q));
+    EXPECT_FALSE(before.back().empty()) << q.where;
+  }
+  db_.MergeAll();
+  ASSERT_EQ(table()->column_table()->delta_size(), 0u);
+  const std::vector<DiffQuery> queries = DeltaDiffQueries();
+  for (size_t n = 0; n < queries.size(); ++n) {
+    // Merging keeps the walk order, so even the row stream is unchanged.
+    EXPECT_EQ(CheckAllPaths(queries[n]), before[n]) << queries[n].where;
+  }
+}
+
+// Scans racing a merge of a multi-chunk delta: snapshots taken while the
+// merge runs read the frozen delta's chunks, those taken after read the
+// new main; every one returns the pre-merge rows in the pre-merge order.
+TEST_F(ParallelExecDeltaScanTest, ScansDuringMergeMatch) {
+  const std::vector<DiffQuery> queries = DeltaDiffQueries();
+  size_t frozen_seen = 0;
+  for (int round = 0; round < 3; ++round) {
+    if (round > 0) Dirty(3000 + 7000 * round);
+    std::vector<std::vector<std::string>> want;
+    for (const DiffQuery& q : queries) {
+      want.push_back(Scan(q.pred, ScanOp::Path::kColumn, 1));
+    }
+    std::atomic<bool> started{false}, merged{false};
+    std::thread merger([&] {
+      started.store(true);
+      db_.MergeAll();
+      merged.store(true);
+    });
+    while (!started.load()) std::this_thread::yield();
+    for (size_t n = 0; !merged.load(); n = (n + 1) % queries.size()) {
+      if (table()->GetColumnSnapshot(now())->frozen != nullptr) {
+        ++frozen_seen;
+      }
+      const size_t dop = 1 + n % 4;
+      EXPECT_EQ(Scan(queries[n].pred, ScanOp::Path::kColumn, dop), want[n])
+          << queries[n].where << " dop " << dop;
+    }
+    merger.join();
+  }
+  RecordProperty("frozen_seen", static_cast<int>(frozen_seen));
 }
 
 TEST(ParallelExecGrantTest, WorkloadManagerStampsDop) {
