@@ -287,11 +287,20 @@ std::vector<Row> CollectRows(PhysicalOp* op) {
 
 // -------------------------------------------------------------- MorselOp
 
+void MorselOp::PrepareMorsels() {
+  auto t0 = std::chrono::steady_clock::now();
+  DoPrepareMorsels();
+  AccountPrepared(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
+}
+
 void MorselOp::Drive(const MorselSink& sink) {
-  PrepareMorsels();
   std::atomic<size_t> rows{0};
   std::atomic<size_t> batches{0};
   auto t0 = std::chrono::steady_clock::now();
+  DoPrepareMorsels();
   DriveSlots([&](size_t slot, Batch&& batch) {
     rows.fetch_add(batch.num_rows(), std::memory_order_relaxed);
     batches.fetch_add(1, std::memory_order_relaxed);
@@ -310,7 +319,7 @@ void MorselOp::DriveSlots(const MorselSink& sink) {
 }
 
 void MorselOp::DriveIntoSlotBuffer() {
-  PrepareMorsels();
+  DoPrepareMorsels();
   slot_buf_.Reset(slots());
   DriveSlots(
       [this](size_t slot, Batch&& b) { slot_buf_.Append(slot, std::move(b)); });
@@ -370,14 +379,14 @@ std::vector<ValueType> ScanOp::OutputTypes() const { return out_types_; }
 
 void ScanOp::Open() {
   prepared_ = false;
-  PrepareMorsels();
+  DoPrepareMorsels();
   main_pos_ = 0;
   delta_pos_ = 0;
   pending_pos_ = 0;
   if (parallel()) DriveIntoSlotBuffer();
 }
 
-void ScanOp::PrepareMorsels() {
+void ScanOp::DoPrepareMorsels() {
   if (prepared_) return;
   prepared_ = true;
   zones_pruned_ = 0;
@@ -629,7 +638,7 @@ void FilterOp::Open() {
   }
 }
 
-void FilterOp::PrepareMorsels() { child_src_->PrepareMorsels(); }
+void FilterOp::DoPrepareMorsels() { child_src_->PrepareMorsels(); }
 
 size_t FilterOp::slots() const { return child_src_->slots(); }
 
@@ -1075,7 +1084,7 @@ void HashJoinOp::Open() {
   probe_batch_.columns.clear();
 }
 
-void HashJoinOp::PrepareMorsels() {
+void HashJoinOp::DoPrepareMorsels() {
   if (prepared_) return;
   prepared_ = true;
   probe_src_->PrepareMorsels();

@@ -61,6 +61,7 @@ class PhysicalOp {
     stats_.batches += batches;
     stats_.next_ns += ns;
   }
+  void AccountPrepared(uint64_t ns) { stats_.open_ns += ns; }
 
  private:
   obs::OpStats stats_;
@@ -91,11 +92,15 @@ using PhysicalOpPtr = std::unique_ptr<PhysicalOp>;
 // Describe() renders "Parallel…(…, dop=N)" only for DOP >= 2.
 class MorselOp : public PhysicalOp, public MorselSource {
  public:
+  // Runs DoPrepareMorsels() and accounts its time in op_stats(): a
+  // parent prepares its driven child before driving it, and that serial
+  // work is the child's, not the parent's.
+  void PrepareMorsels() final;
   // The default source is one slot holding the serial stream.
-  void PrepareMorsels() override {}
   size_t slots() const override { return 1; }
-  // Produces every slot and accounts the rows in op_stats(): a driven
-  // operator is never pulled through NextBatchTimed.
+  // Produces every slot and accounts the rows and the time, preparation
+  // included, in op_stats(): a driven operator is never pulled through
+  // NextBatchTimed.
   void Drive(const MorselSink& sink) final;
 
   size_t dop() const { return ctx_.dop; }
@@ -104,7 +109,10 @@ class MorselOp : public PhysicalOp, public MorselSource {
   explicit MorselOp(ParallelContext ctx) : ctx_(ctx) {}
 
   bool parallel() const { return ctx_.dop >= 2; }
-  // Produces every slot through `sink`; PrepareMorsels() has run. The
+  // The serial preparation (snapshot, pushdown, hash build); idempotent.
+  // An operator's own Open() calls it untimed: OpenTimed() holds the clock.
+  virtual void DoPrepareMorsels() {}
+  // Produces every slot through `sink`; DoPrepareMorsels() has run. The
   // default opens the operator and sinks its NextBatch stream as slot 0.
   virtual void DriveSlots(const MorselSink& sink);
   // DOP >= 2 under a serial parent: produces every slot into slot_buf_,
@@ -153,7 +161,6 @@ class ScanOp final : public MorselOp {
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
 
-  void PrepareMorsels() override;
   size_t slots() const override { return num_slots_; }
 
   // Scan statistics for tests/benches.
@@ -162,6 +169,7 @@ class ScanOp final : public MorselOp {
   Path path() const { return path_; }
 
  protected:
+  void DoPrepareMorsels() override;
   void DriveSlots(const MorselSink& sink) override;
 
  private:
@@ -230,10 +238,10 @@ class FilterOp final : public MorselOp {
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
 
-  void PrepareMorsels() override;
   size_t slots() const override;
 
  protected:
+  void DoPrepareMorsels() override;
   void DriveSlots(const MorselSink& sink) override;
 
  private:
@@ -387,10 +395,10 @@ class HashJoinOp final : public MorselOp {
   std::string Describe() const override;
   std::vector<const PhysicalOp*> Children() const override;
 
-  void PrepareMorsels() override;
   size_t slots() const override;
 
  protected:
+  void DoPrepareMorsels() override;
   void DriveSlots(const MorselSink& sink) override;
 
  private:

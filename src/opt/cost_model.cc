@@ -1,6 +1,7 @@
 #include "opt/cost_model.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace oltap {
 namespace opt {
@@ -17,17 +18,14 @@ const char* AccessPathToString(AccessPath p) {
   return "?";
 }
 
+namespace {
+
+// Estimated fraction of `main`'s zone-mapped zones that survive the pushed
+// predicates (min across conjuncts; 1.0 when nothing prunes).
 double EstimateZoneSurvival(
-    const Table& table, Timestamp read_ts,
+    const MainFragment& main,
     const std::vector<Expr::ColumnPredicate>& pushed) {
-  if (pushed.empty()) return 1.0;
-  std::optional<ColumnTable::Snapshot> snap =
-      table.GetColumnSnapshot(read_ts);
-  if (!snap.has_value() || snap->main == nullptr ||
-      snap->main->num_rows() == 0) {
-    return 1.0;
-  }
-  const MainFragment& main = *snap->main;
+  if (main.num_rows() == 0) return 1.0;
   double survival = 1.0;
   for (const Expr::ColumnPredicate& cp : pushed) {
     if (cp.column < 0 ||
@@ -55,45 +53,39 @@ double EstimateZoneSurvival(
   return survival;
 }
 
+}  // namespace
+
 CostModel::ScanDecision CostModel::CostScan(
     const Table& table, Timestamp read_ts,
     const std::vector<Expr::ColumnPredicate>& pushed,
     double est_out_rows) const {
   est_out_rows = std::max(est_out_rows, 0.0);
 
-  const bool has_row = table.row_table() != nullptr;
-  const bool has_col = table.column_table() != nullptr;
-
-  double row_rows = 0;
-  if (has_row) {
-    row_rows = static_cast<double>(table.row_table()->num_keys());
-  }
-  double main_rows = 0, delta_rows = 0;
-  if (has_col) {
-    const ColumnTable* ct = table.column_table();
-    main_rows = static_cast<double>(ct->main_size());
-    delta_rows = static_cast<double>(ct->delta_size());
-  }
-
   ScanDecision row_side;
   row_side.path = AccessPath::kRow;
   row_side.out_rows = est_out_rows;
-  row_side.cost = row_rows * kRowScanPerRow;
+  if (table.row_table() != nullptr) {
+    row_side.cost =
+        static_cast<double>(table.row_table()->num_keys()) * kRowScanPerRow;
+  }
+
+  // Main size, delta size and zone maps all come from one snapshot.
+  std::optional<ColumnTable::Snapshot> snap =
+      table.GetColumnSnapshot(read_ts);
+  if (!snap.has_value()) return row_side;
 
   ScanDecision col_side;
   col_side.path = AccessPath::kColumn;
   col_side.out_rows = est_out_rows;
-  col_side.zone_survival = has_col
-                               ? EstimateZoneSurvival(table, read_ts, pushed)
-                               : 1.0;
-  col_side.cost = main_rows * kColumnScanPerRow * col_side.zone_survival +
-                  delta_rows * kRowScanPerRow +
+  col_side.zone_survival = EstimateZoneSurvival(*snap->main, pushed);
+  col_side.cost = kColumnScanPerScan +
+                  static_cast<double>(snap->main->num_rows()) *
+                      kColumnScanPerRow * col_side.zone_survival +
+                  static_cast<double>(snap->delta_rows()) * kDeltaScanPerRow +
                   est_out_rows * kGatherPerRow;
 
-  if (has_col && has_row) return col_side.cost <= row_side.cost ? col_side
-                                                                : row_side;
-  if (has_col) return col_side;
-  return row_side;
+  if (table.row_table() == nullptr) return col_side;
+  return col_side.cost <= row_side.cost ? col_side : row_side;
 }
 
 CostModel::JoinCost CostModel::CostHashJoin(double build_rows,

@@ -17,19 +17,27 @@ enum class AccessPath : uint8_t { kAuto, kRow, kColumn };
 
 const char* AccessPathToString(AccessPath p);
 
-// Unitless cost model. One unit ~= the work of visiting one row through
-// the row-wise scan path; the other constants are calibrated against the
-// measured ratios of E1 (row vs column scan throughput) and E2 (packed
-// kernels), not absolute nanoseconds — only comparisons between plans
-// matter.
+// Unitless cost model. One unit ~= the work of visiting one key through
+// the row mirror's scan (skip-list step, version-chain visibility check,
+// predicate, projected cells): 27-33 ns per key on a narrow table in the
+// E16 access-path sweep (bench_optimizer BM_AccessPath, 4-vCPU Xeon). The
+// scan constants below are that sweep's least-squares fit of the column
+// side's median scan times, divided by that per-key time; the join
+// constants predate it. Only comparisons between plans matter.
 struct CostModel {
-  // Row-wise tuple visit + interpreted predicate (row store, delta rows).
+  // Row mirror, per key (live or not: the scan steps over every entry).
   static constexpr double kRowScanPerRow = 1.0;
-  // Packed/SWAR columnar kernel per main row (E1/E2: order-of-magnitude
-  // cheaper than row-wise).
-  static constexpr double kColumnScanPerRow = 0.08;
+  // Column side, once per scan: snapshot, main visibility mask, delta
+  // capture, predicate split (about 0.6-0.75 us).
+  static constexpr double kColumnScanPerScan = 20.0;
+  // Packed/SWAR columnar kernel and visibility mask, per main row.
+  static constexpr double kColumnScanPerRow = 0.012;
+  // Columnar delta, per appended row, dead versions included: the chunk
+  // visibility pass visits them all, and the typed filters run word-wise
+  // over the chunk (1.5-2.5 ns per row).
+  static constexpr double kDeltaScanPerRow = 0.065;
   // Tuple reconstruction (gather) per selected output row of a column scan.
-  static constexpr double kGatherPerRow = 0.5;
+  static constexpr double kGatherPerRow = 0.37;
   // Hash-join build per build row and probe per probe row.
   static constexpr double kHashBuildPerRow = 2.0;
   static constexpr double kHashProbePerRow = 1.2;
@@ -50,7 +58,11 @@ struct CostModel {
 
   // Costs scanning `table` at `read_ts` with the (table-local) predicate
   // whose pushable conjuncts are `pushed`, expecting `est_out_rows`
-  // output rows. Picks the cheaper mirror for dual-format tables.
+  // output rows. Picks the cheaper mirror for dual-format tables: the row
+  // side costs keys * kRowScanPerRow; the column side costs
+  // kColumnScanPerScan + main rows * kColumnScanPerRow * zone survival +
+  // delta rows * kDeltaScanPerRow + est_out_rows * kGatherPerRow, with
+  // every size read from one snapshot.
   ScanDecision CostScan(const Table& table, Timestamp read_ts,
                         const std::vector<Expr::ColumnPredicate>& pushed,
                         double est_out_rows) const;
@@ -62,13 +74,6 @@ struct CostModel {
   JoinCost CostHashJoin(double build_rows, double probe_rows,
                         double out_rows) const;
 };
-
-// Estimated fraction of zone-mapped main zones that survive the pushed
-// predicates (min across conjuncts; 1.0 when nothing prunes). Exposed for
-// tests and EXPLAIN diagnostics.
-double EstimateZoneSurvival(
-    const Table& table, Timestamp read_ts,
-    const std::vector<Expr::ColumnPredicate>& pushed);
 
 }  // namespace opt
 }  // namespace oltap

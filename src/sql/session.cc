@@ -34,6 +34,48 @@ Result<Value> CoerceTo(const Value& v, ValueType type) {
       ValueTypeToString(type));
 }
 
+// Calls `fn` with each row of `table` that `where` (bound over the table's
+// schema; null = every row) selects, as `txn` sees it: own writes
+// overlaid. When `where` pins every primary-key column with an equality to
+// a constant of the column's type, that one row is fetched through the key
+// and the whole `where` then tested on it; otherwise the table is
+// scanned. Double keys always scan: -0.0 and 0.0 compare equal but encode
+// apart.
+void ForEachMatch(Transaction* txn, Table* table, const ExprPtr& where,
+                  const std::function<void(const Row&)>& fn) {
+  auto consider = [&](const Row& row) {
+    if (where != nullptr) {
+      Value v = where->EvalRow(row);
+      if (v.is_null() || !v.AsBool()) return;
+    }
+    fn(row);
+  };
+  const Schema& schema = table->schema();
+  Row key_row(schema.num_columns());
+  size_t pinned = 0;
+  std::vector<ExprPtr> conjuncts;
+  Expr::SplitConjuncts(where, &conjuncts);
+  for (int k : schema.key_columns()) {
+    const ValueType type = schema.column(k).type;
+    for (const ExprPtr& c : conjuncts) {
+      Expr::ColumnPredicate cp;
+      if (type != ValueType::kDouble && c->AsColumnPredicate(&cp) &&
+          cp.column == k && cp.op == CompareOp::kEq &&
+          !cp.constant.is_null() && cp.constant.type() == type) {
+        key_row[k] = cp.constant;
+        ++pinned;
+        break;
+      }
+    }
+  }
+  if (pinned == 0 || pinned < schema.key_columns().size()) {
+    txn->Scan(table, consider);
+    return;
+  }
+  Row row;
+  if (txn->GetByRow(table, key_row, &row)) consider(row);
+}
+
 }  // namespace
 
 std::string QueryResult::ToString(size_t max_rows) const {
@@ -715,13 +757,8 @@ Result<QueryResult> Database::RunUpdate(Transaction* txn,
 
   // Collect matching rows (sees own writes), then apply.
   std::vector<Row> matches;
-  txn->Scan(table, [&](const Row& row) {
-    if (where != nullptr) {
-      Value v = where->EvalRow(row);
-      if (v.is_null() || !v.AsBool()) return;
-    }
-    matches.push_back(row);
-  });
+  ForEachMatch(txn, table, where,
+               [&](const Row& row) { matches.push_back(row); });
   QueryResult result;
   for (const Row& old_row : matches) {
     Row new_row = old_row;
@@ -758,11 +795,7 @@ Result<QueryResult> Database::RunDelete(Transaction* txn,
                            sql::BindOverSchema(*s.where, schema, s.table));
   }
   std::vector<std::string> keys;
-  txn->Scan(table, [&](const Row& row) {
-    if (where != nullptr) {
-      Value v = where->EvalRow(row);
-      if (v.is_null() || !v.AsBool()) return;
-    }
+  ForEachMatch(txn, table, where, [&](const Row& row) {
     keys.push_back(EncodeKey(schema, row));
   });
   QueryResult result;

@@ -41,7 +41,9 @@ struct QueryResult {
 // Execute() runs one autocommit statement. ExecuteIn() runs a statement
 // inside a caller-managed transaction: DML is buffered in the transaction;
 // SELECT sees the transaction's begin snapshot (UPDATE/DELETE row selection
-// additionally sees the transaction's own writes, via Transaction::Scan).
+// additionally sees the transaction's own writes: a WHERE that pins every
+// primary-key column to a constant reads that one row through
+// Transaction::GetByRow, any other WHERE scans through Transaction::Scan).
 //
 // Both consult a statement cache keyed by the exact SQL text: a SELECT
 // (or its EXPLAIN form) seen more than once is parsed, bound and matched

@@ -137,6 +137,12 @@ class ColumnTable {
     std::shared_ptr<const DeltaStore> delta;
     Timestamp read_ts = 0;
 
+    // Rows ever appended to the frozen and live deltas, dead versions
+    // included: what a columnar scan's chunk visibility pass visits.
+    size_t delta_rows() const {
+      return delta->size() + (frozen != nullptr ? frozen->size() : 0);
+    }
+
     using RowFn = std::function<void(const Row&)>;
     // Row form: reconstructs every visible main row, then the delta rows.
     void ScanVisible(const RowFn& fn) const;

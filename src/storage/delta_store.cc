@@ -61,12 +61,38 @@ void DeltaStore::Column::Filter(CompareOp op, const Value& constant,
     sel->ClearAll();
     return;
   }
-  // One typed loop per (cell type, constant type) pair; `cmp(i)` is the
-  // three-way comparison of cell i against the constant.
+  // One typed loop per (cell type, constant type, operator); `cmp(i)` is
+  // the three-way comparison of cell i against the constant. Each 64-row
+  // word holding a selected row is recomputed over all its cells without
+  // branches and ANDed in, rather than tested bit by bit.
+  const size_t n = sel->size();
+  uint64_t* words = sel->mutable_words();
   auto keep_where = [&](auto cmp) {
-    for (size_t i = sel->FindNextSet(0); i < sel->size();
-         i = sel->FindNextSet(i + 1)) {
-      if (null_[i] != 0 || !CompareHolds(op, cmp(i))) sel->Clear(i);
+    auto scan = [&](auto holds) {
+      for (size_t base = 0; base < n; base += 64) {
+        if (words[base >> 6] == 0) continue;
+        const size_t end = std::min(n, base + 64);
+        uint64_t bits = 0;
+        for (size_t i = base; i < end; ++i) {
+          bits |= static_cast<uint64_t>((null_[i] == 0) & holds(cmp(i)))
+                  << (i - base);
+        }
+        words[base >> 6] &= bits;
+      }
+    };
+    switch (op) {
+      case CompareOp::kEq:
+        return scan([](int c) { return c == 0; });
+      case CompareOp::kNe:
+        return scan([](int c) { return c != 0; });
+      case CompareOp::kLt:
+        return scan([](int c) { return c < 0; });
+      case CompareOp::kLe:
+        return scan([](int c) { return c <= 0; });
+      case CompareOp::kGt:
+        return scan([](int c) { return c > 0; });
+      case CompareOp::kGe:
+        return scan([](int c) { return c >= 0; });
     }
   };
   auto three_way = [](auto a, auto b) { return a < b ? -1 : a > b ? 1 : 0; };

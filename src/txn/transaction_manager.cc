@@ -113,14 +113,10 @@ void Transaction::Scan(Table* table,
     if (keyed) {
       const WriteOp* own = OwnWrite(table, EncodeKey(table->schema(), row));
       if (own != nullptr) {
-        // Deleted rows vanish; updated rows are emitted from the write set
-        // below only if they replace this one (emit the new image here).
-        if (own->kind == OpKind::kDelete) return;
-        if (own->kind == OpKind::kUpdate) {
-          fn(own->row);
-          return;
-        }
-        // kInsert over a visible row cannot validate; fall through.
+        // Deleted rows vanish; an updated row, or one deleted and then
+        // inserted again, shows its newest image in place of this one.
+        if (own->kind != OpKind::kDelete) fn(own->row);
+        return;
       }
     }
     fn(row);

@@ -121,8 +121,10 @@ TEST(DeltaStoreTest, TypedRoundTripWithNullsAndStrings) {
 }
 
 TEST(DeltaStoreTest, FilterFollowsValueCompare) {
+  // 150 rows span three 64-row words, the last one partial.
+  constexpr int64_t kRows = 150;
   DeltaStore delta(TypedSchema());
-  for (int64_t r = 0; r < 30; ++r) delta.Append(TypedRow(r), 1);
+  for (int64_t r = 0; r < kRows; ++r) delta.Append(TypedRow(r), 1);
   std::vector<DeltaStore::ChunkRef> chunks;
   delta.Capture(&chunks);
   const DeltaStore::Chunk& chunk = *chunks[0].chunk;
@@ -135,19 +137,31 @@ TEST(DeltaStoreTest, FilterFollowsValueCompare) {
   };
   std::vector<Case> cases = {
       {0, CompareOp::kLt, Value::Int64(12)},
+      {0, CompareOp::kLe, Value::Int64(70)},
+      {0, CompareOp::kGt, Value::Int64(100)},
+      {0, CompareOp::kEq, Value::Int64(64)},
       {0, CompareOp::kGe, Value::Double(12.5)},  // int cell, double literal
       {1, CompareOp::kEq, Value::Int64(4)},      // double cell, int literal
+      {1, CompareOp::kNe, Value::Double(4.0)},
       {2, CompareOp::kEq, Value::String("value-number-11")},
       {2, CompareOp::kGt, Value::String("value-number-2")},
       {0, CompareOp::kNe, Value::Null(ValueType::kInt64)},
   };
   for (const Case& tc : cases) {
+    // Start from a partial selection: rows already deselected stay out,
+    // and the second word starts empty.
     BitVector sel;
-    chunk.VisibleMask(30, 1, &sel);
+    chunk.VisibleMask(kRows, 1, &sel);
+    for (size_t r = 0; r < kRows; ++r) {
+      if (r % 5 == 0 || (r >= 64 && r < 128)) sel.Clear(r);
+    }
+    sel.Set(70);
+    BitVector before = sel;
     chunk.column(tc.col).Filter(tc.op, tc.constant, &sel);
-    for (int64_t r = 0; r < 30; ++r) {
+    for (int64_t r = 0; r < kRows; ++r) {
       Value cell = TypedRow(r)[tc.col];
-      bool want = !cell.is_null() && !tc.constant.is_null() &&
+      bool want = before.Get(static_cast<size_t>(r)) && !cell.is_null() &&
+                  !tc.constant.is_null() &&
                   CompareHolds(tc.op, cell.Compare(tc.constant));
       EXPECT_EQ(sel.Get(static_cast<size_t>(r)), want)
           << "col " << tc.col << " row " << r;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "opt/cardinality.h"
 #include "opt/cost_model.h"
 #include "opt/feedback.h"
@@ -217,6 +219,29 @@ class OptCostScanTest : public ::testing::Test {
   Database db_;
 };
 
+// The EXPLAIN plan of `sql`, one line per operator.
+std::string ExplainText(Database* db, const std::string& sql) {
+  auto r = db->Execute("EXPLAIN " + sql);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  std::string out;
+  if (!r.ok()) return out;
+  for (const Row& row : r->rows) out += row[0].AsString() + "\n";
+  return out;
+}
+
+// Both mirrors' sizes as CostScan reads them.
+struct MirrorSizes {
+  double keys = 0;
+  double main = 0;
+  double delta = 0;
+};
+MirrorSizes SizesOf(const Table& t, Timestamp ts) {
+  std::optional<ColumnTable::Snapshot> snap = t.GetColumnSnapshot(ts);
+  return {static_cast<double>(t.row_table()->num_keys()),
+          static_cast<double>(snap->main->num_rows()),
+          static_cast<double>(snap->delta_rows())};
+}
+
 TEST_F(OptCostScanTest, DualTablePrefersColumnForWideScan) {
   ASSERT_TRUE(db_.Execute("CREATE TABLE d (a BIGINT NOT NULL, b BIGINT, "
                           "PRIMARY KEY (a)) FORMAT DUAL")
@@ -226,37 +251,150 @@ TEST_F(OptCostScanTest, DualTablePrefersColumnForWideScan) {
                             ", " + std::to_string(i % 4) + ")")
                     .ok());
   }
-  // Merge delta into main: an unmerged dual table is all row-wise delta,
-  // where the row mirror is (correctly) priced cheaper.
-  db_.MergeAll();
   Table* t = db_.catalog()->GetTable("d");
   ASSERT_NE(t, nullptr);
-  Timestamp ts = db_.txn_manager()->oracle()->CurrentReadTs();
   opt::CostModel cm;
-  // Full scan with most rows surviving: the columnar kernel wins the scan
-  // but pays the gather per output row; either way the decision must be
-  // deterministic and costs positive.
-  auto d1 = cm.CostScan(*t, ts, {}, 64.0);
-  auto d2 = cm.CostScan(*t, ts, {}, 64.0);
-  EXPECT_EQ(d1.path, d2.path);
-  EXPECT_DOUBLE_EQ(d1.cost, d2.cost);
-  EXPECT_GT(d1.cost, 0.0);
-  // A selective scan (1 of 64 rows out) favors the column mirror: the
-  // packed kernel visits all rows cheaply and gathers almost nothing.
+  using CM = opt::CostModel;
+  // Unmerged, the 64 rows sit in the columnar delta, which prices per
+  // appended row well below a row-mirror key visit: the full scan still
+  // takes the column mirror.
+  Timestamp ts = db_.txn_manager()->oracle()->CurrentReadTs();
+  auto unmerged = cm.CostScan(*t, ts, {}, 64.0);
+  EXPECT_EQ(unmerged.path, opt::AccessPath::kColumn);
+  EXPECT_DOUBLE_EQ(unmerged.cost, CM::kColumnScanPerScan +
+                                      64 * CM::kDeltaScanPerRow +
+                                      64 * CM::kGatherPerRow);
+  // Merged: the packed main is cheaper still, and deterministic.
+  db_.MergeAll();
+  ts = db_.txn_manager()->oracle()->CurrentReadTs();
+  auto merged = cm.CostScan(*t, ts, {}, 64.0);
+  EXPECT_EQ(merged.path, opt::AccessPath::kColumn);
+  EXPECT_DOUBLE_EQ(merged.cost, CM::kColumnScanPerScan +
+                                    64 * CM::kColumnScanPerRow +
+                                    64 * CM::kGatherPerRow);
+  EXPECT_DOUBLE_EQ(cm.CostScan(*t, ts, {}, 64.0).cost, merged.cost);
+  EXPECT_LT(merged.cost, unmerged.cost);
+  // A selective scan gathers almost nothing.
   auto sel = cm.CostScan(*t, ts, {}, 1.0);
   EXPECT_EQ(sel.path, opt::AccessPath::kColumn);
-  // A scan emitting every row pays gather per row on the column side; the
-  // row mirror must price in as the cheaper option at high output ratios
-  // only if gather dominates — assert the ordering is consistent with the
-  // model constants rather than a fixed side.
-  double n = 64.0;
-  double col_full = n * opt::CostModel::kColumnScanPerRow +
-                    n * opt::CostModel::kGatherPerRow;
-  double row_full = n * opt::CostModel::kRowScanPerRow;
-  if (col_full < row_full) {
-    EXPECT_EQ(d1.path, opt::AccessPath::kColumn);
-  } else {
-    EXPECT_EQ(d1.path, opt::AccessPath::kRow);
+  EXPECT_LT(sel.cost, merged.cost);
+}
+
+// Updates `keys` rows of `table` (columns id, k) `rounds` times each, one
+// transaction per round, so each round leaves one dead version per key.
+void UpdateEveryKey(Database* db, Table* table, int keys, int rounds) {
+  for (int r = 1; r <= rounds; ++r) {
+    auto txn = db->txn_manager()->Begin();
+    for (int id = 0; id < keys; ++id) {
+      ASSERT_TRUE(
+          txn->Update(table, Row{Value::Int64(id), Value::Int64(r)}).ok());
+    }
+    ASSERT_TRUE(db->txn_manager()->Commit(txn.get()).ok());
+  }
+}
+
+void LoadKeys(Database* db, const std::string& name, int keys) {
+  ASSERT_TRUE(db->Execute("CREATE TABLE " + name +
+                          " (id BIGINT NOT NULL, k BIGINT, "
+                          "PRIMARY KEY (id)) FORMAT DUAL")
+                  .ok());
+  Table* t = db->catalog()->GetTable(name);
+  auto txn = db->txn_manager()->Begin();
+  for (int id = 0; id < keys; ++id) {
+    ASSERT_TRUE(txn->Insert(t, Row{Value::Int64(id), Value::Int64(0)}).ok());
+  }
+  ASSERT_TRUE(db->txn_manager()->Commit(txn.get()).ok());
+  db->MergeAll();
+}
+
+// Main N and about 2N update versions in the delta, the state of CH's
+// customer and stock between merges: the column mirror still prices
+// cheaper, where a row-visit price per delta row sent it to the row side.
+TEST_F(OptCostScanTest, DeltaHeavyDualTablePricesColumn) {
+  constexpr int kKeys = 2000;
+  LoadKeys(&db_, "h", kKeys);
+  Table* t = db_.catalog()->GetTable("h");
+  UpdateEveryKey(&db_, t, kKeys, 2);
+  Timestamp ts = db_.txn_manager()->oracle()->CurrentReadTs();
+  MirrorSizes sz = SizesOf(*t, ts);
+  EXPECT_EQ(sz.main, kKeys);
+  EXPECT_EQ(sz.delta, 2 * kKeys);
+  auto d = opt::CostModel().CostScan(*t, ts, {}, kKeys);
+  EXPECT_EQ(d.path, opt::AccessPath::kColumn);
+  // The pricing the columnar delta replaced, per delta row at a row visit.
+  EXPECT_GT(sz.main * opt::CostModel::kColumnScanPerRow +
+                sz.delta * opt::CostModel::kRowScanPerRow,
+            sz.keys);
+  std::string plan = ExplainText(&db_, "SELECT k FROM h");
+  EXPECT_NE(plan.find("path=column"), std::string::npos) << plan;
+}
+
+// 40 keys with about 200 dead versions each (CH's district between
+// merges): the chunk visibility pass visits all 8 000 versions, so the
+// row mirror's 40 key visits price cheaper.
+TEST_F(OptCostScanTest, HotSmallDualTablePricesRow) {
+  constexpr int kKeys = 40;
+  LoadKeys(&db_, "hot", kKeys);
+  Table* t = db_.catalog()->GetTable("hot");
+  UpdateEveryKey(&db_, t, kKeys, 200);
+  Timestamp ts = db_.txn_manager()->oracle()->CurrentReadTs();
+  EXPECT_EQ(SizesOf(*t, ts).delta, 200 * kKeys);
+  auto d = opt::CostModel().CostScan(*t, ts, {}, kKeys);
+  EXPECT_EQ(d.path, opt::AccessPath::kRow);
+  EXPECT_DOUBLE_EQ(d.cost, kKeys * opt::CostModel::kRowScanPerRow);
+  std::string plan = ExplainText(&db_, "SELECT k FROM hot");
+  EXPECT_NE(plan.find("path=row"), std::string::npos) << plan;
+}
+
+// CH after TPC-C transactions with no merge: customer and stock carry
+// delta versions past 0.4x their main (where the old pricing flipped them
+// to the row mirror) and district thousands. A8 and A10 scan customer and
+// stock down the column mirror, A11 scans district down the row mirror,
+// and every CH query returns the rows it returns with the optimizer off.
+TEST(OptCostScanChTest, HotDualTablesTakeMeasuredPathAndAgreeWithOptimizerOff) {
+  Database db;
+  CHConfig config;
+  config.warehouses = 2;
+  config.districts_per_warehouse = 10;
+  config.customers_per_district = 30;
+  config.items = 500;
+  config.initial_orders_per_district = 20;
+  CHBenchmark ch(&db, config);
+  ASSERT_TRUE(ch.CreateTables().ok());
+  ASSERT_TRUE(ch.Load().ok());
+  db.MergeAll();
+  Rng rng(5);
+  CHTxnStats stats;
+  for (int i = 0; i < 1500; ++i) ASSERT_TRUE(ch.RunMixed(&rng, &stats).ok());
+
+  Timestamp ts = db.txn_manager()->oracle()->CurrentReadTs();
+  for (const char* name : {"customer", "stock"}) {
+    MirrorSizes sz = SizesOf(*db.catalog()->GetTable(name), ts);
+    EXPECT_GT(sz.delta, 0.4 * sz.main) << name;
+  }
+  auto scan_line = [&](size_t q, const std::string& table) {
+    std::string plan = ExplainText(&db, CHBenchmark::Queries()[q].sql);
+    size_t at = plan.find("Scan(" + table + " ");
+    EXPECT_NE(at, std::string::npos) << plan;
+    if (at == std::string::npos) return std::string();
+    return plan.substr(at, plan.find('\n', at) - at);
+  };
+  EXPECT_NE(scan_line(7, "customer").find("path=column"), std::string::npos);
+  EXPECT_NE(scan_line(9, "stock").find("path=column"), std::string::npos);
+  EXPECT_NE(scan_line(10, "district").find("path=row"), std::string::npos);
+
+  const size_t n = CHBenchmark::Queries().size();
+  std::vector<std::string> on(n);
+  for (size_t q = 0; q < n; ++q) {
+    auto r = ch.RunQuery(q);
+    ASSERT_TRUE(r.ok()) << CHBenchmark::Queries()[q].name;
+    on[q] = r->ToString(100000);
+  }
+  ASSERT_TRUE(db.Execute("SET optimizer = off").ok());
+  for (size_t q = 0; q < n; ++q) {
+    auto r = ch.RunQuery(q);
+    ASSERT_TRUE(r.ok()) << CHBenchmark::Queries()[q].name;
+    EXPECT_EQ(r->ToString(100000), on[q]) << CHBenchmark::Queries()[q].name;
   }
 }
 

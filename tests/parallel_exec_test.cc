@@ -250,6 +250,28 @@ TEST_F(ParallelExecSqlTest, ExplainAnalyzeReportsDopAndRows) {
   EXPECT_TRUE(saw_parallel_scan);
 }
 
+// A parallel parent prepares its driven scan before driving it. The
+// scan's preparation (snapshot walk, main visibility mask, pushdown
+// kernels) is accounted in the scan's own op_stats, so EXPLAIN ANALYZE
+// does not charge it to the parent's self time.
+TEST_F(ParallelExecSqlTest, DrivenScanAccountsItsPreparation) {
+  Table* t = db_.catalog()->GetTable("big");
+  ASSERT_NE(t, nullptr);
+  const Timestamp ts = db_.txn_manager()->oracle()->CurrentReadTs();
+  const ParallelContext ctx{pool_.get(), 3};
+  auto scan = std::make_unique<ScanOp>(
+      t, ts,
+      Expr::Compare(CompareOp::kGe, Expr::Column(2, ValueType::kInt64),
+                    Expr::Constant(Value::Int64(0))),
+      std::vector<int>{1}, ScanOp::Path::kAuto, ctx);
+  const ScanOp* driven = scan.get();
+  HashAggOp agg(std::move(scan), {Expr::Column(0, ValueType::kInt64)},
+                {AggSpec{}}, ctx);
+  EXPECT_FALSE(CollectRows(&agg).empty());
+  EXPECT_GT(driven->op_stats().rows, 0u);
+  EXPECT_GT(driven->op_stats().open_ns, 0u);
+}
+
 TEST_F(ParallelExecSqlTest, MorselCountersAdvance) {
   auto* reg = obs::MetricsRegistry::Default();
   uint64_t q0 = reg->GetCounter("exec.morsel.parallel_queries")->Value();

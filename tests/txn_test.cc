@@ -182,6 +182,28 @@ TEST_P(TxnTest, DeleteThenInsertSameKeyInOneTxn) {
   EXPECT_EQ(out[1].AsInt64(), 42);
 }
 
+TEST_P(TxnTest, ScanShowsReinsertedImageOnce) {
+  {
+    auto setup = tm_->Begin();
+    ASSERT_TRUE(setup->Insert(table_, MakeRow(1, 0)).ok());
+    ASSERT_TRUE(setup->Insert(table_, MakeRow(2, 5)).ok());
+    ASSERT_TRUE(tm_->Commit(setup.get()).ok());
+  }
+  auto t = tm_->Begin();
+  ASSERT_TRUE(t->DeleteByKey(table_, KeyOf(1)).ok());
+  ASSERT_TRUE(t->Insert(table_, MakeRow(1, 42)).ok());
+  // The scan agrees with the point read: the new image, once.
+  std::map<int64_t, std::vector<int64_t>> seen;
+  t->Scan(table_, [&](const Row& r) {
+    seen[r[0].AsInt64()].push_back(r[1].AsInt64());
+  });
+  EXPECT_EQ(seen[1], std::vector<int64_t>{42});
+  EXPECT_EQ(seen[2], std::vector<int64_t>{5});
+  Row out;
+  ASSERT_TRUE(t->Get(table_, KeyOf(1), &out));
+  EXPECT_EQ(out[1].AsInt64(), 42);
+}
+
 TEST_P(TxnTest, ScanOverlaysOwnWrites) {
   {
     auto setup = tm_->Begin();
