@@ -65,8 +65,8 @@ CostModel::ScanDecision CostModel::CostScan(
   row_side.path = AccessPath::kRow;
   row_side.out_rows = est_out_rows;
   if (table.row_table() != nullptr) {
-    row_side.cost =
-        static_cast<double>(table.row_table()->num_keys()) * kRowScanPerRow;
+    row_side.scan_rows = static_cast<double>(table.row_table()->num_keys());
+    row_side.cost = row_side.scan_rows * kRowScanPerRow;
   }
 
   // Main size, delta size and zone maps all come from one snapshot.
@@ -78,11 +78,12 @@ CostModel::ScanDecision CostModel::CostScan(
   col_side.path = AccessPath::kColumn;
   col_side.out_rows = est_out_rows;
   col_side.zone_survival = EstimateZoneSurvival(*snap->main, pushed);
+  const double main_rows = static_cast<double>(snap->main->num_rows());
+  const double delta_rows = static_cast<double>(snap->delta_rows());
+  col_side.scan_rows = main_rows + delta_rows;
   col_side.cost = kColumnScanPerScan +
-                  static_cast<double>(snap->main->num_rows()) *
-                      kColumnScanPerRow * col_side.zone_survival +
-                  static_cast<double>(snap->delta_rows()) * kDeltaScanPerRow +
-                  est_out_rows * kGatherPerRow;
+                  main_rows * kColumnScanPerRow * col_side.zone_survival +
+                  delta_rows * kDeltaScanPerRow + est_out_rows * kGatherPerRow;
 
   if (table.row_table() == nullptr) return col_side;
   return col_side.cost <= row_side.cost ? col_side : row_side;

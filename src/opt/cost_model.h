@@ -51,6 +51,9 @@ struct CostModel {
     AccessPath path = AccessPath::kAuto;  // resolved side (kAuto = forced)
     double cost = 0;
     double out_rows = 0;
+    // Rows the chosen side visits: the row mirror's keys, or the column
+    // side's main plus every appended delta row.
+    double scan_rows = 0;
     // Estimated fraction of main-fragment zones a zone-mapped scan must
     // actually touch (1.0 = no pruning expected).
     double zone_survival = 1.0;

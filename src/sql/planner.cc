@@ -289,11 +289,12 @@ Result<PlannedQuery> PlanSelect(const BoundSelect& q, const Catalog& catalog,
             metrics->GetCounter("opt.path_column");
         (path == ScanOp::Path::kRow ? path_row : path_column)->Add(1);
       }
-      // Large columnar reads run morsel-parallel at the granted DOP.
+      // Large columnar reads run morsel-parallel at the granted DOP;
+      // "large" counts the rows the column side visits, delta included.
       size_t dop = 1;
       if (path != ScanOp::Path::kRow &&
           from[t].table->column_table() != nullptr &&
-          from[t].table->ApproxRowCount() >= kMinParallelScanRows) {
+          d.scan_rows >= static_cast<double>(kMinParallelScanRows)) {
         dop = grant_dop;
         any_parallel |= dop >= 2;
       }

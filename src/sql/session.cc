@@ -119,6 +119,14 @@ Database::Database(Wal* wal) : txn_(&catalog_, wal) {
   txn_.SetCommitHook([this](const std::vector<Table*>& tables, Timestamp ts) {
     views_.OnCommit(tables, ts);
   });
+  // Every live table creation (SQL or Catalog::CreateTable) logs its
+  // CREATE TABLE record before the table appears.
+  if (wal != nullptr) {
+    catalog_.SetCreateHook(
+        [this](const Table& table, const std::function<Status()>& publish) {
+          return txn_.CommitDdl(WalOp::CreateTable(table), publish);
+        });
+  }
 }
 
 Result<QueryResult> Database::Execute(const std::string& sql) {
@@ -140,6 +148,13 @@ Result<QueryResult> Database::ExecuteImpl(const std::string& sql,
     }
     if (stmt.kind == sql::Statement::Kind::kCreateView) {
       OLTAP_RETURN_NOT_OK(views_.Create(*stmt.create_view));
+      // Logged once built: a record never names a view that failed to
+      // build. Its backing table is not logged (Table::logged()).
+      if (wal() != nullptr) {
+        OLTAP_RETURN_NOT_OK(txn_.CommitDdl(
+            WalOp::CreateView(stmt.create_view->name, sql),
+            [] { return Status::OK(); }));
+      }
       return QueryResult{};
     }
     if (stmt.kind == sql::Statement::Kind::kRefreshView) {
@@ -589,12 +604,11 @@ CheckpointDaemon* Database::EnsureCheckpointer() {
                                                        wal(), options);
     // Views interact with checkpoints in two ways: their change-log
     // cursors pin WAL truncation (delta-join maintenance re-reads
-    // history), and their definitions travel in the image as DDL while
-    // their backing tables stay out of it (restore re-runs the DDL,
-    // which rebuilds the backings from the restored bases).
+    // history), and their definitions travel in the image as view
+    // records (recovery re-runs them, which rebuilds the unlogged
+    // backings from the restored bases).
     checkpointer_->set_extra_pin([this] { return views_.GcHorizon(); });
     checkpointer_->set_view_ddls([this] { return views_.ViewDdls(); });
-    checkpointer_->set_exclude_tables([this] { return views_.ViewNames(); });
   }
   return checkpointer_.get();
 }
@@ -841,57 +855,52 @@ Result<Database::RecoveryReport> Database::RecoverFromCheckpointStore(
         ->Add(report.fallbacks);
   }
   // No usable image (all torn, or no round ever completed) means full
-  // replay over pre-created tables.
+  // replay of the retained WAL.
   if (!image.ok() && !image.status().IsNotFound()) return image.status();
 
-  CheckpointContents contents;
+  // The image's stream, then the WAL tail past the image's timestamp.
+  // Replay logs nothing, so recovering into a WAL-backed database leaves
+  // its log untouched.
   Wal::ReplayStats ckpt_stats;
   if (image.ok()) {
-    OLTAP_ASSIGN_OR_RETURN(
-        ckpt_stats, RestoreCheckpoint(image->data, &catalog_, &contents, pool));
+    std::string_view stream;
+    OLTAP_RETURN_NOT_OK(
+        CheckpointStream(image->data, &report.checkpoint_ts, &stream));
+    OLTAP_ASSIGN_OR_RETURN(ckpt_stats,
+                           Wal::Replay(stream, &catalog_, {}, pool));
     report.checkpoint_id = image->id;
   }
-
-  // The replay skips view backing tables: their WAL records are
-  // maintenance output, and the views are rebuilt from the recovered
-  // bases below. The carried view DDL is validated before anything
-  // replays.
-  std::vector<sql::Statement> view_stmts;
   Wal::ReplayOptions options;
-  options.skip_tables = views_.ViewNames();
-  for (const std::string& ddl : contents.view_ddls) {
-    OLTAP_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(ddl));
-    if (stmt.kind != sql::Statement::Kind::kCreateView) {
-      return Status::Corruption("checkpoint view section holds a non-view "
-                                "statement: " + ddl);
-    }
-    options.skip_tables.push_back(stmt.create_view->name);
-    view_stmts.push_back(std::move(stmt));
-  }
-  options.idempotent = true;
-  options.skip_through_ts = contents.ts;
+  options.skip_through_ts = report.checkpoint_ts;
   OLTAP_ASSIGN_OR_RETURN(Wal::ReplayStats tail_stats,
                          Wal::Replay(wal_data, &catalog_, options, pool));
 
   report.stats.txns_applied = ckpt_stats.txns_applied + tail_stats.txns_applied;
   report.stats.ops_applied = ckpt_stats.ops_applied + tail_stats.ops_applied;
   report.stats.max_commit_ts =
-      std::max(ckpt_stats.max_commit_ts, tail_stats.max_commit_ts);
+      std::max({report.checkpoint_ts, ckpt_stats.max_commit_ts,
+                tail_stats.max_commit_ts});
   report.stats.truncated_tail = tail_stats.truncated_tail;
-  report.checkpoint_ts = contents.ts;
+  report.stats.view_ddls = std::move(ckpt_stats.view_ddls);
+  for (std::string& ddl : tail_stats.view_ddls) {
+    report.stats.view_ddls.push_back(std::move(ddl));
+  }
   report.tail_txns = tail_stats.txns_applied;
   txn_.AdvanceTo(report.stats.max_commit_ts);
 
   // Replay bypasses the transaction path, so no change log or view cursor
-  // saw the recovered rows: every view is stale-on-recover. Without an
-  // image, the registered views rebuild from the recovered bases; with
-  // one, re-running its view DDL re-registers each view, re-creates its
-  // backing table and builds it the same way.
-  if (!image.ok()) {
-    OLTAP_RETURN_NOT_OK(views_.RebuildAllAfterRecovery());
-  }
-  for (const sql::Statement& stmt : view_stmts) {
-    if (views_.IsView(stmt.create_view->name)) continue;  // re-entrant run
+  // saw the recovered rows: views registered before this call are stale
+  // and rebuild from the recovered bases. Then the logged views that do
+  // not exist yet are created, which builds them the same way (a view in
+  // both the image and the tail is created once).
+  OLTAP_RETURN_NOT_OK(views_.RebuildAllAfterRecovery());
+  for (const std::string& ddl : report.stats.view_ddls) {
+    OLTAP_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(ddl));
+    if (stmt.kind != sql::Statement::Kind::kCreateView) {
+      return Status::Corruption("view record holds a non-view statement: " +
+                                ddl);
+    }
+    if (views_.IsView(stmt.create_view->name)) continue;
     OLTAP_RETURN_NOT_OK(views_.Create(*stmt.create_view));
   }
   return report;

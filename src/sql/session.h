@@ -53,6 +53,8 @@ struct QueryResult {
 // side afresh (sql.stmt_cache.* counters).
 class Database {
  public:
+  // With a `wal`, every commit and every table and view creation is
+  // logged to it before it is acknowledged.
   explicit Database(Wal* wal = nullptr);
 
   Catalog* catalog() { return &catalog_; }
@@ -87,19 +89,20 @@ class Database {
     size_t tail_txns = 0;  // transactions replayed from the WAL tail
   };
 
-  // The one recovery entry point. Picks the newest valid image from
-  // `store` (falling back past torn images and a torn manifest) and
-  // restores it — the image carries the catalog, so this works on a
-  // freshly constructed Database. Then replays the WAL past the image's
-  // timestamp, fast-forwards the timestamp oracle, and brings the views
-  // back: re-created from the image's view DDL, or, without an image,
-  // rebuilt from the recovered bases. An empty or unusable store means
-  // full WAL replay over tables that already exist. Replay skips view
-  // backing tables and is idempotent for keyed tables, so recovery that
-  // crashed partway can simply run again over the same database when
-  // every table has a primary key. With a
-  // non-null `pool`, replay runs partitioned by table on the pool (same
-  // state, bounded by the largest table instead of the sum).
+  // The one recovery entry point: Wal::Replay of the newest valid image
+  // in `store` (falling back past torn images and a torn manifest), then
+  // Wal::Replay of the WAL past the image's timestamp; then it
+  // fast-forwards the timestamp oracle and brings the views back. Both
+  // streams carry their own DDL, so this works on a freshly constructed
+  // Database, with or without an image, including for tables and views
+  // created after the newest image. Views registered before the call are
+  // rebuilt from the recovered bases; the logged views not yet registered
+  // are created. Tables that already exist must match their CREATE TABLE
+  // records and replay idempotently, so recovery that crashed partway can
+  // simply run again over the same database when every table has a
+  // primary key. With a non-null `pool`, replay runs partitioned by table
+  // on the pool (same state, bounded by the largest table instead of the
+  // sum).
   Result<RecoveryReport> RecoverFromCheckpointStore(
       const CheckpointStore& store, const std::string& wal_data,
       ThreadPool* pool = nullptr);

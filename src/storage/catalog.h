@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -29,14 +30,37 @@ class Catalog {
   Catalog(const Catalog&) = delete;
   Catalog& operator=(const Catalog&) = delete;
 
+  // Logs a table creation: commits the table's CREATE TABLE record
+  // durably and runs `publish` — which makes the table visible — inside
+  // that commit; returns the logging error, without publishing, when the
+  // record cannot be made durable. A WAL-backed Database installs one
+  // (TransactionManager::CommitDdl). Install before creating tables.
+  using CreateHook = std::function<Status(
+      const Table& table, const std::function<Status()>& publish)>;
+  void SetCreateHook(CreateHook hook) {
+    std::lock_guard<std::mutex> ddl(ddl_mu_);
+    create_hook_ = std::move(hook);
+  }
+
+  // Creates a base table, through the create hook when one is installed.
   Status CreateTable(const std::string& name, Schema schema,
                      TableFormat format) {
-    std::unique_lock lock(mu_);
-    auto [it, inserted] = tables_.emplace(
-        name, std::make_unique<Table>(name, std::move(schema), format));
-    if (!inserted) return Status::AlreadyExists("table exists: " + name);
-    BumpEpoch();
-    return Status::OK();
+    std::lock_guard<std::mutex> ddl(ddl_mu_);
+    if (GetTable(name) != nullptr) {
+      return Status::AlreadyExists("table exists: " + name);
+    }
+    auto table = std::make_unique<Table>(name, std::move(schema), format);
+    if (!create_hook_) return Insert(std::move(table));
+    const Table& created = *table;
+    return create_hook_(created, [&] { return Insert(std::move(table)); });
+  }
+
+  // Adds `table` without logging its creation: WAL replay re-creating a
+  // logged table, and a materialized view adding its unlogged backing
+  // table.
+  Status AddTable(std::unique_ptr<Table> table) {
+    std::lock_guard<std::mutex> ddl(ddl_mu_);
+    return Insert(std::move(table));
   }
 
   // Narrow escape hatch for failed CREATE MATERIALIZED VIEW cleanup ONLY:
@@ -89,7 +113,8 @@ class Catalog {
   }
 
   // Catalog epoch: bumped by every change that can alter how a SELECT
-  // binds, costs or routes — CreateTable, DropTable, SetTableStats, and
+  // binds, costs or routes — CreateTable, AddTable, DropTable,
+  // SetTableStats, and
   // materialized-view registration. Cached front-end work stamped with an
   // older epoch is rebuilt. Each bump happens after its change is
   // visible, so work that read the new epoch also sees the change.
@@ -97,7 +122,22 @@ class Catalog {
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
 
  private:
+  // Caller holds ddl_mu_.
+  Status Insert(std::unique_ptr<Table> table) {
+    std::unique_lock lock(mu_);
+    const std::string name = table->name();
+    if (!tables_.emplace(name, std::move(table)).second) {
+      return Status::AlreadyExists("table exists: " + name);
+    }
+    BumpEpoch();
+    return Status::OK();
+  }
+
   std::atomic<uint64_t> epoch_{0};
+  // Serializes table creation, so a creation is logged at most once and
+  // in the order the tables appear.
+  std::mutex ddl_mu_;
+  CreateHook create_hook_;
   mutable std::shared_mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
   std::unordered_map<std::string, std::shared_ptr<const opt::TableStats>>

@@ -37,8 +37,9 @@ Status ApplyToMirrors(RowTable* row, ColumnTable* column, const Write& write) {
 
 }  // namespace
 
-Table::Table(std::string name, Schema schema, TableFormat format)
-    : name_(std::move(name)), schema_(std::move(schema)) {
+Table::Table(std::string name, Schema schema, TableFormat format,
+             bool logged)
+    : name_(std::move(name)), schema_(std::move(schema)), logged_(logged) {
   if (format != TableFormat::kColumn) {
     row_ = std::make_unique<RowTable>(schema_);
   }

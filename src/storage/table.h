@@ -43,9 +43,14 @@ const char* TableFormatToString(TableFormat f);
 // drives these at commit.
 class Table {
  public:
-  Table(std::string name, Schema schema, TableFormat format);
+  // `logged` false makes a derived table (a materialized view's backing
+  // table): its writes stay out of the WAL, because recovery rebuilds it
+  // from the tables it derives from.
+  Table(std::string name, Schema schema, TableFormat format,
+        bool logged = true);
 
   const std::string& name() const { return name_; }
+  bool logged() const { return logged_; }
   const Schema& schema() const { return schema_; }
   TableFormat format() const {
     if (row_ == nullptr) return TableFormat::kColumn;
@@ -125,6 +130,7 @@ class Table {
  private:
   std::string name_;
   Schema schema_;
+  bool logged_;
 
   std::unique_ptr<RowTable> row_;        // kRow, kDual
   std::unique_ptr<ColumnTable> column_;  // kColumn, kDual

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,19 +19,20 @@ namespace oltap {
 // instead of replaying history from the beginning — the standard
 // checkpoint + log-truncation pattern of in-memory engines.
 //
-// Image format (version 2):
-//   magic "OLTAPCK2"
+// An image is a WAL stream (txn/wal.h) in a checksummed envelope, so
+// restoring one is ordinary Wal::Replay. Image format (version 3):
+//   magic "OLTAPCK3"
 //   u64   checkpoint timestamp
-//   catalog section: every table's name, format, columns, and key, so
-//     restoration can rebuild the catalog from nothing;
-//   view section: CREATE MATERIALIZED VIEW statements (their backing
-//     tables are *excluded* from the catalog/data sections — recovery
-//     re-runs the DDL, which rebuilds each view from the restored bases);
-//   data section: WAL-encoded bulk-insert records (one per <= 32000 rows)
-//     stamped with commit timestamp `ts`, so restoration is ordinary
-//     replay;
+//   WAL stream, every record stamped with commit timestamp `ts`:
+//     CREATE TABLE records for every logged table (view backing tables
+//       are unlogged: their views rebuild them);
+//     bulk-insert records of every row visible at ts (<= 32000 rows per
+//       record);
+//     CREATE MATERIALIZED VIEW records for the `views` passed in, which
+//       recovery runs once the bases are restored;
 //   u64   whole-image checksum, salted — a torn or bit-flipped image
-//     fails validation up front instead of surfacing mid-restore.
+//     fails validation up front instead of surfacing mid-restore, and
+//     the magic keeps a bare WAL stream from ever passing as an image.
 //
 // Because data reads go through a snapshot at `ts`, the checkpoint is
 // transaction-consistent even while OLTP continues. The caller must hold
@@ -42,43 +44,20 @@ namespace oltap {
 // "checkpoint.write.torn" returns an image truncated mid-write, modeling
 // a crash during the checkpoint write — CheckpointIsValid detects the
 // tear and the recovery driver falls back to an older checkpoint.
-
-struct CheckpointWriteOptions {
-  // Tables to leave out of the catalog + data sections (materialized-view
-  // backing tables; their contents are rebuilt by re-running view_ddls).
-  std::vector<std::string> exclude_tables;
-  // CREATE MATERIALIZED VIEW statements to carry in the view section.
-  std::vector<std::string> view_ddls;
-};
-
-Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts);
 Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts,
-                                    const CheckpointWriteOptions& options);
+                                    const std::vector<WalOp>& views = {});
 
-// True when `image` carries the v2 magic and its salted whole-image
+// True when `image` carries the v3 magic and its salted whole-image
 // checksum matches. Cheap (one hash pass); run before mutating a catalog.
 bool CheckpointIsValid(const std::string& image);
 
-// What RestoreCheckpoint found in the image besides table data.
-struct CheckpointContents {
-  Timestamp ts = 0;
-  std::vector<std::string> view_ddls;
-};
-
-// Restores a checkpoint image. Tables missing from `catalog` are created
-// from the serialized schemas (recovery from a truly empty catalog);
-// tables that already exist must match the serialized schema exactly —
-// a mismatch fails with kCorruption before any data is applied. Over
-// pre-existing tables the data section replays idempotently, so restoring
-// the same image again over keyed tables changes nothing. With a non-null
-// `pool` the data section replays partitioned by table on the pool.
-// Recovery goes through Database::RecoverFromCheckpointStore, which
-// restores the image it selects and then replays the WAL tail.
-// Failpoint site: "checkpoint.restore.error".
-Result<Wal::ReplayStats> RestoreCheckpoint(const std::string& image,
-                                           Catalog* catalog,
-                                           CheckpointContents* contents = nullptr,
-                                           ThreadPool* pool = nullptr);
+// The timestamp and WAL stream of a valid image (the stream is a view
+// into `image`); kCorruption when the image is torn. Recovery replays the
+// stream, then the WAL tail past the timestamp
+// (Database::RecoverFromCheckpointStore). Failpoint site:
+// "checkpoint.restore.error".
+Status CheckpointStream(const std::string& image, Timestamp* ts,
+                        std::string_view* stream);
 
 // --- Checkpoint chain: versioned images + manifest -----------------------
 //

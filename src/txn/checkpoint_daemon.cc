@@ -32,14 +32,8 @@ void CheckpointDaemon::set_extra_pin(std::function<Timestamp()> fn) {
   extra_pin_ = std::move(fn);
 }
 
-void CheckpointDaemon::set_view_ddls(
-    std::function<std::vector<std::string>()> fn) {
+void CheckpointDaemon::set_view_ddls(std::function<std::vector<WalOp>()> fn) {
   view_ddls_ = std::move(fn);
-}
-
-void CheckpointDaemon::set_exclude_tables(
-    std::function<std::vector<std::string>()> fn) {
-  exclude_tables_ = std::move(fn);
 }
 
 void CheckpointDaemon::Start() {
@@ -164,10 +158,6 @@ Result<CheckpointDaemon::CheckpointResult> CheckpointDaemon::CheckpointNow() {
 
   int64_t t0 = NowMicros();
 
-  CheckpointWriteOptions wopts;
-  if (exclude_tables_) wopts.exclude_tables = exclude_tables_();
-  if (view_ddls_) wopts.view_ddls = view_ddls_();
-
   // The open transaction IS the pin: its begin timestamp sits in the
   // active-snapshot registry for the whole scan, so no concurrent merge
   // garbage-collects a version the snapshot at `ts` still needs.
@@ -175,7 +165,12 @@ Result<CheckpointDaemon::CheckpointResult> CheckpointDaemon::CheckpointNow() {
   Result<std::string> image = [&]() -> Result<std::string> {
     std::unique_ptr<Transaction> pin = tm_->Begin();
     ts = pin->begin_ts();
-    return WriteCheckpoint(*catalog_, ts, wopts);
+    // Views are listed after the pin: a view whose record commits at or
+    // below `ts` registered before that commit finished, so the image
+    // holds it, and recovery may skip its record in the tail.
+    std::vector<WalOp> views;
+    if (view_ddls_) views = view_ddls_();
+    return WriteCheckpoint(*catalog_, ts, views);
   }();
   if (!image.ok()) {
     {

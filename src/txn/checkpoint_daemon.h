@@ -36,8 +36,9 @@ namespace oltap {
 //      the scan — the pin only defers version pruning below the
 //      snapshot, so the delta store stays bounded under a long
 //      checkpoint.)
-//   2. WriteCheckpoint at ts, excluding materialized-view backing tables
-//      and embedding the view DDL instead (restore re-runs it).
+//   2. WriteCheckpoint at ts: the logged tables' definitions and rows,
+//      then the view records (view backing tables are unlogged; recovery
+//      re-creates each view from the restored bases).
 //   3. Validate and install: image + rebuilt manifest swap in under one
 //      lock, so a crash cut never observes the image without its
 //      manifest entry or vice versa. An image that fails validation
@@ -92,10 +93,9 @@ class CheckpointDaemon {
   // Extra truncation pin (min materialized-view change-log cursor);
   // evaluated fresh each round. Install before Start.
   void set_extra_pin(std::function<Timestamp()> fn);
-  // View DDL + backing-table providers for the image's view section;
-  // evaluated fresh each round. Install before Start.
-  void set_view_ddls(std::function<std::vector<std::string>()> fn);
-  void set_exclude_tables(std::function<std::vector<std::string>()> fn);
+  // CREATE MATERIALIZED VIEW records (WalOp::CreateView) to carry in each
+  // image; evaluated fresh each round. Install before Start.
+  void set_view_ddls(std::function<std::vector<WalOp>()> fn);
 
   void Start();
   void Stop();
@@ -170,8 +170,7 @@ class CheckpointDaemon {
   Options options_;
 
   std::function<Timestamp()> extra_pin_;
-  std::function<std::vector<std::string>()> view_ddls_;
-  std::function<std::vector<std::string>()> exclude_tables_;
+  std::function<std::vector<WalOp>()> view_ddls_;
 
   // Serializes checkpoint rounds (the scan phase runs outside store_mu_).
   std::mutex round_mu_;

@@ -17,7 +17,7 @@
 namespace oltap {
 
 // Group commit: a dedicated log-writer thread that drains queued commit
-// records, serializes many of them into ONE batch frame, issues ONE
+// records, serializes many of them into ONE frame, issues ONE
 // flush+fsync for the whole batch (Wal::LogCommitBatch), and only then
 // completes the waiting committers' futures. Amortizing the fsync across
 // the batch is the classic group-commit trade (terrier's log_manager,

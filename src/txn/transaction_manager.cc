@@ -223,6 +223,36 @@ size_t TransactionManager::StripeFor(const Table* table,
   return h % kLockStripes;
 }
 
+Status TransactionManager::LogDurably(uint64_t txn_id, Timestamp commit_ts,
+                                      const std::vector<WalOp>& ops) {
+  // Group commit serializes the record on the committing thread and
+  // waits for the log writer's batch; the direct path appends it alone.
+  if (LogWriter* writer = log_writer_.load(std::memory_order_acquire)) {
+    return writer
+        ->SubmitCommit(Wal::SerializeCommitBody(txn_id, commit_ts, ops))
+        .get();
+  }
+  return wal_->LogCommit(txn_id, commit_ts, ops);
+}
+
+Status TransactionManager::CommitDdl(const WalOp& record,
+                                     const std::function<Status()>& apply) {
+  const uint64_t id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
+  const Timestamp commit_ts = AllocateCommitTs();
+  Status st = wal_ == nullptr ? Status::OK()
+                              : LogDurably(id, commit_ts, {record});
+  // The effect lands before the timestamp turns visible, so a snapshot
+  // (a checkpoint's, say) that covers the record also sees the effect.
+  if (st.ok()) st = apply();
+  FinishCommitTs(commit_ts);
+  if (!st.ok()) return st;
+  static obs::Counter* commit_count =
+      obs::MetricsRegistry::Default()->GetCounter("txn.commits");
+  commits_.fetch_add(1, std::memory_order_relaxed);
+  commit_count->Add(1);
+  return Status::OK();
+}
+
 Status TransactionManager::Commit(Transaction* txn) {
   OLTAP_CHECK(!txn->finished_) << "commit on finished transaction";
   static obs::Histogram* commit_ns =
@@ -299,9 +329,12 @@ Status TransactionManager::Commit(Transaction* txn) {
   txn->commit_ts_ = commit_ts;
 
   if (wal_ != nullptr) {
+    // Derived tables (view backings) stay out of the log: recovery
+    // rebuilds them from their bases.
     std::vector<WalOp> wal_ops;
     wal_ops.reserve(txn->ops_.size());
     for (const Transaction::WriteOp& op : txn->ops_) {
+      if (!op.table->logged()) continue;
       WalOp w;
       w.kind = static_cast<WalOp::Kind>(op.kind);
       w.table = op.table->name();
@@ -310,21 +343,15 @@ Status TransactionManager::Commit(Transaction* txn) {
       wal_ops.push_back(std::move(w));
     }
     // Durability point. With a log writer installed this is group commit:
-    // serialize here (on the committing thread), enqueue, and block until
-    // the batch containing this record is fsynced — the stripe locks stay
-    // held, which is safe because only commits with overlapping write
-    // sets share a stripe, and those must serialize anyway. In-flight
-    // commits are bounded by the thread count, far below kCommitWindow,
-    // so blocking here cannot wedge timestamp allocation.
-    Status wal_st;
-    if (LogWriter* writer = log_writer_.load(std::memory_order_acquire)) {
-      wal_st = writer
-                   ->SubmitCommit(
-                       Wal::SerializeCommitBody(txn->id_, commit_ts, wal_ops))
-                   .get();
-    } else {
-      wal_st = wal_->LogCommit(txn->id_, commit_ts, wal_ops);
-    }
+    // the committer blocks until the batch holding its record is durable
+    // while its stripe locks stay held — safe because only commits with
+    // overlapping write sets share a stripe, and those must serialize
+    // anyway. In-flight commits are bounded by the thread count, far
+    // below kCommitWindow, so blocking here cannot wedge timestamp
+    // allocation.
+    Status wal_st = wal_ops.empty()
+                        ? Status::OK()
+                        : LogDurably(txn->id_, commit_ts, wal_ops);
     if (!wal_st.ok()) {
       // The commit record never became durable, so the transaction must
       // not apply: retire the timestamp unused (a harmless gap in the

@@ -21,6 +21,7 @@ namespace oltap {
 class LogWriter;
 class TransactionManager;
 class Wal;
+struct WalOp;
 
 // Monotonic commit-timestamp source. Begin timestamps are the latest
 // committed timestamp (snapshot reads); commit timestamps are fresh.
@@ -160,6 +161,13 @@ class TransactionManager {
   // Drops the write set. (Nothing was applied, so nothing to undo.)
   void Abort(Transaction* txn);
 
+  // Commits one DDL record (WalOp::CreateTable / CreateView) as a
+  // transaction of its own: logs it through the same durability path as
+  // Commit, then runs `apply` (the DDL's effect) before the commit
+  // timestamp becomes visible. Without a WAL only `apply` runs. On a
+  // logging error `apply` does not run and the error is returned.
+  Status CommitDdl(const WalOp& record, const std::function<Status()>& apply);
+
   // Oldest begin timestamp among active transactions (== current read ts
   // when none): the GC horizon merges must respect.
   Timestamp OldestActiveSnapshot() const;
@@ -226,6 +234,10 @@ class TransactionManager {
   };
 
   size_t StripeFor(const Table* table, const std::string& key) const;
+  // Makes one commit record durable: through the group-commit log writer
+  // when one is set, else appended to the WAL directly.
+  Status LogDurably(uint64_t txn_id, Timestamp commit_ts,
+                    const std::vector<WalOp>& ops);
   // Allocates a commit timestamp and marks it in-flight.
   Timestamp AllocateCommitTs();
   // Marks `ts` fully applied, advancing the watermark over the contiguous

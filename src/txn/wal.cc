@@ -20,91 +20,17 @@
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "txn/codec.h"
 
 namespace oltap {
 namespace {
 
-// High bit of a frame's length word marks a group-commit batch frame; the
-// low 31 bits are the payload length (bodies are far below 2 GiB).
-constexpr uint32_t kBatchFlag = 0x80000000u;
-
-// Batch frames salt their checksum so the frame *kind* is checksum-
-// protected too: a bit flip on the flag would otherwise reinterpret a
-// record frame as a batch (or vice versa) with a still-valid payload
-// checksum, turning corruption into a parse error instead of a clean
-// torn-tail stop (the WAL fuzz tests pin this down).
-constexpr uint64_t kBatchChecksumSalt = 0x9e3779b97f4a7c15ull;
-
-// --- little-endian primitive (de)serialization into a std::string ---
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-void PutU16(std::string* out, uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>(v >> 8));
-}
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-void PutBytes(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-// Reader with bounds checking; any failure flips ok to false.
-struct Reader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-
-  bool Need(size_t n) {
-    if (static_cast<size_t>(end - p) < n) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint16_t U16() {
-    if (!Need(2)) return 0;
-    uint16_t v = static_cast<uint8_t>(p[0]) |
-                 (static_cast<uint16_t>(static_cast<uint8_t>(p[1])) << 8);
-    p += 2;
-    return v;
-  }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    }
-    p += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-    }
-    p += 8;
-    return v;
-  }
-  std::string Bytes() {
-    uint32_t n = U32();
-    if (!Need(n)) return std::string();
-    std::string s(p, n);
-    p += n;
-    return s;
-  }
-};
+using codec::PutBytes;
+using codec::PutU16;
+using codec::PutU32;
+using codec::PutU64;
+using codec::PutU8;
+using codec::Reader;
 
 enum ValueTag : uint8_t {
   kTagNull = 0,
@@ -159,12 +85,36 @@ Value ReadValue(Reader* r) {
   }
 }
 
-std::string FrameRecord(const std::string& body) {
-  std::string record;
-  PutU32(&record, static_cast<uint32_t>(body.size()));
-  PutU64(&record, HashBytes(body.data(), body.size()));
-  record += body;
-  return record;
+// The table a CREATE TABLE record defines (WalOp::CreateTable's
+// encoding), or nullptr when the payload is malformed.
+std::unique_ptr<Table> DecodeTable(const std::string& payload) {
+  Reader r{payload.data(), payload.data() + payload.size()};
+  std::string name = r.Bytes();
+  const auto format = static_cast<TableFormat>(r.U8());
+  uint32_t ncols = r.U32();
+  if (!r.ok || ncols > (1u << 16)) return nullptr;
+  std::vector<ColumnDef> columns(ncols);
+  for (ColumnDef& col : columns) {
+    col.name = r.Bytes();
+    col.type = static_cast<ValueType>(r.U8());
+    col.nullable = r.U8() != 0;
+  }
+  uint32_t nkeys = r.U32();
+  if (!r.ok || nkeys > ncols) return nullptr;
+  std::vector<int> keys(nkeys);
+  for (int& k : keys) k = static_cast<int>(r.U32());
+  if (!r.ok || r.p != r.end) return nullptr;
+  return std::make_unique<Table>(
+      std::move(name), Schema(std::move(columns), std::move(keys)), format);
+}
+
+// The commit timestamp of a commit body (SerializeCommitBody: u64 txn_id,
+// u64 commit_ts, ...); 0 when the body is too short.
+Timestamp BodyCommitTs(const char* data, size_t len) {
+  Reader r{data, data + len};
+  r.U64();  // txn_id
+  Timestamp ts = r.U64();
+  return r.ok ? ts : 0;
 }
 
 // One decoded commit, before its ops are applied.
@@ -186,7 +136,11 @@ Status ParseBody(const char* data, size_t len, DecodedTxn* out) {
   out->ops.reserve(nops);
   for (uint16_t i = 0; i < nops && r.ok; ++i) {
     WalOp op;
-    op.kind = static_cast<WalOp::Kind>(r.U8());
+    const uint8_t kind = r.U8();
+    if (kind > WalOp::kCreateView) {
+      return Status::Corruption("unknown WAL op kind " + std::to_string(kind));
+    }
+    op.kind = static_cast<WalOp::Kind>(kind);
     op.table = r.Bytes();
     op.key = r.Bytes();
     uint16_t ncols = r.U16();
@@ -213,13 +167,18 @@ Status ParseBody(const char* data, size_t len, DecodedTxn* out) {
 //   update, update*      -> the last update
 //   update .. delete     -> the delete
 //   delete .. insert     -> update with the new row (the key pre-existed)
-// Keyless ops carry no identity and are kept untouched, in order.
+// Keyless ops and DDL carry no key identity and are kept untouched, in
+// order.
+bool HasKeyIdentity(const WalOp& op) {
+  return !op.key.empty() && op.kind <= WalOp::kDelete;
+}
+
 void CollapseDuplicateKeyOps(std::vector<WalOp>* ops) {
   // Fast path: duplicate keyed writes inside one commit are rare.
   std::set<std::pair<std::string_view, std::string_view>> seen;
   bool dup = false;
   for (const WalOp& op : *ops) {
-    if (op.key.empty()) continue;
+    if (!HasKeyIdentity(op)) continue;
     if (!seen.insert({op.table, op.key}).second) {
       dup = true;
       break;
@@ -235,7 +194,7 @@ void CollapseDuplicateKeyOps(std::vector<WalOp>* ops) {
   std::vector<std::pair<std::string, std::string>> order;  // first touch
   std::vector<WalOp> keyless;
   for (WalOp& op : *ops) {
-    if (op.key.empty()) {
+    if (!HasKeyIdentity(op)) {
       keyless.push_back(std::move(op));
       continue;
     }
@@ -271,6 +230,9 @@ void CollapseDuplicateKeyOps(std::vector<WalOp>* ops) {
         net.op.kind = WalOp::kUpdate;
         net.op.row = std::move(op.row);
         break;
+      case WalOp::kCreateTable:
+      case WalOp::kCreateView:
+        break;  // no key identity: never collected here
     }
   }
 
@@ -322,6 +284,9 @@ Status ApplyOp(Table* table, const WalOp& op, Timestamp commit_ts,
     case WalOp::kDelete:
       st = table->DeleteCommitted(op.key, commit_ts);
       break;
+    case WalOp::kCreateTable:
+    case WalOp::kCreateView:
+      return Status::Internal("DDL reached the WAL apply pass");
   }
   if (!st.ok()) {
     return Status::Corruption("WAL replay apply failed (table=" +
@@ -335,40 +300,32 @@ Status ApplyOp(Table* table, const WalOp& op, Timestamp commit_ts,
 }
 
 // Walks the frames of `data`, calling `body_fn(ptr, len)` for every commit
-// body in every frame with a valid checksum (a batch frame yields one call
-// per sub-record). Stops at the first torn/corrupt frame, setting
-// *truncated. body_fn may return an error to abort the walk.
-Status ForEachBody(const std::string& data, bool* truncated,
+// body in every frame with a valid checksum. Stops at the first torn or
+// corrupt frame, setting *truncated. body_fn may return an error to abort
+// the walk.
+Status ForEachBody(std::string_view data, bool* truncated,
                    const std::function<Status(const char*, size_t)>& body_fn) {
   *truncated = false;
   Reader outer{data.data(), data.data() + data.size()};
   while (outer.p < outer.end) {
-    uint32_t raw = outer.U32();
+    uint32_t len = outer.U32();
     uint64_t checksum = outer.U64();
-    const bool is_batch = (raw & kBatchFlag) != 0;
-    const uint32_t len = raw & ~kBatchFlag;
-    if (is_batch) checksum ^= kBatchChecksumSalt;
     if (!outer.ok || !outer.Need(len) ||
         HashBytes(outer.p, len) != checksum) {
       *truncated = true;
       return Status::OK();
     }
-    const char* payload = outer.p;
+    Reader frame{outer.p, outer.p + len};
     outer.p += len;
-    if (!is_batch) {
-      OLTAP_RETURN_NOT_OK(body_fn(payload, len));
-      continue;
-    }
-    Reader br{payload, payload + len};
-    while (br.p < br.end) {
-      uint32_t blen = br.U32();
-      if (!br.ok || !br.Need(blen)) {
-        // The batch checksum passed but the sub-record structure does
-        // not parse: real corruption, not a tear.
-        return Status::Corruption("malformed WAL batch frame");
+    while (frame.p < frame.end) {
+      uint32_t blen = frame.U32();
+      if (!frame.ok || !frame.Need(blen)) {
+        // The checksum passed but the body structure does not parse: real
+        // corruption, not a tear.
+        return Status::Corruption("malformed WAL frame");
       }
-      OLTAP_RETURN_NOT_OK(body_fn(br.p, blen));
-      br.p += blen;
+      OLTAP_RETURN_NOT_OK(body_fn(frame.p, blen));
+      frame.p += blen;
     }
   }
   return Status::OK();
@@ -392,12 +349,34 @@ Result<std::unique_ptr<Wal>> Wal::OpenFile(const std::string& path,
   return wal;
 }
 
+WalOp WalOp::CreateTable(const Table& table) {
+  WalOp op;
+  op.kind = kCreateTable;
+  op.table = table.name();
+  PutBytes(&op.key, table.name());
+  PutU8(&op.key, static_cast<uint8_t>(table.format()));
+  const Schema& schema = table.schema();
+  PutU32(&op.key, static_cast<uint32_t>(schema.num_columns()));
+  for (const ColumnDef& col : schema.columns()) {
+    PutBytes(&op.key, col.name);
+    PutU8(&op.key, static_cast<uint8_t>(col.type));
+    PutU8(&op.key, col.nullable ? 1 : 0);
+  }
+  PutU32(&op.key, static_cast<uint32_t>(schema.key_columns().size()));
+  for (int k : schema.key_columns()) PutU32(&op.key, static_cast<uint32_t>(k));
+  return op;
+}
+
+WalOp WalOp::CreateView(std::string name, std::string ddl) {
+  WalOp op;
+  op.kind = kCreateView;
+  op.table = std::move(name);
+  op.key = std::move(ddl);
+  return op;
+}
+
 Timestamp Wal::PeekBodyCommitTs(const std::string& body) {
-  // Body layout (SerializeCommitBody): u64 txn_id, u64 commit_ts, ...
-  Reader r{body.data(), body.data() + body.size()};
-  r.U64();  // txn_id
-  Timestamp ts = r.U64();
-  return r.ok ? ts : 0;
+  return BodyCommitTs(body.data(), body.size());
 }
 
 std::string Wal::SerializeCommitBody(uint64_t txn_id, Timestamp commit_ts,
@@ -534,66 +513,45 @@ Status Wal::AppendFrameLocked(const std::string& frame, size_t records,
 
 Status Wal::LogCommit(uint64_t txn_id, Timestamp commit_ts,
                       const std::vector<WalOp>& ops) {
-  static obs::Histogram* append_ns =
-      obs::MetricsRegistry::Default()->GetHistogram("wal.append_ns");
-  obs::ScopedTimer append_timer(append_ns);
-  std::string record = FrameRecord(SerializeCommitBody(txn_id, commit_ts, ops));
-  std::lock_guard<std::mutex> lock(mu_);
-  if (sealed_) {
-    return Status::Unavailable("WAL sealed after a failed append");
-  }
-
-  // Torn-append injection: only a prefix of the record reaches the log,
-  // as if the process died mid-write. The partial bytes stay — they are
-  // the crash artifact recovery must stop at — so the log seals itself:
-  // Replay stops at the first corrupt record, and a commit appended
-  // after the tear would be acknowledged yet silently lost.
-  Status torn = OLTAP_FAILPOINT_STATUS("wal.append.torn");
-  if (!torn.ok()) {
-    std::string prefix = record.substr(0, record.size() / 2);
-    buf_ += prefix;
-    if (file_ != nullptr) {
-      std::fwrite(prefix.data(), 1, prefix.size(), file_);
-      std::fflush(file_);
-    }
-    SealLocked();
-    return torn;
-  }
-  // Clean append failure: nothing reaches the log.
-  OLTAP_FAILPOINT("wal.append.error");
-
-  return AppendFrameLocked(record, 1, commit_ts);
+  return AppendBodies({SerializeCommitBody(txn_id, commit_ts, ops)},
+                      /*single=*/true);
 }
 
 Status Wal::LogCommitBatch(const std::vector<std::string>& bodies) {
   if (bodies.empty()) return Status::OK();
+  return AppendBodies(bodies, /*single=*/false);
+}
+
+Status Wal::AppendBodies(const std::vector<std::string>& bodies, bool single) {
   static obs::Histogram* append_ns =
       obs::MetricsRegistry::Default()->GetHistogram("wal.append_ns");
   obs::ScopedTimer append_timer(append_ns);
 
-  std::string payload;
-  size_t total = 0;
+  constexpr size_t kHeader = 12;  // u32 payload length + u64 checksum
+  size_t total = kHeader;
   for (const std::string& body : bodies) total += body.size() + 4;
-  payload.reserve(total);
-  for (const std::string& body : bodies) PutBytes(&payload, body);
-  std::string frame;
-  frame.reserve(payload.size() + 12);
-  PutU32(&frame, static_cast<uint32_t>(payload.size()) | kBatchFlag);
-  PutU64(&frame,
-         HashBytes(payload.data(), payload.size()) ^ kBatchChecksumSalt);
-  frame += payload;
+  std::string frame(kHeader, '\0');
+  frame.reserve(total);
+  for (const std::string& body : bodies) PutBytes(&frame, body);
+  std::string header;
+  PutU32(&header, static_cast<uint32_t>(frame.size() - kHeader));
+  PutU64(&header, HashBytes(frame.data() + kHeader, frame.size() - kHeader));
+  frame.replace(0, kHeader, header);
 
   std::lock_guard<std::mutex> lock(mu_);
   if (sealed_) {
     return Status::Unavailable("WAL sealed after a failed append");
   }
 
-  // Batch-boundary tear: the process died with only a prefix of the batch
-  // frame on disk. Because ONE checksum covers the whole batch, replay
-  // rejects the entire frame — no commit in the batch survives, matching
-  // the all-failed futures the group committer hands out. The partial
-  // bytes stay and the log seals, exactly like a torn single append.
-  Status torn = OLTAP_FAILPOINT_STATUS("wal.batch.torn");
+  // Torn-append injection: only a prefix of the frame reaches the log, as
+  // if the process died mid-write. The partial bytes stay — they are the
+  // crash artifact recovery must stop at — so the log seals itself:
+  // Replay stops at the first corrupt frame, and a commit appended after
+  // the tear would be acknowledged yet silently lost. Because one checksum
+  // covers the whole frame, no commit of a torn batch survives, matching
+  // the all-failed futures the group committer hands out.
+  Status torn = single ? OLTAP_FAILPOINT_STATUS("wal.append.torn")
+                       : OLTAP_FAILPOINT_STATUS("wal.batch.torn");
   if (!torn.ok()) {
     std::string prefix = frame.substr(0, frame.size() / 2);
     buf_ += prefix;
@@ -604,13 +562,15 @@ Status Wal::LogCommitBatch(const std::vector<std::string>& bodies) {
     SealLocked();
     return torn;
   }
+  // Clean append failure of a single commit: nothing reaches the log.
+  if (single) OLTAP_FAILPOINT("wal.append.error");
 
   Timestamp max_ts = 0;
   for (const std::string& body : bodies) {
     max_ts = std::max(max_ts, PeekBodyCommitTs(body));
   }
   Status st = AppendFrameLocked(frame, bodies.size(), max_ts);
-  if (st.ok()) {
+  if (st.ok() && !single) {
     static obs::Counter* batches =
         obs::MetricsRegistry::Default()->GetCounter("wal.batches");
     static obs::Histogram* batch_size =
@@ -706,53 +666,84 @@ Status Wal::TruncateBelow(Timestamp horizon, uint64_t* dropped_bytes) {
   return Status::OK();
 }
 
-Result<Wal::ReplayStats> Wal::Replay(const std::string& data, Catalog* catalog,
+Result<Wal::ReplayStats> Wal::Replay(std::string_view data, Catalog* catalog,
                                      const ReplayOptions& options,
                                      ThreadPool* pool) {
-  // Decode pass: partition every op by table, preserving log order within
-  // each table. Ops on different tables commute, so applying each table's
-  // ops in log order reproduces the whole log's effect.
+  // Decode pass: check the DDL, and partition every DML op by table name,
+  // preserving log order within each table. Ops on different tables
+  // commute, so applying each table's ops in log order reproduces the
+  // whole log's effect.
   struct TablePartition {
     Table* table = nullptr;
+    bool existed = false;  // in the catalog before this replay: idempotent
     std::vector<std::pair<Timestamp, WalOp>> ops;
     Status status;
     size_t applied = 0;
   };
   std::map<std::string, TablePartition> partitions;
+  std::map<std::string, std::unique_ptr<Table>> created;
 
-  const std::set<std::string> skipped(options.skip_tables.begin(),
-                                      options.skip_tables.end());
   ReplayStats stats;
   DecodedTxn txn;
   Status walk = ForEachBody(
       data, &stats.truncated_tail, [&](const char* p, size_t len) -> Status {
-        OLTAP_RETURN_NOT_OK(ParseBody(p, len, &txn));
         // skip_through_ts == 0 skips nothing: live commits start at ts 1,
-        // and ts-0 records (a checkpoint image's data section when the
-        // snapshot predates the first commit — bulk-loaded state) must
-        // still apply.
+        // and ts-0 records (a checkpoint image taken before the first
+        // commit — bulk-loaded state) must still apply. Skipped records
+        // are not parsed.
         if (options.skip_through_ts > 0 &&
-            txn.commit_ts <= options.skip_through_ts) {
+            BodyCommitTs(p, len) <= options.skip_through_ts) {
           return Status::OK();
         }
+        OLTAP_RETURN_NOT_OK(ParseBody(p, len, &txn));
         CollapseDuplicateKeyOps(&txn.ops);
         for (WalOp& op : txn.ops) {
-          if (skipped.count(op.table) != 0) continue;
-          TablePartition& part = partitions[op.table];
-          if (part.table == nullptr) {
-            part.table = catalog->GetTable(op.table);
-            if (part.table == nullptr) {
-              return Status::NotFound("WAL references unknown table: " +
-                                      op.table);
-            }
+          if (op.kind == WalOp::kCreateView) {
+            stats.view_ddls.push_back(std::move(op.key));
+            continue;
           }
-          part.ops.emplace_back(txn.commit_ts, std::move(op));
+          if (op.kind == WalOp::kCreateTable) {
+            // A table that exists already, or that the log created
+            // earlier, must match the record exactly: same name, format,
+            // columns and key, hence the same encoding.
+            auto it = created.find(op.table);
+            const Table* existing = it != created.end()
+                                        ? it->second.get()
+                                        : catalog->GetTable(op.table);
+            if (existing == nullptr) {
+              std::unique_ptr<Table> table = DecodeTable(op.key);
+              if (table == nullptr || table->name() != op.table) {
+                return Status::Corruption(
+                    "malformed CREATE TABLE record for " + op.table);
+              }
+              created.emplace(op.table, std::move(table));
+            } else if (WalOp::CreateTable(*existing).key != op.key) {
+              return Status::Corruption("WAL schema mismatch for table " +
+                                        op.table);
+            }
+            continue;
+          }
+          partitions[op.table].ops.emplace_back(txn.commit_ts, std::move(op));
         }
         stats.max_commit_ts = std::max(stats.max_commit_ts, txn.commit_ts);
         ++stats.txns_applied;
         return Status::OK();
       });
   if (!walk.ok()) return walk;
+  for (auto& [name, part] : partitions) {
+    part.table = catalog->GetTable(name);
+    part.existed = part.table != nullptr;
+    if (!part.existed && created.count(name) == 0) {
+      return Status::NotFound("WAL references unknown table: " + name);
+    }
+  }
+
+  // The log decoded whole: create its tables, then apply.
+  for (auto& [name, table] : created) {
+    auto it = partitions.find(name);
+    if (it != partitions.end()) it->second.table = table.get();
+    OLTAP_RETURN_NOT_OK(catalog->AddTable(std::move(table)));
+  }
 
   // Apply pass: workers claim whole tables and apply each in log order.
   // With a null pool the caller is the only worker.
@@ -769,7 +760,7 @@ Result<Wal::ReplayStats> Wal::Replay(const std::string& data, Catalog* catalog,
       for (const auto& [commit_ts, op] : part->ops) {
         bool applied = false;
         part->status =
-            ApplyOp(part->table, op, commit_ts, options.idempotent, &applied);
+            ApplyOp(part->table, op, commit_ts, part->existed, &applied);
         if (!part->status.ok()) break;
         if (applied) ++part->applied;
       }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -17,13 +18,30 @@ namespace oltap {
 
 class ThreadPool;
 
-// One logged DML operation within a committed transaction.
+// One logged operation within a committed transaction: a DML write, or a
+// DDL record of a table or materialized-view creation. DDL records ride
+// the same frames and commit timestamps as DML, so one stream carries a
+// database from an empty catalog to its current state.
 struct WalOp {
-  enum Kind : uint8_t { kInsert = 0, kUpdate = 1, kDelete = 2 };
+  enum Kind : uint8_t {
+    kInsert = 0,
+    kUpdate = 1,
+    kDelete = 2,
+    kCreateTable = 3,  // table = the new table; key = its definition
+    kCreateView = 4,   // table = the view; key = its CREATE text
+  };
   Kind kind = kInsert;
   std::string table;
-  std::string key;  // encoded PK; empty for keyless inserts
-  Row row;          // full image for insert/update; empty for delete
+  // Encoded PK for DML (empty for keyless inserts); the payload for DDL.
+  std::string key;
+  Row row;  // full image for insert/update; empty for delete and DDL
+
+  // The CREATE TABLE record of `table`: name, storage format, columns and
+  // primary key.
+  static WalOp CreateTable(const Table& table);
+  // The CREATE MATERIALIZED VIEW record of view `name`, whose statement
+  // text `ddl` re-creates it.
+  static WalOp CreateView(std::string name, std::string ddl);
 };
 
 // What Wal::Replay applied and the options it takes (Wal::ReplayStats and
@@ -34,27 +52,18 @@ struct WalReplayStats {
   size_t ops_applied = 0;
   Timestamp max_commit_ts = 0;
   bool truncated_tail = false;  // hit a torn/corrupt record and stopped
+  // Texts of the log's CREATE MATERIALIZED VIEW records, in log order.
+  // Replay creates no view: the caller does, once the bases are applied.
+  std::vector<std::string> view_ddls;
 };
 
 struct WalReplayOptions {
   // Records with commit_ts <= skip_through_ts are skipped (checkpoint
-  // recovery replays only the tail). 0 skips nothing: live commits
-  // start at ts 1, and ts-0 records — a checkpoint image's data section
-  // when the snapshot predates the first commit — must still apply.
+  // recovery replays only the tail; the image holds every table and view
+  // whose creation commits at or below its timestamp). 0 skips nothing:
+  // live commits start at ts 1, and ts-0 records — a checkpoint image
+  // taken before the first commit — must still apply.
   Timestamp skip_through_ts = 0;
-  // Idempotent re-run: a keyed op whose table already holds a write to
-  // that key at >= the op's commit timestamp is skipped instead of
-  // re-applied, so recovery interrupted mid-replay can simply run again
-  // over the same catalog. Keyless inserts into a keyed table (checkpoint
-  // image rows) are identified by the key encoded from their row. Ops on
-  // keyless tables carry no identity and are NOT deduplicated —
-  // re-running recovery over such tables still requires a fresh catalog.
-  bool idempotent = false;
-  // Ops on these tables are dropped without touching the catalog (they
-  // need not exist). Recovery skips materialized-view backing tables
-  // this way: their WAL records are maintenance output, and the views
-  // are rebuilt from the recovered bases instead.
-  std::vector<std::string> skip_tables;
 };
 
 // Write-ahead log of committed transactions (redo-only: the deferred-write
@@ -63,17 +72,18 @@ struct WalReplayOptions {
 // engines make). Records carry a checksum; replay stops at the first torn
 // or corrupt record.
 //
-// Two frame kinds share the log:
-//  - a *record* frame holds one commit (len + checksum + body), written by
-//    LogCommit — one flush/fsync per commit;
-//  - a *batch* frame (high bit of the length word set) holds many commit
-//    bodies under ONE checksum covering the whole batch, written by
-//    LogCommitBatch — this is the group-commit unit (txn/log_writer.h).
-//    The single checksum is what gives torn-batch all-or-nothing
-//    semantics: a tear anywhere in the batch fails the checksum, so
-//    replay applies none of the batch's commits and no prefix of a torn
-//    batch can resurrect. (With per-record framing a mid-batch tear would
-//    leave a well-formed prefix of commits that were never acknowledged.)
+// One frame kind: u32 payload length, u64 checksum of the payload, then
+// the payload — one or more commit bodies, each u32 length + body. A
+// LogCommit frame carries one body; a LogCommitBatch frame carries a
+// whole group-commit batch (txn/log_writer.h). The single checksum is
+// what gives a torn batch all-or-nothing semantics: a tear anywhere in
+// the frame fails the checksum, so replay applies none of its commits and
+// no prefix of a torn batch can resurrect.
+//
+// A commit body is u64 txn id, u64 commit timestamp, u16 op count, then
+// per op: u8 kind, table name, key (both u32 length + bytes), u16 column
+// count and the tagged values. CREATE TABLE and CREATE MATERIALIZED VIEW
+// are op kinds too (WalOp), logged as commits of their own.
 //
 // The log always accumulates into an in-memory buffer; when opened with a
 // path it also appends to that file, and LogCommit/LogCommitBatch flush
@@ -123,8 +133,9 @@ class Wal {
   static Result<std::unique_ptr<Wal>> OpenFile(const std::string& path,
                                                const Options& options);
 
-  // Appends one commit record. Thread-safe; called by the transaction
-  // manager at the durability point (after validation, before apply).
+  // Appends one commit as a frame of its own (a batch of one). Thread-
+  // safe; called by the transaction manager at the durability point
+  // (after validation, before apply).
   // On a short write, flush/fsync failure, or injected fault (failpoints
   // "wal.append.torn", "wal.append.error", "wal.fsync.error") the record
   // is not durable and the caller must fail the commit. The failed
@@ -144,7 +155,7 @@ class Wal {
   static std::string SerializeCommitBody(uint64_t txn_id, Timestamp commit_ts,
                                          const std::vector<WalOp>& ops);
 
-  // Appends `bodies` (each from SerializeCommitBody) as ONE batch frame —
+  // Appends `bodies` (each from SerializeCommitBody) as ONE frame —
   // one checksum over the whole batch, one flush, one fsync. All-or-
   // nothing: on any failure (short write, flush/fsync error, injected
   // "wal.batch.torn" / "wal.fsync.error") the entire batch is undone or
@@ -173,7 +184,7 @@ class Wal {
   // the length is needed (buffer() copies the whole log under the mutex).
   size_t size() const;
 
-  // Commits logged (a batch frame counts each body it carries).
+  // Commits logged (a frame counts each body it carries).
   size_t num_records() const;
 
   // --- Segmentation & truncation ---
@@ -208,20 +219,30 @@ class Wal {
   using ReplayStats = WalReplayStats;
   using ReplayOptions = WalReplayOptions;
 
-  // Replays serialized log `data` into `catalog` (tables must already
-  // exist with matching schemas). A decode pass partitions the log's ops
-  // by table, preserving log order within each table; an apply pass then
-  // applies each table's ops in that order. With a `pool` the tables
-  // apply concurrently (the caller is one of the workers); with a null
-  // pool the caller applies them alone — serial replay is DOP 1 of the
-  // same loop. Ops on different tables commute (keys are table-scoped),
-  // so the result does not depend on the pool. Nothing is applied if the
-  // log references an unknown table (the decode pass fails first); an
-  // apply failure is reported for the first failing table in name order.
-  // The caller fast-forwards the transaction manager once with
-  // AdvanceTo(stats.max_commit_ts). Unless options.idempotent is set,
-  // replay into a fresh catalog.
-  static Result<ReplayStats> Replay(const std::string& data, Catalog* catalog,
+  // Replays serialized log `data` — the live log, or the stream inside a
+  // checkpoint image (txn/checkpoint.h) — into `catalog`. A serial decode
+  // pass checks each CREATE TABLE record against the catalog (an existing
+  // table must match its name, format, columns and key exactly) and
+  // partitions the DML by table in log order; a mismatch, or an op on a
+  // table neither in the catalog nor created by the log, fails before
+  // anything changes. Then the log's tables are added (replay logs
+  // nothing) and each table's ops apply in log order — concurrently on
+  // `pool` (the caller is one of the workers), or by the caller alone when
+  // it is null. Ops on different tables commute, so the result does not
+  // depend on the pool; an apply failure is reported for the first
+  // failing table in name order.
+  //
+  // A table created by its own record applies its ops directly. A table
+  // that existed before the call replays idempotently: a keyed op is
+  // skipped when the table holds a write to that key at >= the op's
+  // commit timestamp (image rows, logged keyless, are identified by the
+  // key encoded from their row), so recovery that stopped partway can run
+  // again. Ops on keyless tables carry no identity and are NOT
+  // deduplicated. CREATE MATERIALIZED VIEW records return their texts in
+  // stats.view_ddls for the caller to run once the bases are in place. The
+  // caller fast-forwards the transaction manager once with
+  // AdvanceTo(stats.max_commit_ts).
+  static Result<ReplayStats> Replay(std::string_view data, Catalog* catalog,
                                     const ReplayOptions& options = {},
                                     ThreadPool* pool = nullptr);
 
@@ -234,6 +255,10 @@ class Wal {
     std::string file_path;  // empty for memory-only logs
   };
 
+  // The append path of LogCommit (`single`: one commit, failpoints
+  // "wal.append.torn" / "wal.append.error") and LogCommitBatch (failpoint
+  // "wal.batch.torn"): frames `bodies`, then tears, fails or appends it.
+  Status AppendBodies(const std::vector<std::string>& bodies, bool single);
   // Appends `frame` to the active segment and the file (if any), with
   // flush + optional fsync; on failure rolls back to the pre-append
   // length or seals. Caller holds mu_. `records` is how many commits the

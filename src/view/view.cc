@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/clock.h"
+#include "common/failpoint.h"
 #include "common/logging.h"
 #include "exec/executor.h"
 #include "obs/metrics.h"
@@ -445,9 +446,9 @@ Status ViewManager::Create(const sql::CreateViewStmt& stmt) {
     return Status::InvalidArgument("view has no usable primary key");
   }
 
-  OLTAP_RETURN_NOT_OK(catalog_->CreateTable(
+  OLTAP_RETURN_NOT_OK(catalog_->AddTable(std::make_unique<Table>(
       def->name, Schema(std::move(cols), std::move(key_idx)),
-      TableFormat::kDual));
+      TableFormat::kDual, /*logged=*/false)));
   def->backing = catalog_->GetTable(def->name);
 
   // Subscribe before the initial build: changes committed while the build
@@ -947,6 +948,8 @@ Status ViewManager::MaintainLocked(ViewDef* v) {
     return Status::OK();
   }();
 
+  // Failpoint "view.maintain.error" fails the round at its commit.
+  if (st.ok()) st = OLTAP_FAILPOINT_STATUS("view.maintain.error");
   if (st.ok()) {
     st = tm_->Commit(txn.get());
   } else {
@@ -1100,9 +1103,9 @@ size_t ViewManager::num_views() const {
   return views_.size();
 }
 
-std::vector<std::string> ViewManager::ViewDdls() const {
+std::vector<WalOp> ViewManager::ViewDdls() const {
   std::shared_lock lock(mu_);
-  std::vector<std::string> ddls;
+  std::vector<WalOp> ddls;
   ddls.reserve(views_.size());
   for (const auto& v : views_) {
     std::string ddl = "CREATE MATERIALIZED VIEW " + v->name;
@@ -1115,7 +1118,7 @@ std::vector<std::string> ViewManager::ViewDdls() const {
       }
     }
     ddl += " AS " + v->definition;
-    ddls.push_back(std::move(ddl));
+    ddls.push_back(WalOp::CreateView(v->name, std::move(ddl)));
   }
   return ddls;
 }

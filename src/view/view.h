@@ -19,6 +19,7 @@
 #include "storage/catalog.h"
 #include "storage/change_log.h"
 #include "txn/transaction_manager.h"
+#include "txn/wal.h"
 
 namespace oltap {
 namespace view {
@@ -137,13 +138,14 @@ class ViewManager {
   std::vector<std::string> ViewNames() const;
   size_t num_views() const;
 
-  // Re-parseable CREATE MATERIALIZED VIEW statements for every registered
-  // view (the definition's source text, as written). The
-  // checkpoint daemon embeds these in each image so recovery from an
-  // empty catalog can re-create the views — re-running the DDL rebuilds
-  // each backing table from the restored bases, which is why backing
-  // tables are excluded from the image itself.
-  std::vector<std::string> ViewDdls() const;
+  // A CREATE MATERIALIZED VIEW record (WalOp::CreateView) for every
+  // registered view, carrying a re-parseable statement around the
+  // definition's source text as written. The checkpoint daemon writes
+  // these into each image so recovery from an empty catalog can re-create
+  // the views: re-running the DDL rebuilds each backing table from the
+  // restored bases, which is why backing tables are unlogged (Create adds
+  // them with Table::logged() false).
+  std::vector<WalOp> ViewDdls() const;
 
   // GC horizon merges must respect: delta-join reads pre-state snapshots
   // at each view's cursor. kMax when no views exist.

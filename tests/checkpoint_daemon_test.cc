@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,23 @@ void InsertRange(Database* db, int64_t lo, int64_t hi) {
                             ", 'd', 1.0)")
                     .ok());
   }
+}
+
+// Adds table t (kCreateSql's shape) without logging its creation: with no
+// commit in the WAL the watermark stays at 0, so bulk-loaded rows alone
+// give a ts-0 image.
+void AddUnloggedTable(Database* db) {
+  ASSERT_TRUE(db->catalog()
+                  ->AddTable(std::make_unique<Table>(
+                      "t",
+                      SchemaBuilder()
+                          .AddInt64("id", false)
+                          .AddString("tag")
+                          .AddDouble("v")
+                          .SetKey({"id"})
+                          .Build(),
+                      TableFormat::kColumn))
+                  .ok());
 }
 
 int64_t CountRows(Database* db) {
@@ -108,14 +126,14 @@ TEST_F(CheckpointDaemonTest, TruncatesWalSegmentsBelowCheckpoint) {
 
 // Regression: a checkpoint whose snapshot predates the first commit
 // (ts 0 — the database holds only bulk-loaded state, which bypasses the
-// WAL and never advances the watermark) stamps its data section at ts 0.
+// WAL and never advances the watermark) stamps its records at ts 0.
 // The replay-based restore used to skip those records because
 // skip_through_ts=0 was treated as "already covered", recovering an
 // empty database; the live tail then failed against missing rows.
 TEST_F(CheckpointDaemonTest, TimestampZeroCheckpointRestoresBulkLoadedState) {
   Wal wal;
   Database db(&wal);
-  ASSERT_TRUE(db.Execute(kCreateSql).ok());
+  AddUnloggedTable(&db);
   Table* t = db.catalog()->GetTable("t");
   std::vector<Row> rows;
   for (int64_t i = 0; i < 64; ++i) {
@@ -191,7 +209,7 @@ TEST_F(CheckpointDaemonTest, RecoveryRerunsOverTheSameDatabase) {
   {
     Wal wal;
     Database db(&wal);
-    ASSERT_TRUE(db.Execute(kCreateSql).ok());
+    AddUnloggedTable(&db);
     std::vector<Row> rows;
     for (int64_t i = 0; i < 64; ++i) {
       rows.push_back(

@@ -13,6 +13,14 @@ std::string CreateSql() {
          "PRIMARY KEY (id)) FORMAT COLUMN";
 }
 
+// Restores `image` into `db` as recovery does: replays the image's stream.
+Result<Wal::ReplayStats> Restore(const std::string& image, Database* db) {
+  Timestamp ts = 0;
+  std::string_view stream;
+  OLTAP_RETURN_NOT_OK(CheckpointStream(image, &ts, &stream));
+  return Wal::Replay(stream, db->catalog());
+}
+
 TEST(CheckpointTest, RoundTripRestoresVisibleState) {
   Database db;
   ASSERT_TRUE(db.Execute(CreateSql()).ok());
@@ -31,7 +39,7 @@ TEST(CheckpointTest, RoundTripRestoresVisibleState) {
 
   Database restored;
   ASSERT_TRUE(restored.Execute(CreateSql()).ok());
-  auto stats = RestoreCheckpoint(*checkpoint, restored.catalog());
+  auto stats = Restore(*checkpoint, &restored);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->ops_applied, 180u);
   restored.txn_manager()->AdvanceTo(stats->max_commit_ts);
@@ -111,7 +119,7 @@ TEST(CheckpointTest, SnapshotConsistentDespiteLaterWrites) {
 
   Database restored;
   ASSERT_TRUE(restored.Execute(CreateSql()).ok());
-  auto stats = RestoreCheckpoint(*checkpoint, restored.catalog());
+  auto stats = Restore(*checkpoint, &restored);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->ops_applied, 50u);
 }
@@ -127,7 +135,7 @@ TEST(CheckpointTest, TornCheckpointRejected) {
   checkpoint.resize(checkpoint.size() / 2);
   Database restored;
   ASSERT_TRUE(restored.Execute(CreateSql()).ok());
-  auto stats = RestoreCheckpoint(checkpoint, restored.catalog());
+  auto stats = Restore(checkpoint, &restored);
   EXPECT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kCorruption);
 
@@ -141,7 +149,7 @@ TEST(CheckpointTest, TornCheckpointRejected) {
   EXPECT_EQ(restored.catalog()->GetTable("t")->CountVisible(1'000'000), 0u);
 }
 
-// --- Catalog + view sections (recovery from an empty catalog) -------------
+// --- DDL records (recovery from an empty catalog) ------------------------
 
 TEST(CheckpointTest, RestoreIntoEmptyCatalogCreatesTables) {
   Database db;
@@ -161,11 +169,11 @@ TEST(CheckpointTest, RestoreIntoEmptyCatalogCreatesTables) {
                                     db.txn_manager()->oracle()->CurrentReadTs());
   ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
 
-  // No CREATE TABLE on the restore side: the catalog section rebuilds both
-  // tables, formats included.
+  // No CREATE TABLE on the restore side: the image's CREATE TABLE records
+  // rebuild both tables, formats included.
   Database restored;
   ASSERT_TRUE(restored.catalog()->TableNames().empty());
-  auto stats = RestoreCheckpoint(*checkpoint, restored.catalog());
+  auto stats = Restore(*checkpoint, &restored);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(restored.catalog()->TableNames().size(), 2u);
   restored.txn_manager()->AdvanceTo(stats->max_commit_ts);
@@ -196,7 +204,7 @@ TEST(CheckpointTest, SchemaMismatchRejectedBeforeAnyData) {
                   .Execute("CREATE TABLE t (id BIGINT NOT NULL, other INT, "
                            "PRIMARY KEY (id)) FORMAT COLUMN")
                   .ok());
-  auto stats = RestoreCheckpoint(*checkpoint, restored.catalog());
+  auto stats = Restore(*checkpoint, &restored);
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kCorruption);
   auto n = restored.Execute("SELECT COUNT(*) FROM t");
@@ -216,21 +224,20 @@ TEST(CheckpointTest, ViewDdlsTravelInImageWithBackingTablesExcluded) {
                          "SELECT tag, COUNT(*) AS n FROM t GROUP BY tag")
                   .ok());
 
-  CheckpointWriteOptions options;
-  options.exclude_tables = db.view_manager()->ViewNames();
-  options.view_ddls = db.view_manager()->ViewDdls();
-  ASSERT_EQ(options.view_ddls.size(), 1u);
+  const std::vector<WalOp> views = db.view_manager()->ViewDdls();
+  ASSERT_EQ(views.size(), 1u);
+  EXPECT_EQ(views[0].kind, WalOp::kCreateView);
+  EXPECT_EQ(views[0].table, "tv");
   auto checkpoint = WriteCheckpoint(
-      *db.catalog(), db.txn_manager()->oracle()->CurrentReadTs(), options);
+      *db.catalog(), db.txn_manager()->oracle()->CurrentReadTs(), views);
   ASSERT_TRUE(checkpoint.ok()) << checkpoint.status().ToString();
 
   Database restored;
-  CheckpointContents contents;
-  auto stats = RestoreCheckpoint(*checkpoint, restored.catalog(), &contents);
+  auto stats = Restore(*checkpoint, &restored);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  // The DDL rides along; the view's backing table does not.
-  ASSERT_EQ(contents.view_ddls.size(), 1u);
-  EXPECT_EQ(contents.view_ddls[0], options.view_ddls[0]);
+  // The view record rides along; the view's backing table does not.
+  ASSERT_EQ(stats->view_ddls.size(), 1u);
+  EXPECT_EQ(stats->view_ddls[0], views[0].key);
   EXPECT_NE(restored.catalog()->GetTable("t"), nullptr);
   EXPECT_EQ(restored.catalog()->GetTable("tv"), nullptr);
 }
@@ -318,7 +325,7 @@ TEST(CheckpointTest, TornNewestImageFallsBackToOlderEntry) {
 
   // The survivor actually restores.
   Database restored;
-  auto stats = RestoreCheckpoint(image->data, restored.catalog());
+  auto stats = Restore(image->data, &restored);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->ops_applied, 10u);
 }

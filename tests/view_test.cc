@@ -606,11 +606,11 @@ TEST_F(ViewFailpointTest, CrashMidMaintenanceLeavesNoTornState) {
   std::vector<std::string> before =
       Canon(Exec(&db, "SELECT g, n, sv, mx FROM ag"));
 
-  // New base change, then the maintenance transaction's WAL append fails:
+  // New base change, then the maintenance transaction fails at commit:
   // the round must abort without touching the backing table or cursor.
   Exec(&db, "INSERT INTO t VALUES (3, 1, 30), (4, 2, 5)");
   {
-    ScopedFailpoint fp("wal.append.error", FailpointConfig{});
+    ScopedFailpoint fp("view.maintain.error", FailpointConfig{});
     EXPECT_FALSE(db.view_manager()->Maintain("ag").ok());
   }
   EXPECT_EQ(Canon(Exec(&db, "SELECT g, n, sv, mx FROM ag")), before)
@@ -636,12 +636,11 @@ TEST_F(ViewFailpointTest, SyncMaintenanceFailureDoesNotFailClientCommit) {
   Exec(&db, "INSERT INTO t VALUES (1, 1, 10)");
 
   {
-    // Hit 1 is the client commit's own WAL append (must succeed), hit 2
-    // the synchronous maintenance commit (fails).
+    // The client commit succeeds; the synchronous maintenance commit it
+    // triggers fails.
     FailpointConfig cfg;
-    cfg.skip = 1;
     cfg.max_fires = 1;
-    ScopedFailpoint fp("wal.append.error", cfg);
+    ScopedFailpoint fp("view.maintain.error", cfg);
     Exec(&db, "INSERT INTO t VALUES (2, 1, 20)");  // client commit acked
   }
   // The row is durable and visible even though the view lagged.

@@ -347,6 +347,90 @@ TEST(WalTest, ReplayUnknownTableFails) {
   EXPECT_TRUE(stats.status().IsNotFound());
 }
 
+// CREATE TABLE records carry the catalog: replay into an empty catalog
+// creates each table, format and key included, then applies its rows.
+TEST(WalTest, CreateTableRecordsReplayIntoEmptyCatalog) {
+  Catalog source;
+  ASSERT_TRUE(source.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
+  ASSERT_TRUE(source.CreateTable("r", TestSchema(), TableFormat::kRow).ok());
+  Wal wal;
+  ASSERT_TRUE(wal.LogCommit(1, 1, {WalOp::CreateTable(*source.GetTable("t"))})
+                  .ok());
+  ASSERT_TRUE(wal.LogCommit(2, 2, {WalOp{WalOp::kInsert, "t", "",
+                                         MakeRow(1, "a", 1.0)}})
+                  .ok());
+  ASSERT_TRUE(wal.LogCommit(3, 3, {WalOp::CreateTable(*source.GetTable("r"))})
+                  .ok());
+  ASSERT_TRUE(wal.LogCommit(4, 4, {WalOp{WalOp::kInsert, "r", "",
+                                         MakeRow(2, "b", 2.0)},
+                                   WalOp{WalOp::kInsert, "t", "",
+                                         MakeRow(3, "c", 3.0)}})
+                  .ok());
+
+  Catalog empty;
+  auto stats = Wal::Replay(wal.buffer(), &empty);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->txns_applied, 4u);
+  EXPECT_EQ(stats->ops_applied, 3u);  // DDL is not a row op
+  EXPECT_EQ(stats->max_commit_ts, 4u);
+  ASSERT_NE(empty.GetTable("t"), nullptr);
+  ASSERT_NE(empty.GetTable("r"), nullptr);
+  EXPECT_EQ(empty.GetTable("t")->format(), TableFormat::kColumn);
+  EXPECT_EQ(empty.GetTable("r")->format(), TableFormat::kRow);
+  EXPECT_EQ(empty.GetTable("r")->schema().key_columns(),
+            std::vector<int>{0});
+  EXPECT_EQ(empty.GetTable("t")->CountVisible(1'000'000), 2u);
+  EXPECT_EQ(empty.GetTable("r")->CountVisible(1'000'000), 1u);
+
+  // A second run finds the tables in place: the records match them and
+  // every row op is recognised as applied.
+  auto again = Wal::Replay(wal.buffer(), &empty);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->ops_applied, 0u);
+  EXPECT_EQ(empty.GetTable("t")->CountVisible(1'000'000), 2u);
+}
+
+// A CREATE TABLE record that disagrees with an existing table fails the
+// decode pass: no table is created and no row applies, at any DOP.
+TEST(WalTest, CreateTableSchemaMismatchFailsBeforeAnyData) {
+  Catalog source;
+  ASSERT_TRUE(source.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
+  ASSERT_TRUE(source.CreateTable("u", TestSchema(), TableFormat::kRow).ok());
+  Wal wal;
+  ASSERT_TRUE(wal.LogCommit(1, 1, {WalOp::CreateTable(*source.GetTable("u"))})
+                  .ok());
+  ASSERT_TRUE(wal.LogCommit(2, 2, {WalOp{WalOp::kInsert, "u", "",
+                                         MakeRow(1, "a", 1.0)}})
+                  .ok());
+  ASSERT_TRUE(wal.LogCommit(3, 3, {WalOp::CreateTable(*source.GetTable("t"))})
+                  .ok());
+  ASSERT_TRUE(wal.LogCommit(4, 4, {WalOp{WalOp::kInsert, "t", "",
+                                         MakeRow(2, "b", 2.0)}})
+                  .ok());
+
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    Catalog catalog;
+    // Same name, the third column an INT instead of a DOUBLE.
+    ASSERT_TRUE(catalog
+                    .CreateTable("t",
+                                 SchemaBuilder()
+                                     .AddInt64("id", false)
+                                     .AddString("s")
+                                     .AddInt64("d")
+                                     .SetKey({"id"})
+                                     .Build(),
+                                 TableFormat::kColumn)
+                    .ok());
+    auto stats = Wal::Replay(wal.buffer(), &catalog, {}, p);
+    ASSERT_FALSE(stats.ok());
+    EXPECT_EQ(stats.status().code(), StatusCode::kCorruption)
+        << stats.status().ToString();
+    EXPECT_EQ(catalog.GetTable("u"), nullptr);
+    EXPECT_EQ(catalog.GetTable("t")->CountVisible(1'000'000), 0u);
+  }
+}
+
 // Order-independent rendering of every committed row of every table: two
 // catalogs with identical committed state render identically.
 std::map<std::string, std::vector<std::string>> Fingerprint(
@@ -421,7 +505,8 @@ TEST(WalTest, ParallelReplayMatchesSerialByteForByte) {
 
 // Crash during recovery: replaying the same log AGAIN over the already-
 // recovered catalog must change nothing (serial and parallel), because
-// idempotent replay skips keyed ops the table has already seen.
+// replay into tables that already exist skips keyed ops the table has
+// already seen.
 TEST(WalTest, RecoveryIsIdempotentSerialAndParallel) {
   const std::vector<std::string> tables = {"a", "b", "c"};
   Wal wal;
@@ -429,19 +514,16 @@ TEST(WalTest, RecoveryIsIdempotentSerialAndParallel) {
   BuildMultiTableLog(&wal, &source, tables);
   const std::string log = wal.buffer();
 
-  Wal::ReplayOptions idem;
-  idem.idempotent = true;
-
   // Serial: first pass applies everything, second pass applies nothing.
   Catalog serial;
   for (const auto& n : tables) {
     ASSERT_TRUE(serial.CreateTable(n, TestSchema(), TableFormat::kColumn).ok());
   }
-  auto first = Wal::Replay(log, &serial, idem);
+  auto first = Wal::Replay(log, &serial);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_GT(first->ops_applied, 0u);
   auto fp_once = Fingerprint(serial, tables);
-  auto second = Wal::Replay(log, &serial, idem);
+  auto second = Wal::Replay(log, &serial);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->ops_applied, 0u) << "second pass must be a no-op";
   EXPECT_EQ(Fingerprint(serial, tables), fp_once);
@@ -454,9 +536,9 @@ TEST(WalTest, RecoveryIsIdempotentSerialAndParallel) {
         parallel.CreateTable(n, TestSchema(), TableFormat::kColumn).ok());
   }
   ThreadPool pool(3);
-  auto pfirst = Wal::Replay(log, &parallel, idem, &pool);
+  auto pfirst = Wal::Replay(log, &parallel, {}, &pool);
   ASSERT_TRUE(pfirst.ok()) << pfirst.status().ToString();
-  auto psecond = Wal::Replay(log, &parallel, idem, &pool);
+  auto psecond = Wal::Replay(log, &parallel, {}, &pool);
   ASSERT_TRUE(psecond.ok()) << psecond.status().ToString();
   EXPECT_EQ(psecond->ops_applied, 0u);
   EXPECT_EQ(Fingerprint(parallel, tables), fp_once);
@@ -468,9 +550,9 @@ TEST(WalTest, RecoveryIsIdempotentSerialAndParallel) {
     ASSERT_TRUE(
         partial.CreateTable(n, TestSchema(), TableFormat::kColumn).ok());
   }
-  auto half = Wal::Replay(log.substr(0, log.size() / 2), &partial, idem);
+  auto half = Wal::Replay(log.substr(0, log.size() / 2), &partial);
   ASSERT_TRUE(half.ok());
-  auto full = Wal::Replay(log, &partial, idem);
+  auto full = Wal::Replay(log, &partial);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_EQ(Fingerprint(partial, tables), fp_once);
 }
@@ -494,11 +576,17 @@ TEST(WalTest, ParallelReplayUnknownTableAppliesNothing) {
   }
 }
 
+// LogCommit frames and group-commit batch frames share one frame kind: a
+// single commit is a batch of one, byte for byte.
 TEST(WalTest, BatchFramesInterleaveWithRecordFrames) {
   Wal wal;
+  const std::vector<WalOp> first = {
+      WalOp{WalOp::kInsert, "t", "", MakeRow(1, "a", 0)}};
+  ASSERT_TRUE(wal.LogCommit(1, 1, first).ok());
+  Wal single;
   ASSERT_TRUE(
-      wal.LogCommit(1, 1, {WalOp{WalOp::kInsert, "t", "", MakeRow(1, "a", 0)}})
-          .ok());
+      single.LogCommitBatch({Wal::SerializeCommitBody(1, 1, first)}).ok());
+  EXPECT_EQ(wal.buffer(), single.buffer());
   std::vector<std::string> bodies;
   for (int i = 2; i <= 4; ++i) {
     bodies.push_back(Wal::SerializeCommitBody(
@@ -778,13 +866,20 @@ TEST(WalTest, IdempotentReplayAppliesNetOfDuplicateKeyWrites) {
     ASSERT_TRUE(tm.Commit(t.get()).ok());
   }
 
+  // A table created by the log's own record replays directly; one that
+  // already existed replays idempotently.
+  Wal ddl;
+  ASSERT_TRUE(ddl.LogCommit(0, 0, {WalOp::CreateTable(*table)}).ok());
   for (bool idempotent : {false, true}) {
     Catalog catalog;
-    ASSERT_TRUE(
-        catalog.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
-    Wal::ReplayOptions options;
-    options.idempotent = idempotent;
-    auto stats = Wal::Replay(wal.buffer(), &catalog, options);
+    std::string log = wal.buffer();
+    if (idempotent) {
+      ASSERT_TRUE(
+          catalog.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
+    } else {
+      log = ddl.buffer() + log;
+    }
+    auto stats = Wal::Replay(log, &catalog);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
 
     Table* replayed = catalog.GetTable("t");
