@@ -1,12 +1,13 @@
 // E18 — Group-commit WAL: (a) sustained commit throughput at 8 concurrent
-// committers, per-commit fsync vs. the dedicated log writer across persist
-// intervals (the group-commit knob: 0 = fsync as soon as the queue drains,
-// larger = wait for a fuller batch); (b) recovery wall time, serial replay
-// vs. table-partitioned parallel replay, as the log grows.
+// committers, per-commit fsync vs. leader/follower group commit at a few
+// batch caps (max_batch 1 serializes the fsyncs through the writer
+// without batching them, isolating what batching itself buys); (b)
+// recovery wall time, serial replay vs. table-partitioned parallel
+// replay, as the log grows.
 //
 // The durability device is a real file (one fsync syscall per record for
-// the baseline, one per batch for the writer), so (a) measures exactly
-// what group commit amortizes. Counts are env-tunable:
+// the baseline, one per batch under group commit), so (a) measures
+// exactly what group commit amortizes. Counts are env-tunable:
 // OLTAP_WAL_COMMITS_PER_CLIENT (default 1500) and OLTAP_WAL_REPLAY_SCALE
 // (multiplies the replay log sizes, default 1).
 
@@ -85,10 +86,9 @@ std::unique_ptr<Wal> OpenBenchWal(const std::string& path) {
 }
 
 // 8 closed-loop committers inserting disjoint keys through the
-// TransactionManager. `persist_interval_us < 0` = no log writer: every
-// commit pays its own fsync.
-double RunCommitStorm(int64_t persist_interval_us, size_t max_batch,
-                      const char* tag) {
+// TransactionManager. `max_batch` 0 = no log writer: every commit pays its
+// own fsync.
+double RunCommitStorm(size_t max_batch, const char* tag) {
   std::string path = WalPath(tag);
   auto wal = OpenBenchWal(path);
   auto catalog = MakeCatalog(1);
@@ -96,10 +96,9 @@ double RunCommitStorm(int64_t persist_interval_us, size_t max_batch,
   Table* table = catalog->GetTable("t0");
 
   std::unique_ptr<LogWriter> writer;
-  if (persist_interval_us >= 0) {
+  if (max_batch > 0) {
     LogWriter::Options opts;
     opts.max_batch = max_batch;
-    opts.persist_interval_us = persist_interval_us;
     writer = std::make_unique<LogWriter>(wal.get(), opts);
     tm.SetLogWriter(writer.get());
   }
@@ -129,25 +128,24 @@ double RunCommitStorm(int64_t persist_interval_us, size_t max_batch,
   return static_cast<double>(kClients * per_client) / secs;
 }
 
-// (a) Commit throughput: range(0) is the persist interval in us, -1 for
+// (a) Commit throughput: range(0) is the group-commit max_batch, 0 for
 // the per-commit-fsync baseline.
 void BM_WalCommitThroughput(benchmark::State& state) {
-  int64_t interval_us = state.range(0);
-  std::string suffix = interval_us < 0
+  const auto max_batch = static_cast<size_t>(state.range(0));
+  std::string suffix = max_batch == 0
                            ? ".per_commit_fsync"
-                           : ".group_" + std::to_string(interval_us) + "us";
+                           : ".group_batch_" + std::to_string(max_batch);
   for (auto _ : state) {
-    double commits_s = RunCommitStorm(interval_us, 64, "storm");
+    double commits_s = RunCommitStorm(max_batch, "storm");
     bench::Reporter::Get()->Metric("commit_s" + suffix, commits_s);
     state.counters["commit_s"] = commits_s;
   }
 }
 BENCHMARK(BM_WalCommitThroughput)
-    ->Arg(-1)   // baseline: one fsync per commit
-    ->Arg(0)    // group commit, fsync as soon as the queue drains
-    ->Arg(50)
-    ->Arg(100)
-    ->Arg(250)
+    ->Arg(0)    // baseline: one fsync per commit
+    ->Arg(1)    // group commit, one commit per fsync
+    ->Arg(8)
+    ->Arg(64)   // the LogWriter default
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -3,7 +3,7 @@
 namespace oltap {
 
 Status Failpoint::Evaluate() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   // Re-check under the lock: Disable may have raced the caller's
   // IsActive() fast path.
   if (!active_.load(std::memory_order_relaxed)) return Status::OK();
@@ -20,7 +20,14 @@ Status Failpoint::Evaluate() {
     // Exhausted: disarm so the site goes back to zero-cost.
     active_.store(false, std::memory_order_relaxed);
   }
-  return config_.status;
+  Status st = config_.status;
+  if (config_.action) {
+    // Outside the lock: a blocking action must not stall other hits.
+    std::function<void()> action = config_.action;
+    lock.unlock();
+    action();
+  }
+  return st;
 }
 
 void Failpoint::Enable(const FailpointConfig& config) {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -34,6 +35,11 @@ struct FailpointConfig {
   double probability = 1.0;
   // The error the firing site injects.
   Status status = Status::Internal("injected failure");
+  // Runs on the hitting thread each time the site fires, before `status`
+  // is injected. With an OK status the site injects nothing, so an action
+  // that blocks parks the thread at the site — a pause point for tests
+  // that hold one thread mid-operation while others act.
+  std::function<void()> action;
   uint64_t seed = 42;
 };
 

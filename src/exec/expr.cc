@@ -475,37 +475,35 @@ bool Expr::SameAs(const Expr& other) const {
 }
 
 std::string Expr::ToString() const {
+  // Appends, not "literal" + std::string: GCC 12 reports a false
+  // -Wrestrict overlap on those temporaries.
+  auto infix = [&](const char* op) {
+    return std::string("(").append(children_[0]->ToString()).append(" ")
+        .append(op).append(" ").append(children_[1]->ToString()).append(")");
+  };
   switch (kind_) {
     case Kind::kColumn:
-      return "$" + std::to_string(column_);
+      return std::string("$").append(std::to_string(column_));
     case Kind::kConst:
       return constant_.is_null() ? "NULL" : constant_.ToString();
     case Kind::kCompare: {
       const char* ops[] = {"=", "<>", "<", "<=", ">", ">="};
-      return "(" + children_[0]->ToString() + " " +
-             ops[static_cast<int>(compare_op_)] + " " +
-             children_[1]->ToString() + ")";
+      return infix(ops[static_cast<int>(compare_op_)]);
     }
     case Kind::kAnd:
-      return "(" + children_[0]->ToString() + " AND " +
-             children_[1]->ToString() + ")";
+      return infix("AND");
     case Kind::kOr:
-      return "(" + children_[0]->ToString() + " OR " +
-             children_[1]->ToString() + ")";
+      return infix("OR");
     case Kind::kNot:
-      return "NOT " + children_[0]->ToString();
+      return std::string("NOT ").append(children_[0]->ToString());
     case Kind::kAdd:
-      return "(" + children_[0]->ToString() + " + " +
-             children_[1]->ToString() + ")";
+      return infix("+");
     case Kind::kSub:
-      return "(" + children_[0]->ToString() + " - " +
-             children_[1]->ToString() + ")";
+      return infix("-");
     case Kind::kMul:
-      return "(" + children_[0]->ToString() + " * " +
-             children_[1]->ToString() + ")";
+      return infix("*");
     case Kind::kDiv:
-      return "(" + children_[0]->ToString() + " / " +
-             children_[1]->ToString() + ")";
+      return infix("/");
     case Kind::kIsNull:
       return children_[0]->ToString() + " IS NULL";
   }

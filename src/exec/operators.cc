@@ -1004,8 +1004,8 @@ std::string HashJoinOp::Describe() const {
   std::string out = parallel() ? "ParallelHashJoin(keys=" : "HashJoin(keys=";
   for (size_t i = 0; i < build_keys_.size(); ++i) {
     if (i > 0) out += ",";
-    out += "$" + std::to_string(build_keys_[i]) + "=$" +
-           std::to_string(probe_keys_[i]);
+    out.append("$").append(std::to_string(build_keys_[i])).append("=$")
+        .append(std::to_string(probe_keys_[i]));
   }
   if (parallel()) out += ", dop=" + std::to_string(ctx_.dop);
   return out + ")";
@@ -1151,8 +1151,8 @@ std::string SortOp::Describe() const {
   std::string out = "Sort(";
   for (size_t i = 0; i < keys_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "$" + std::to_string(keys_[i].column) +
-           (keys_[i].descending ? " DESC" : " ASC");
+    out.append("$").append(std::to_string(keys_[i].column))
+        .append(keys_[i].descending ? " DESC" : " ASC");
   }
   return out + ")";
 }
@@ -1200,8 +1200,8 @@ std::string TopNOp::Describe() const {
   std::string out = "TopN(limit=" + std::to_string(limit_) + ", keys=";
   for (size_t i = 0; i < keys_.size(); ++i) {
     if (i > 0) out += ", ";
-    out += "$" + std::to_string(keys_[i].column) +
-           (keys_[i].descending ? " DESC" : " ASC");
+    out.append("$").append(std::to_string(keys_[i].column))
+        .append(keys_[i].descending ? " DESC" : " ASC");
   }
   return out + ")";
 }

@@ -111,7 +111,9 @@ void RegisterCoreMetrics(MetricsRegistry* r) {
   }
   for (const char* name :
        {"wal.append_ns", "wal.fsync_ns", "wal.batch_size",
-        "wal.group_wait_us", "txn.commit_ns",
+        "wal.group_wait_us", "txn.commit_ns", "txn.commit.lock_ns",
+        "txn.commit.validate_ns", "txn.commit.log_ns", "txn.commit.apply_ns",
+        "txn.commit.visible_ns",
         "wm.latency_us.oltp", "wm.latency_us.olap", "opt.qerror_x100",
         "view.maintain_ns", "view.freshness_lag_us", "ckpt.duration_us"}) {
     r->GetHistogram(name);

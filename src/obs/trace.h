@@ -57,6 +57,29 @@ class ScopedTimer {
 #endif
 };
 
+// Lap clock of a multi-stage operation: Lap records the time since the
+// previous lap into that stage's histogram, Total the time from
+// construction to the last lap, so the stages add up to the total. Reads
+// no clock under OLTAP_OBS_DISABLED.
+class StageClock {
+ public:
+#ifndef OLTAP_OBS_DISABLED
+  void Lap(Histogram* stage) {
+    const uint64_t now = MonotonicNanos();
+    stage->Record(now - last_);
+    last_ = now;
+  }
+  void Total(Histogram* total) const { total->Record(last_ - start_); }
+
+ private:
+  uint64_t start_ = MonotonicNanos();
+  uint64_t last_ = start_;
+#else
+  void Lap(Histogram*) {}
+  void Total(Histogram*) const {}
+#endif
+};
+
 // Per-operator execution statistics, accumulated by the instrumented
 // pull API (PhysicalOp::OpenTimed / NextBatchTimed). Times are
 // *inclusive*: an operator's span covers its children's work too, the

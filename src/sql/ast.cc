@@ -17,13 +17,15 @@ std::string ParseExpr::ToString() const {
       return "NULL";
     case Kind::kStar:
       return "*";
+    // Appends, not "literal" + std::string: GCC 12 reports a false
+    // -Wrestrict overlap on those temporaries.
     case Kind::kBinary:
-      return "(" + args[0]->ToString() + " " + op + " " +
-             args[1]->ToString() + ")";
+      return std::string("(").append(args[0]->ToString()).append(" ")
+          .append(op).append(" ").append(args[1]->ToString()).append(")");
     case Kind::kUnaryNot:
-      return "NOT " + args[0]->ToString();
+      return std::string("NOT ").append(args[0]->ToString());
     case Kind::kUnaryMinus:
-      return "-" + args[0]->ToString();
+      return std::string("-").append(args[0]->ToString());
     case Kind::kCall: {
       std::string out = name + "(";
       for (size_t i = 0; i < args.size(); ++i) {

@@ -66,7 +66,6 @@ Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts,
   for (const Table* table : tables) ops.push_back(WalOp::CreateTable(*table));
   Status write_status =
       ops.empty() ? Status::OK() : stream.LogCommit(/*txn_id=*/0, ts, ops);
-  ops.clear();
 
   // Bulk inserts of every row visible at ts. The per-table scan is the
   // long pole of a checkpoint; the stall failpoint stretches it so tests
@@ -78,21 +77,16 @@ Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts,
     if (!OLTAP_FAILPOINT_STATUS("checkpoint.scan.stall").ok()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    ops.reserve(kRowsPerRecord);
+    Wal::CommitBody body(/*txn_id=*/0, ts);
     auto flush = [&] {
-      if (!ops.empty()) {
-        Status st = stream.LogCommit(/*txn_id=*/0, ts, ops);
-        if (write_status.ok()) write_status = st;
-        ops.clear();
-      }
+      if (body.num_ops() == 0) return;
+      Status st = stream.LogCommitBody(body.Take());
+      if (write_status.ok()) write_status = st;
+      body = Wal::CommitBody(/*txn_id=*/0, ts);
     };
     table->ScanVisible(ts, [&](const Row& row) {
-      WalOp op;
-      op.kind = WalOp::kInsert;
-      op.table = table->name();
-      op.row = row;
-      ops.push_back(std::move(op));
-      if (ops.size() >= kRowsPerRecord) flush();
+      body.Add(WalOp::kInsert, table->name(), /*key=*/"", row);
+      if (body.num_ops() >= kRowsPerRecord) flush();
     });
     flush();
   }

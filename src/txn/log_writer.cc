@@ -1,144 +1,116 @@
 #include "txn/log_writer.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace oltap {
-namespace {
-
-void RecordWait(const std::chrono::steady_clock::time_point& enqueued) {
-  static obs::Histogram* wait_us =
-      obs::MetricsRegistry::Default()->GetHistogram("wal.group_wait_us");
-  auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - enqueued)
-                .count();
-  wait_us->Record(static_cast<uint64_t>(us < 0 ? 0 : us));
-}
-
-}  // namespace
-
-LogWriter::LogWriter(Wal* wal, const Options& options)
-    : wal_(wal), options_(options) {
-  running_ = true;
-  thread_ = std::thread(&LogWriter::Run, this);
-}
 
 LogWriter::~LogWriter() { Stop(); }
 
-std::future<Status> LogWriter::SubmitCommit(std::string body) {
-  Pending p;
-  p.body = std::move(body);
-  p.enqueued = std::chrono::steady_clock::now();
-  std::future<Status> f = p.done.get_future();
+Status LogWriter::Commit(std::string body) {
+  static obs::Histogram* wait_us =
+      obs::MetricsRegistry::Default()->GetHistogram("wal.group_wait_us");
+  const uint64_t enqueued_ns = obs::MonotonicNanos();
+  Waiter self;
+  self.commit_ts = Wal::PeekBodyCommitTs(body);
+  self.body = std::move(body);
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_ || stop_) {
-      RecordWait(p.enqueued);
-      p.done.set_value(
-          Status::Unavailable("log writer is not running; commit not logged"));
-      return f;
-    }
-    queue_.push_back(std::move(p));
-  }
-  cv_.notify_one();
-  return f;
-}
-
-void LogWriter::FailBatch(std::vector<Pending>* batch, const Status& st) {
-  for (Pending& p : *batch) {
-    RecordWait(p.enqueued);
-    p.done.set_value(st);
-  }
-  batch->clear();
-}
-
-void LogWriter::Run() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-    if (queue_.empty() && stop_) break;
-
-    // Group window: once the batch has a member, wait up to the persist
-    // interval for more to join, unless it fills or shutdown begins.
-    if (options_.persist_interval_us > 0) {
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(options_.persist_interval_us);
-      cv_.wait_until(lock, deadline, [&] {
-        return stop_ || queue_.size() >= options_.max_batch;
-      });
-    }
-
-    std::vector<Pending> batch;
-    if (queue_.size() <= options_.max_batch) {
-      batch.swap(queue_);
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!running_) {
+      self.status =
+          Status::Unavailable("log writer is not running; commit not logged");
     } else {
-      batch.assign(std::make_move_iterator(queue_.begin()),
-                   std::make_move_iterator(queue_.begin() +
-                                           static_cast<long>(options_.max_batch)));
-      queue_.erase(queue_.begin(),
-                   queue_.begin() + static_cast<long>(options_.max_batch));
+      queue_.push_back(&self);
+      if (leading_) {
+        self.cv.wait(lock, [&] { return self.done || self.lead; });
+      }
+      if (!self.done) {
+        leading_ = true;
+        Lead(&lock);
+      }
     }
-
-    // Writer-thread crash: the batch in hand AND everything queued behind
-    // it fail with the injected status (none of it ever reached the log),
-    // then the thread exits. Submissions from this point fail fast until
-    // Restart().
-    Status crash = OLTAP_FAILPOINT_STATUS("logwriter.crash");
-    if (!crash.ok()) {
-      ++stats_.crashes;
-      running_ = false;
-      FailBatch(&batch, crash);
-      FailBatch(&queue_, crash);
-      return;
-    }
-
-    lock.unlock();
-    std::vector<std::string> bodies;
-    bodies.reserve(batch.size());
-    for (Pending& p : batch) bodies.push_back(std::move(p.body));
-    Status st = wal_->LogCommitBatch(bodies);
-    lock.lock();
-    // Stats first, futures second: a committer that observes its ack must
-    // also observe the batch accounted for.
-    ++stats_.batches;
-    stats_.commits += batch.size();
-    lock.unlock();
-    for (Pending& p : batch) {
-      RecordWait(p.enqueued);
-      p.done.set_value(st);
-    }
-    lock.lock();
   }
-  // Shutdown with an empty queue: nothing in flight remains.
-  running_ = false;
+  wait_us->Record((obs::MonotonicNanos() - enqueued_ns) / 1000);  // to ack
+  return self.status;
+}
+
+void LogWriter::Complete(Waiter* w, const Status& st) {
+  w->status = st;
+  w->done = true;
+  w->cv.notify_one();
+}
+
+void LogWriter::Lead(std::unique_lock<std::mutex>* lock) {
+  static Failpoint& hold = FailpointRegistry::Get().Register("logwriter.lead");
+  if (hold.IsActive()) {
+    lock->unlock();
+    (void)hold.Evaluate();  // a hold point only: its status is ignored
+    lock->lock();
+  }
+
+  // The leader heads the queue; followers that queued while it waited
+  // for mu_ ride along in its batch.
+  const size_t n =
+      std::min(queue_.size(), std::max<size_t>(1, options_.max_batch));
+  writing_.assign(queue_.begin(), queue_.begin() + static_cast<long>(n));
+  queue_.erase(queue_.begin(), queue_.begin() + static_cast<long>(n));
+  lock->unlock();
+
+  // The batch's waiters block until Complete, so their bodies are the
+  // leader's to move while mu_ is released.
+  Status crash = OLTAP_FAILPOINT_STATUS("logwriter.crash");
+  Status st = crash;
+  if (crash.ok()) {
+    std::vector<std::string> bodies;
+    bodies.reserve(n);
+    for (Waiter* w : writing_) bodies.push_back(std::move(w->body));
+    st = wal_->LogCommitBatch(bodies);
+  }
+
+  lock->lock();
+  // Stats first, acks second: a committer that observes its ack must
+  // also observe the batch accounted for.
+  if (crash.ok()) {
+    ++stats_.batches;
+    stats_.commits += n;
+  } else {
+    // The leader died with its batch in hand: that batch and everything
+    // queued behind it fail (none of it reached the log), and later
+    // commits fail fast until Restart().
+    ++stats_.crashes;
+    running_ = false;
+    for (Waiter* w : queue_) Complete(w, crash);
+    queue_.clear();
+  }
+  for (Waiter* w : writing_) Complete(w, st);
+  writing_.clear();
+  if (queue_.empty()) {
+    leading_ = false;
+    idle_.notify_all();
+  } else {
+    queue_.front()->lead = true;
+    queue_.front()->cv.notify_one();
+  }
 }
 
 void LogWriter::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  // A crashed writer exits leaving its queue behind (new submissions are
-  // already rejected); fail the leftovers so no committer blocks forever.
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   running_ = false;
-  FailBatch(&queue_, Status::Unavailable("log writer stopped"));
+  // Leaders keep handing over until the queue is empty.
+  idle_.wait(lock, [&] { return !leading_; });
 }
 
 Status LogWriter::Restart() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   if (running_) {
     return Status::FailedPrecondition("log writer is still running");
   }
-  if (thread_.joinable()) thread_.join();
-  FailBatch(&queue_, Status::Unavailable("log writer restarted"));
-  stop_ = false;
+  idle_.wait(lock, [&] { return !leading_; });
   running_ = true;
-  thread_ = std::thread(&LogWriter::Run, this);
   return Status::OK();
 }
 
@@ -147,12 +119,16 @@ bool LogWriter::running() const {
   return running_;
 }
 
+size_t LogWriter::pending() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size() + writing_.size();
+}
+
 Timestamp LogWriter::MinPendingCommitTs() const {
   std::lock_guard<std::mutex> lock(mu_);
   Timestamp min_ts = kMaxTimestamp;
-  for (const Pending& p : queue_) {
-    min_ts = std::min(min_ts, Wal::PeekBodyCommitTs(p.body));
-  }
+  for (const Waiter* w : queue_) min_ts = std::min(min_ts, w->commit_ts);
+  for (const Waiter* w : writing_) min_ts = std::min(min_ts, w->commit_ts);
   return min_ts;
 }
 

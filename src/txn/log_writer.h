@@ -1,13 +1,10 @@
 #ifndef OLTAP_TXN_LOG_WRITER_H_
 #define OLTAP_TXN_LOG_WRITER_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -16,72 +13,68 @@
 
 namespace oltap {
 
-// Group commit: a dedicated log-writer thread that drains queued commit
-// records, serializes many of them into ONE frame, issues ONE
-// flush+fsync for the whole batch (Wal::LogCommitBatch), and only then
-// completes the waiting committers' futures. Amortizing the fsync across
-// the batch is the classic group-commit trade (terrier's log_manager,
-// Aether): per-commit latency grows by at most the persist interval,
-// sustained commit throughput stops being bound by device syncs.
+// Group commit by leader/follower hand-off, with no log-writer thread and
+// no timer (Aether's flush pipelining, Johnson et al., VLDB 2010). A
+// committer queues its serialized body; if no batch is being written it
+// becomes the leader: it takes up to max_batch queued bodies (its own
+// first), writes them on its own thread as ONE Wal::LogCommitBatch frame
+// — one checksum, one flush, one fsync — and acks that batch. Commits
+// that arrive during the write queue as followers; the leader hands
+// leadership to the oldest of them and returns, and they form the next
+// batch. A lone commit waits for nothing; under load batches grow.
 //
-// Contract with TransactionManager::Commit:
-//  - the committer serializes its record (Wal::SerializeCommitBody) on its
-//    own thread, submits the body, and blocks on the returned future
-//    while still holding its key stripe locks — the commit is not applied
-//    and not acknowledged until the future resolves OK, so ack still
-//    implies durable;
-//  - a batch fails atomically: if the batch's append fails (torn batch,
-//    fsync error, sealed log) EVERY future in the batch resolves to that
-//    error and none of those commits may be acknowledged or applied. The
-//    Wal's single batch checksum enforces the same all-or-nothing on the
-//    recovery side.
+// Contract with TransactionManager::Commit: the committer blocks in
+// Commit() while still holding its key stripe locks, and applies only on
+// OK, so ack implies durable. A batch fails atomically: if its append
+// fails (torn batch, fsync error, sealed log) EVERY commit in it gets the
+// error and none may be acknowledged or applied — the Wal's single batch
+// checksum enforces the same all-or-nothing on the recovery side.
 //
-// Failpoint "logwriter.crash" simulates the writer thread dying: the
-// current batch and everything queued behind it fail with the injected
-// status, the thread exits, and later submissions fail fast with
-// kUnavailable until Restart() re-spawns the thread.
+// Failpoint "logwriter.crash" simulates a leader dying with its batch in
+// hand: that batch and everything queued behind it fail with the
+// injected status, and later commits fail fast with kUnavailable until
+// Restart(). Failpoint "logwriter.lead" is hit by every leader before it
+// takes its batch; armed with an OK status and an action it holds the
+// leader there while followers queue (tests use it to shape batches).
 class LogWriter {
  public:
   struct Options {
-    // Max commits per batch: a full batch is written immediately.
+    // Max commits per batch (per frame).
     size_t max_batch = 64;
-    // How long the writer waits for more commits to join a non-empty,
-    // non-full batch before persisting it (the persist interval; bounds
-    // the latency a commit pays for grouping). 0 = persist immediately.
-    int64_t persist_interval_us = 100;
   };
 
   explicit LogWriter(Wal* wal) : LogWriter(wal, Options()) {}
-  LogWriter(Wal* wal, const Options& options);
+  LogWriter(Wal* wal, const Options& options)
+      : wal_(wal), options_(options) {}
   ~LogWriter();  // calls Stop()
 
   LogWriter(const LogWriter&) = delete;
   LogWriter& operator=(const LogWriter&) = delete;
 
-  // Queues one serialized commit body for the next batch. The future
-  // resolves after the batch containing it is durable (OK) or failed
-  // (the batch's error). After Stop() or a writer crash, resolves
-  // immediately with kUnavailable.
-  std::future<Status> SubmitCommit(std::string body);
+  // Makes one serialized commit body (Wal::CommitBody) durable. Returns
+  // once the batch holding it is written (OK) or failed (the batch's
+  // error). After Stop() or a crash, fails at once with kUnavailable.
+  Status Commit(std::string body);
 
-  // Stops the writer. In-flight and queued commits are drained into a
-  // final batch when the log still accepts writes; when it does not
-  // (sealed), they fail deterministically with the append error. Safe to
-  // call twice.
+  // Stops accepting commits and waits until every queued commit is
+  // written — or failed deterministically with the append error, when
+  // the log is sealed. Safe to call twice.
   void Stop();
 
-  // Re-spawns the writer thread after a crash or Stop(). Fails with
-  // kFailedPrecondition if it is still running.
+  // Accepts commits again after a crash or Stop(). Fails with
+  // kFailedPrecondition if the writer is still running.
   Status Restart();
 
   bool running() const;
 
-  // Oldest commit timestamp among queued-but-not-yet-persisted bodies
-  // (kMaxTimestamp when the queue is empty). The checkpoint daemon folds
-  // this into its WAL-truncation pin: a segment may only drop once no
-  // in-flight batch could still need its position in the log. (In
-  // practice queued commits are always newer than the checkpoint — the
-  // visible watermark trails durability — so this pin is a backstop.)
+  // Commits queued or being written, not yet acknowledged.
+  size_t pending() const;
+
+  // Oldest commit timestamp among bodies not yet durable — queued ones
+  // and the batch a leader is writing (kMaxTimestamp when none). The
+  // checkpoint daemon folds this into its WAL-truncation pin. (Pending
+  // commits are newer than any checkpoint — the visible watermark trails
+  // durability — so this pin is a backstop.)
   Timestamp MinPendingCommitTs() const;
 
   struct Stats {
@@ -92,25 +85,33 @@ class LogWriter {
   Stats stats() const;
 
  private:
-  struct Pending {
+  // One blocked committer; lives on its thread's stack until acked.
+  struct Waiter {
     std::string body;
-    std::promise<Status> done;
-    std::chrono::steady_clock::time_point enqueued;
+    Timestamp commit_ts = 0;
+    Status status;
+    bool done = false;  // status is final
+    bool lead = false;  // handed leadership
+    std::condition_variable cv;
   };
 
-  void Run();
-  // Fails every entry of `batch` with `st` and publishes their wait times.
-  static void FailBatch(std::vector<Pending>* batch, const Status& st);
+  // Writes one batch as the leader — always the oldest queued commit, at
+  // queue_.front() — then acks it and hands leadership on. Called and
+  // returns with mu_ held.
+  void Lead(std::unique_lock<std::mutex>* lock);
+  // Sets the final status of `w` and wakes it. Caller holds mu_ (the
+  // waiter may return, destroying its cv, as soon as mu_ is released).
+  static void Complete(Waiter* w, const Status& st);
 
   Wal* const wal_;
   const Options options_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Pending> queue_;
-  bool stop_ = false;
-  bool running_ = false;   // writer thread is live (accepting work)
-  std::thread thread_;
+  std::condition_variable idle_;   // signalled when no leader remains
+  std::vector<Waiter*> queue_;     // oldest first
+  std::vector<Waiter*> writing_;   // the batch the leader has in hand
+  bool leading_ = false;           // a leader is active or handed over
+  bool running_ = true;            // accepting commits
   Stats stats_;
 };
 

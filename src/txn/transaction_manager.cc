@@ -223,24 +223,23 @@ size_t TransactionManager::StripeFor(const Table* table,
   return h % kLockStripes;
 }
 
-Status TransactionManager::LogDurably(uint64_t txn_id, Timestamp commit_ts,
-                                      const std::vector<WalOp>& ops) {
-  // Group commit serializes the record on the committing thread and
-  // waits for the log writer's batch; the direct path appends it alone.
+Status TransactionManager::LogDurably(std::string body) {
+  // Group commit waits for the batch holding the body; the direct path
+  // appends it alone.
   if (LogWriter* writer = log_writer_.load(std::memory_order_acquire)) {
-    return writer
-        ->SubmitCommit(Wal::SerializeCommitBody(txn_id, commit_ts, ops))
-        .get();
+    return writer->Commit(std::move(body));
   }
-  return wal_->LogCommit(txn_id, commit_ts, ops);
+  return wal_->LogCommitBody(std::move(body));
 }
 
 Status TransactionManager::CommitDdl(const WalOp& record,
                                      const std::function<Status()>& apply) {
   const uint64_t id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   const Timestamp commit_ts = AllocateCommitTs();
-  Status st = wal_ == nullptr ? Status::OK()
-                              : LogDurably(id, commit_ts, {record});
+  Status st;
+  if (wal_ != nullptr) {
+    st = LogDurably(Wal::SerializeCommitBody(id, commit_ts, {record}));
+  }
   // The effect lands before the timestamp turns visible, so a snapshot
   // (a checkpoint's, say) that covers the record also sees the effect.
   if (st.ok()) st = apply();
@@ -255,9 +254,6 @@ Status TransactionManager::CommitDdl(const WalOp& record,
 
 Status TransactionManager::Commit(Transaction* txn) {
   OLTAP_CHECK(!txn->finished_) << "commit on finished transaction";
-  static obs::Histogram* commit_ns =
-      obs::MetricsRegistry::Default()->GetHistogram("txn.commit_ns");
-  obs::ScopedTimer commit_timer(commit_ns);
   auto finish = [&](bool committed) {
     txn->finished_ = true;
     SnapshotShard& shard = snapshot_shards_[txn->snapshot_shard_];
@@ -278,12 +274,26 @@ Status TransactionManager::Commit(Transaction* txn) {
     return Status::OK();
   }
 
+  // Stage clock of a write commit: each stage's time lands in its own
+  // histogram and the whole commit's in txn.commit_ns, so the stages add
+  // up to it. The commit hook (view maintenance) is not a stage: it runs
+  // after the ack point and times itself.
+  static obs::MetricsRegistry* const reg = obs::MetricsRegistry::Default();
+  static auto* const commit_ns = reg->GetHistogram("txn.commit_ns");
+  static auto* const lock_ns = reg->GetHistogram("txn.commit.lock_ns");
+  static auto* const validate_ns = reg->GetHistogram("txn.commit.validate_ns");
+  static auto* const log_ns = reg->GetHistogram("txn.commit.log_ns");
+  static auto* const apply_ns = reg->GetHistogram("txn.commit.apply_ns");
+  static auto* const visible_ns = reg->GetHistogram("txn.commit.visible_ns");
+  obs::StageClock clock;
+
   // Lock the stripes covering the write set, in order (deadlock-free).
   std::set<size_t> stripes;
   for (const Transaction::WriteOp& op : txn->ops_) {
     stripes.insert(StripeFor(op.table, op.key));
   }
   for (size_t s : stripes) stripes_[s].lock();
+  clock.Lap(lock_ns);
   auto unlock_all = [&] {
     for (auto it = stripes.rbegin(); it != stripes.rend(); ++it) {
       stripes_[*it].unlock();
@@ -307,6 +317,8 @@ Status TransactionManager::Commit(Transaction* txn) {
     unlock_all();
     finish(false);
     write_conflicts->Add(1);
+    clock.Lap(validate_ns);
+    clock.Total(commit_ns);
     return Status::Aborted(why);
   };
   for (const auto& [table_key, kind] : first) {
@@ -327,20 +339,17 @@ Status TransactionManager::Commit(Transaction* txn) {
 
   Timestamp commit_ts = AllocateCommitTs();
   txn->commit_ts_ = commit_ts;
+  clock.Lap(validate_ns);
 
   if (wal_ != nullptr) {
     // Derived tables (view backings) stay out of the log: recovery
     // rebuilds them from their bases.
-    std::vector<WalOp> wal_ops;
-    wal_ops.reserve(txn->ops_.size());
+    Wal::CommitBody body(txn->id_, commit_ts);
     for (const Transaction::WriteOp& op : txn->ops_) {
-      if (!op.table->logged()) continue;
-      WalOp w;
-      w.kind = static_cast<WalOp::Kind>(op.kind);
-      w.table = op.table->name();
-      w.key = op.key;
-      w.row = op.row;
-      wal_ops.push_back(std::move(w));
+      if (op.table->logged()) {
+        body.Add(static_cast<WalOp::Kind>(op.kind), op.table->name(), op.key,
+                 op.row);
+      }
     }
     // Durability point. With a log writer installed this is group commit:
     // the committer blocks until the batch holding its record is durable
@@ -349,9 +358,8 @@ Status TransactionManager::Commit(Transaction* txn) {
     // anyway. In-flight commits are bounded by the thread count, far
     // below kCommitWindow, so blocking here cannot wedge timestamp
     // allocation.
-    Status wal_st = wal_ops.empty()
-                        ? Status::OK()
-                        : LogDurably(txn->id_, commit_ts, wal_ops);
+    Status wal_st =
+        body.num_ops() == 0 ? Status::OK() : LogDurably(body.Take());
     if (!wal_st.ok()) {
       // The commit record never became durable, so the transaction must
       // not apply: retire the timestamp unused (a harmless gap in the
@@ -360,9 +368,12 @@ Status TransactionManager::Commit(Transaction* txn) {
       FinishCommitTs(commit_ts);
       unlock_all();
       finish(false);
+      clock.Lap(log_ns);
+      clock.Total(commit_ns);
       return wal_st;
     }
   }
+  clock.Lap(log_ns);
 
   // Apply. Validation plus the stripe locks guarantee success.
   for (const Transaction::WriteOp& op : txn->ops_) {
@@ -385,6 +396,7 @@ Status TransactionManager::Commit(Transaction* txn) {
 
   unlock_all();
   finish(true);
+  clock.Lap(apply_ns);
   // Read-your-writes across transactions: don't acknowledge until the
   // watermark covers this commit, so the committer's next Begin is
   // guaranteed to see it (and an acked commit is never invisible to a
@@ -398,6 +410,8 @@ Status TransactionManager::Commit(Transaction* txn) {
     AdvanceVisible();
     std::this_thread::yield();
   }
+  clock.Lap(visible_ns);
+  clock.Total(commit_ns);
   // Post-commit hook (synchronous view maintenance): runs at the ack
   // point — durable, visible, no locks held — so a maintenance
   // transaction begun inside the hook reads a snapshot covering this

@@ -177,8 +177,8 @@ class TransactionManager {
   Wal* wal() const { return wal_; }
 
   // Routes commit durability through a group-commit log writer: when set,
-  // Commit serializes its record and blocks on the writer's future instead
-  // of calling Wal::LogCommit itself (one fsync per batch instead of per
+  // Commit serializes its record and blocks in LogWriter::Commit instead
+  // of appending it to the WAL itself (one fsync per batch instead of per
   // commit). Pass nullptr to restore the direct path. The caller owns the
   // writer and must keep it alive (and Stop() it) around any window where
   // commits may run; swapping mid-commit is safe — each commit reads the
@@ -234,10 +234,9 @@ class TransactionManager {
   };
 
   size_t StripeFor(const Table* table, const std::string& key) const;
-  // Makes one commit record durable: through the group-commit log writer
-  // when one is set, else appended to the WAL directly.
-  Status LogDurably(uint64_t txn_id, Timestamp commit_ts,
-                    const std::vector<WalOp>& ops);
+  // Makes one serialized commit record durable: through the group-commit
+  // log writer when one is set, else appended to the WAL directly.
+  Status LogDurably(std::string body);
   // Allocates a commit timestamp and marks it in-flight.
   Timestamp AllocateCommitTs();
   // Marks `ts` fully applied, advancing the watermark over the contiguous

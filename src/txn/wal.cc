@@ -108,6 +108,12 @@ std::unique_ptr<Table> DecodeTable(const std::string& payload) {
       std::move(name), Schema(std::move(columns), std::move(keys)), format);
 }
 
+// The length of open file `f`, where its next "ab"-mode write lands.
+long FileEnd(std::FILE* f) {
+  std::fseek(f, 0, SEEK_END);
+  return std::ftell(f);
+}
+
 // The commit timestamp of a commit body (SerializeCommitBody: u64 txn_id,
 // u64 commit_ts, ...); 0 when the body is too short.
 Timestamp BodyCommitTs(const char* data, size_t len) {
@@ -345,6 +351,7 @@ Result<std::unique_ptr<Wal>> Wal::OpenFile(const std::string& path,
   }
   auto wal = std::make_unique<Wal>(options);
   wal->file_ = f;
+  wal->file_end_ = FileEnd(f);
   wal->path_ = path;
   return wal;
 }
@@ -379,20 +386,33 @@ Timestamp Wal::PeekBodyCommitTs(const std::string& body) {
   return BodyCommitTs(body.data(), body.size());
 }
 
+Wal::CommitBody::CommitBody(uint64_t txn_id, Timestamp commit_ts) {
+  PutU64(&body_, txn_id);
+  PutU64(&body_, commit_ts);
+  PutU16(&body_, 0);  // op count, set by Take
+}
+
+void Wal::CommitBody::Add(WalOp::Kind kind, const std::string& table,
+                          const std::string& key, const Row& row) {
+  PutU8(&body_, kind);
+  PutBytes(&body_, table);
+  PutBytes(&body_, key);
+  PutU16(&body_, static_cast<uint16_t>(row.size()));
+  for (const Value& v : row) PutValue(&body_, v);
+  ++num_ops_;
+}
+
+std::string Wal::CommitBody::Take() {
+  body_[16] = static_cast<char>(num_ops_ & 0xff);
+  body_[17] = static_cast<char>(num_ops_ >> 8);
+  return std::move(body_);
+}
+
 std::string Wal::SerializeCommitBody(uint64_t txn_id, Timestamp commit_ts,
                                      const std::vector<WalOp>& ops) {
-  std::string body;
-  PutU64(&body, txn_id);
-  PutU64(&body, commit_ts);
-  PutU16(&body, static_cast<uint16_t>(ops.size()));
-  for (const WalOp& op : ops) {
-    PutU8(&body, op.kind);
-    PutBytes(&body, op.table);
-    PutBytes(&body, op.key);
-    PutU16(&body, static_cast<uint16_t>(op.row.size()));
-    for (const Value& v : op.row) PutValue(&body, v);
-  }
-  return body;
+  CommitBody body(txn_id, commit_ts);
+  for (const WalOp& op : ops) body.Add(op.kind, op.table, op.key, op.row);
+  return body.Take();
 }
 
 void Wal::SealLocked() {
@@ -430,10 +450,14 @@ void Wal::MaybeRotateLocked() {
     std::string next = path_ + "." + std::to_string(active_id_ + 1);
     file_ = std::fopen(next.c_str(), "ab");
     if (file_ == nullptr) SealLocked();
+    file_end_ = file_ == nullptr ? 0 : FileEnd(file_);
   }
   sealed_bytes_ += seg.data.size();
   sealed_segments_.push_back(std::move(seg));
+  // The moved-from buffer starts empty: size the new segment up front
+  // rather than regrowing it by doubling on the commit path.
   buf_.clear();
+  buf_.reserve(options_.segment_bytes);
   ++active_id_;
   active_max_ts_ = 0;
   RefreshGaugesLocked();
@@ -442,13 +466,6 @@ void Wal::MaybeRotateLocked() {
 Status Wal::AppendFrameLocked(const std::string& frame, size_t records,
                               Timestamp max_ts) {
   const size_t good_size = buf_.size();
-  long file_start = -1;
-  if (file_ != nullptr) {
-    // Where this frame begins ("ab" mode appends at end-of-file), so a
-    // failed append can be trimmed back off the file.
-    std::fseek(file_, 0, SEEK_END);
-    file_start = std::ftell(file_);
-  }
   // Undoes a failed append: buf_ and the file shrink back to the last
   // complete frame, keeping the log appendable. If the file cannot be
   // restored it is torn at an unknown point, so the Wal seals instead.
@@ -458,8 +475,8 @@ Status Wal::AppendFrameLocked(const std::string& frame, size_t records,
       std::clearerr(file_);
       bool restored = false;
 #if defined(__unix__) || defined(__APPLE__)
-      restored = file_start >= 0 && std::fflush(file_) == 0 &&
-                 ::ftruncate(fileno(file_), file_start) == 0;
+      restored = std::fflush(file_) == 0 &&
+                 ::ftruncate(fileno(file_), file_end_) == 0;
 #endif
       if (!restored) SealLocked();
     }
@@ -498,6 +515,7 @@ Status Wal::AppendFrameLocked(const std::string& frame, size_t records,
           obs::MetricsRegistry::Default()->GetCounter("wal.fsyncs");
       fsyncs->Add(1);
     }
+    file_end_ += static_cast<long>(frame.size());
   }
   num_records_ += records;
   active_max_ts_ = std::max(active_max_ts_, max_ts);
@@ -513,8 +531,13 @@ Status Wal::AppendFrameLocked(const std::string& frame, size_t records,
 
 Status Wal::LogCommit(uint64_t txn_id, Timestamp commit_ts,
                       const std::vector<WalOp>& ops) {
-  return AppendBodies({SerializeCommitBody(txn_id, commit_ts, ops)},
-                      /*single=*/true);
+  return LogCommitBody(SerializeCommitBody(txn_id, commit_ts, ops));
+}
+
+Status Wal::LogCommitBody(std::string body) {
+  std::vector<std::string> bodies;
+  bodies.push_back(std::move(body));
+  return AppendBodies(bodies, /*single=*/true);
 }
 
 Status Wal::LogCommitBatch(const std::vector<std::string>& bodies) {
@@ -549,7 +572,7 @@ Status Wal::AppendBodies(const std::vector<std::string>& bodies, bool single) {
   // Replay stops at the first corrupt frame, and a commit appended after
   // the tear would be acknowledged yet silently lost. Because one checksum
   // covers the whole frame, no commit of a torn batch survives, matching
-  // the all-failed futures the group committer hands out.
+  // the all-failed statuses the group committer hands out.
   Status torn = single ? OLTAP_FAILPOINT_STATUS("wal.append.torn")
                        : OLTAP_FAILPOINT_STATUS("wal.batch.torn");
   if (!torn.ok()) {

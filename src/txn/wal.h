@@ -148,10 +148,27 @@ class Wal {
   // by Replay, which stops at the first corrupt record.
   Status LogCommit(uint64_t txn_id, Timestamp commit_ts,
                    const std::vector<WalOp>& ops);
+  // LogCommit of an already serialized body (CommitBody).
+  Status LogCommitBody(std::string body);
 
-  // Serializes one commit into a record *body* (no frame header) for
-  // LogCommitBatch. Pure function, no lock — the group-commit path
-  // serializes on the committing threads and batches on the log writer.
+  // Builds one commit record *body* (no frame header) op by op, so a
+  // committer serializes straight from its own write set, on its own
+  // thread and without a lock, for LogCommitBody or LogCommitBatch.
+  class CommitBody {
+   public:
+    CommitBody(uint64_t txn_id, Timestamp commit_ts);
+    void Add(WalOp::Kind kind, const std::string& table,
+             const std::string& key, const Row& row);
+    size_t num_ops() const { return num_ops_; }
+    // The finished body; the builder is spent.
+    std::string Take();
+
+   private:
+    std::string body_;
+    uint16_t num_ops_ = 0;
+  };
+
+  // CommitBody over `ops`.
   static std::string SerializeCommitBody(uint64_t txn_id, Timestamp commit_ts,
                                          const std::vector<WalOp>& ops);
 
@@ -285,6 +302,7 @@ class Wal {
   size_t num_records_ = 0;
   bool sealed_ = false;
   std::FILE* file_ = nullptr;  // active segment's file
+  long file_end_ = 0;          // its length: where the next frame lands
   std::string path_;           // base path of a file-backed log
 };
 

@@ -158,7 +158,6 @@ DriverReport ConcurrentDriver::Run() {
   if (options_.group_commit && wal != nullptr) {
     LogWriter::Options lw_opts;
     lw_opts.max_batch = options_.group_max_batch;
-    lw_opts.persist_interval_us = options_.group_persist_interval_us;
     log_writer = std::make_unique<LogWriter>(wal, lw_opts);
     bench_->db()->txn_manager()->SetLogWriter(log_writer.get());
   }

@@ -92,7 +92,7 @@ struct DriverOptions {
   // zero-lost-commits audit consumes these).
   bool audit_commits = false;
 
-  // Group commit: install a dedicated log writer on the database's
+  // Group commit: install a leader/follower log writer on the database's
   // transaction manager for the duration of the run (no-op when the
   // database has no WAL). Commits then ack after their batch's single
   // fsync instead of one fsync each. The driver owns the writer and
@@ -100,7 +100,6 @@ struct DriverOptions {
   // drained, so no commit is in flight when the writer goes away.
   bool group_commit = false;
   size_t group_max_batch = 64;
-  int64_t group_persist_interval_us = 100;
 
   // When the WAL seals mid-run (torn append — every later commit is
   // doomed), abort the whole run with a clear report instead of letting

@@ -271,30 +271,36 @@ TEST_F(CheckpointDaemonTest, UnackedGroupCommitBatchPinsHorizon) {
   ASSERT_TRUE(db.Execute(kCreateSql).ok());
   InsertRange(&db, 0, 10);
 
-  // A writer with a long persist interval holds a submitted-but-unacked
-  // batch; its commit timestamp must bound the horizon so no truncation
-  // outruns an acknowledgement that never happened.
+  // A leader held before it writes keeps a queued-but-unacked commit;
+  // its commit timestamp must bound the horizon so no truncation outruns
+  // an acknowledgement that never happened.
   LogWriter::Options lw_opts;
   lw_opts.max_batch = 64;
-  lw_opts.persist_interval_us = 2'000'000;
   LogWriter writer(&wal, lw_opts);
   db.txn_manager()->SetLogWriter(&writer);
 
   const Timestamp pending_ts = 5;  // below every live timestamp
-  std::future<Status> pending = writer.SubmitCommit(Wal::SerializeCommitBody(
-      99, pending_ts,
-      {WalOp{WalOp::kInsert, "t", "",
-             Row{Value::Int64(999), Value::String("p"),
-                 Value::Double(0.0)}}}));
-  ASSERT_EQ(writer.MinPendingCommitTs(), pending_ts);
+  FailpointGate gate;
+  ScopedFailpoint hold("logwriter.lead", gate.Config());
+  Status pending;
+  std::thread committer([&] {
+    pending = writer.Commit(Wal::SerializeCommitBody(
+        99, pending_ts,
+        {WalOp{WalOp::kInsert, "t", "",
+               Row{Value::Int64(999), Value::String("p"),
+                   Value::Double(0.0)}}}));
+  });
+  gate.AwaitArrivals(1);
+  EXPECT_EQ(writer.MinPendingCommitTs(), pending_ts);
 
   CheckpointDaemon* d = db.EnsureCheckpointer();
-  auto r = d->CheckpointNow();
-  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(d->CheckpointNow().ok());
   EXPECT_LE(d->PinnedHorizon(), pending_ts);
 
+  gate.Open();
+  committer.join();
   writer.Stop();
-  EXPECT_TRUE(pending.get().ok());
+  EXPECT_TRUE(pending.ok());
   db.txn_manager()->SetLogWriter(nullptr);
 }
 

@@ -1,6 +1,8 @@
 #ifndef OLTAP_TESTS_FAILPOINT_FIXTURE_H_
 #define OLTAP_TESTS_FAILPOINT_FIXTURE_H_
 
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,46 @@ class FailpointTest : public ::testing::Test {
       FailpointRegistry::Get().DisableAll();
     }
   }
+};
+
+// A pause point: armed on a site through Config(), it parks every thread
+// whose hit fires until Open(), and injects nothing (OK status). Tests use
+// it to hold one thread mid-operation — a group-commit leader before it
+// takes its batch, say — while they queue more work, with no sleeps.
+class FailpointGate {
+ public:
+  ~FailpointGate() { Open(); }  // never strand a parked thread
+
+  FailpointConfig Config(int max_fires = 1) {
+    FailpointConfig cfg;
+    cfg.max_fires = max_fires;
+    cfg.status = Status::OK();
+    cfg.action = [this] {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++arrived_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    };
+    return cfg;
+  }
+
+  // Blocks until `n` threads have reached the gate.
+  void AwaitArrivals(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return arrived_ >= n; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int arrived_ = 0;
+  bool open_ = false;
 };
 
 }  // namespace oltap

@@ -125,9 +125,7 @@ TEST(GroupCommitTortureTest, AckedCommitsSurviveCrashUnackedNeverResurrect) {
     opts.seed = 1000 + static_cast<uint64_t>(round);
     opts.audit_commits = true;
     opts.group_commit = true;
-    opts.group_max_batch = 4u << rng.Uniform(4);         // 4..32
-    opts.group_persist_interval_us =
-        static_cast<int64_t>(rng.Uniform(3)) * 100;      // 0/100/200
+    opts.group_max_batch = 4u << rng.Uniform(4);  // 4..32
     opts.merge_delta_threshold = 64;
     opts.merge_interval_ms = 1;
 

@@ -3,12 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/failpoint.h"
+#include "failpoint_fixture.h"
 #include "storage/catalog.h"
 #include "txn/transaction_manager.h"
 #include "txn/wal.h"
@@ -46,29 +45,54 @@ std::unique_ptr<Catalog> FreshCatalog() {
 }
 
 // Failpoint hygiene: no test may leak an armed site.
-class LogWriterTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    EXPECT_TRUE(FailpointRegistry::Get().ActiveList().empty());
-    FailpointRegistry::Get().DisableAll();
-  }
-};
+class LogWriterTest : public FailpointTest {};
 
-// Submissions inside one persist interval land in ONE batch frame: one
+// Runs writer->Commit(body) on a thread of its own; the status lands in
+// *out once the commit is acked.
+std::thread CommitAsync(LogWriter* writer, std::string body, Status* out) {
+  return std::thread(
+      [writer, out, b = std::move(body)]() mutable {
+        *out = writer->Commit(std::move(b));
+      });
+}
+
+// Queues commits i = first..last-1 (body InsertBody(i + 1, i + 1, i)) one
+// at a time, each after the previous one is pending, so queue order is
+// commit order.
+void QueueInOrder(LogWriter* writer, int first, int last,
+                  std::vector<std::thread>* threads,
+                  std::vector<Status>* statuses) {
+  for (int i = first; i < last; ++i) {
+    const size_t before = writer->pending();
+    threads->push_back(
+        CommitAsync(writer, InsertBody(i + 1, i + 1, i), &(*statuses)[i]));
+    while (writer->pending() == before) std::this_thread::yield();
+  }
+}
+
+void JoinAll(std::vector<std::thread>* threads) {
+  for (std::thread& t : *threads) t.join();
+}
+
+// Commits that queue while a leader is held form ONE batch frame: one
 // checksum, one entry in wal.batches — and replay still sees every commit.
 TEST_F(LogWriterTest, GroupsSubmissionsIntoOneBatch) {
   Wal wal;
   LogWriter::Options opts;
   opts.max_batch = 8;
-  opts.persist_interval_us = 500'000;  // generous window; the 8th submit fills
-                                       // the batch and fires it early
   LogWriter writer(&wal, opts);
 
-  std::vector<std::future<Status>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(writer.SubmitCommit(InsertBody(i + 1, i + 1, i)));
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
+  // The first committer leads and is held before it takes its batch; the
+  // other seven queue behind it and ride along.
+  FailpointGate gate;
+  ScopedFailpoint hold("logwriter.lead", gate.Config());
+  std::vector<std::thread> threads;
+  std::vector<Status> statuses(8);
+  QueueInOrder(&writer, 0, 8, &threads, &statuses);
+  gate.AwaitArrivals(1);
+  gate.Open();
+  JoinAll(&threads);
+  for (const Status& st : statuses) EXPECT_TRUE(st.ok()) << st.ToString();
 
   EXPECT_EQ(wal.num_records(), 8u);
   LogWriter::Stats stats = writer.stats();
@@ -90,21 +114,23 @@ TEST_F(LogWriterTest, TornBatchFailsEveryCommitNeverAPrefix) {
   Wal wal;
   LogWriter::Options opts;
   opts.max_batch = 4;
-  opts.persist_interval_us = 500'000;
   LogWriter writer(&wal, opts);
 
   FailpointConfig cfg;
   cfg.status = Status::Unavailable("injected torn batch");
   ScopedFailpoint armed("wal.batch.torn", cfg);
 
-  std::vector<std::future<Status>> futures;
-  for (int i = 0; i < 4; ++i) {
-    futures.push_back(writer.SubmitCommit(InsertBody(i + 1, i + 1, i)));
-  }
-  for (auto& f : futures) {
-    Status st = f.get();
+  FailpointGate gate;
+  ScopedFailpoint hold("logwriter.lead", gate.Config());
+  std::vector<std::thread> threads;
+  std::vector<Status> statuses(4);
+  QueueInOrder(&writer, 0, 4, &threads, &statuses);
+  gate.Open();
+  JoinAll(&threads);
+  for (const Status& st : statuses) {
     EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
   }
+  EXPECT_EQ(writer.stats().batches, 1u);
   EXPECT_TRUE(wal.sealed());
   EXPECT_EQ(wal.num_records(), 0u);
 
@@ -117,10 +143,10 @@ TEST_F(LogWriterTest, TornBatchFailsEveryCommitNeverAPrefix) {
   EXPECT_TRUE(replay->truncated_tail);
   EXPECT_EQ(catalog->GetTable("t")->CountVisible(kFarFuture), 0u);
 
-  // The sealed log deterministically fails later submissions — the writer
+  // The sealed log deterministically fails later commits — the writer
   // itself stays up.
   EXPECT_TRUE(writer.running());
-  Status st = writer.SubmitCommit(InsertBody(9, 9, 9)).get();
+  Status st = writer.Commit(InsertBody(9, 9, 9));
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
 }
 
@@ -138,10 +164,8 @@ TEST_F(LogWriterTest, FsyncStallDelaysButCommits) {
   cfg.status = Status::Unavailable("stall");
   ScopedFailpoint armed("wal.fsync.stall", cfg);
 
-  LogWriter::Options opts;
-  opts.persist_interval_us = 0;
-  LogWriter writer(wal->get(), opts);
-  EXPECT_TRUE(writer.SubmitCommit(InsertBody(1, 1, 1)).get().ok());
+  LogWriter writer(wal->get());
+  EXPECT_TRUE(writer.Commit(InsertBody(1, 1, 1)).ok());
 
   std::string disk;
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -159,26 +183,26 @@ TEST_F(LogWriterTest, FsyncStallDelaysButCommits) {
   std::remove(path.c_str());
 }
 
-// A writer-thread crash fails the in-hand batch and everything queued
-// behind it, later submissions fail fast, and Restart() brings the
-// subsystem back without losing the log.
+// A leader crash fails the batch in its hand, later commits fail fast,
+// and Restart() brings the subsystem back without losing the log.
 TEST_F(LogWriterTest, CrashFailsInFlightThenRestartRecovers) {
   Wal wal;
   LogWriter::Options opts;
   opts.max_batch = 4;
-  opts.persist_interval_us = 100'000;
   LogWriter writer(&wal, opts);
 
-  std::vector<std::future<Status>> futures;
   {
     FailpointConfig cfg;
     cfg.status = Status::Internal("injected writer crash");
     ScopedFailpoint armed("logwriter.crash", cfg);
-    for (int i = 0; i < 3; ++i) {
-      futures.push_back(writer.SubmitCommit(InsertBody(i + 1, i + 1, i)));
-    }
-    for (auto& f : futures) {
-      Status st = f.get();
+    FailpointGate gate;
+    ScopedFailpoint hold("logwriter.lead", gate.Config());
+    std::vector<std::thread> threads;
+    std::vector<Status> statuses(3);
+    QueueInOrder(&writer, 0, 3, &threads, &statuses);
+    gate.Open();
+    JoinAll(&threads);
+    for (const Status& st : statuses) {
       EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
     }
   }
@@ -186,36 +210,158 @@ TEST_F(LogWriterTest, CrashFailsInFlightThenRestartRecovers) {
   EXPECT_EQ(writer.stats().crashes, 1u);
   EXPECT_EQ(wal.num_records(), 0u);
 
-  // Dead writer: fail fast, don't block the committer.
-  Status st = writer.SubmitCommit(InsertBody(5, 5, 5)).get();
+  // Crashed writer: fail fast, don't block the committer.
+  Status st = writer.Commit(InsertBody(5, 5, 5));
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
 
   ASSERT_TRUE(writer.Restart().ok());
   EXPECT_TRUE(writer.running());
   EXPECT_FALSE(writer.Restart().ok()) << "restart while running must fail";
-  EXPECT_TRUE(writer.SubmitCommit(InsertBody(6, 6, 6)).get().ok());
+  EXPECT_TRUE(writer.Commit(InsertBody(6, 6, 6)).ok());
   EXPECT_EQ(wal.num_records(), 1u);
 }
 
-// Stop() drains queued commits into a final durable batch.
+// A crash in a leader that was handed leadership mid-chain fails that
+// leader's batch and every commit queued behind it, while the batch before
+// it stays durable; Restart resumes on the same log.
+TEST_F(LogWriterTest, CrashMidLeaderFailsItsBatchAndTheQueue) {
+  Wal wal;
+  LogWriter::Options opts;
+  opts.max_batch = 2;
+  LogWriter writer(&wal, opts);
+
+  std::vector<Status> statuses(5);
+  {
+    // Batches are [0 1] [2 3] [4]: the first writes, the second's leader
+    // (commit 2, handed leadership by commit 0) crashes with it in hand.
+    FailpointConfig cfg;
+    cfg.skip = 1;
+    cfg.status = Status::Internal("injected writer crash");
+    ScopedFailpoint armed("logwriter.crash", cfg);
+    FailpointGate gate;
+    ScopedFailpoint hold("logwriter.lead", gate.Config());
+    std::vector<std::thread> threads;
+    QueueInOrder(&writer, 0, 5, &threads, &statuses);
+    gate.Open();
+    JoinAll(&threads);
+  }
+  EXPECT_TRUE(statuses[0].ok()) << statuses[0].ToString();
+  EXPECT_TRUE(statuses[1].ok()) << statuses[1].ToString();
+  for (int i = 2; i < 5; ++i) {
+    EXPECT_EQ(statuses[i].code(), StatusCode::kInternal)
+        << i << ": " << statuses[i].ToString();
+  }
+  EXPECT_FALSE(writer.running());
+  EXPECT_EQ(writer.pending(), 0u);
+  EXPECT_EQ(writer.MinPendingCommitTs(), kMaxTimestamp);
+  LogWriter::Stats stats = writer.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.crashes, 1u);
+  EXPECT_EQ(wal.num_records(), 2u);
+
+  ASSERT_TRUE(writer.Restart().ok());
+  EXPECT_TRUE(writer.Commit(InsertBody(6, 6, 5)).ok());
+  auto catalog = FreshCatalog();
+  auto replay = Wal::Replay(wal.buffer(), catalog.get());
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(replay->txns_applied, 3u);
+  EXPECT_FALSE(replay->truncated_tail);
+}
+
+// The batch a leader is writing stays pinned: its bodies have left the
+// queue but are not durable yet, so MinPendingCommitTs still reports them.
+TEST_F(LogWriterTest, MinPendingCommitTsPinsTheBatchBeingWritten) {
+  Wal wal;
+  LogWriter writer(&wal);
+  EXPECT_EQ(writer.MinPendingCommitTs(), kMaxTimestamp);
+
+  // Hold the leader inside its append (the batch-tear site, armed to
+  // inject nothing), with commit ts 7 in hand.
+  FailpointGate gate;
+  ScopedFailpoint hold("wal.batch.torn", gate.Config());
+  Status status;
+  std::thread leader = CommitAsync(&writer, InsertBody(1, 7, 1), &status);
+  gate.AwaitArrivals(1);
+  EXPECT_EQ(writer.pending(), 1u);
+  EXPECT_EQ(writer.MinPendingCommitTs(), 7u);
+  gate.Open();
+  leader.join();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(writer.MinPendingCommitTs(), kMaxTimestamp);
+  EXPECT_EQ(wal.num_records(), 1u);
+}
+
+// Stop() drains queued commits into durable batches.
 TEST_F(LogWriterTest, StopDrainsQueuedCommits) {
   Wal wal;
   LogWriter::Options opts;
   opts.max_batch = 4;
-  opts.persist_interval_us = 50'000;
   LogWriter writer(&wal, opts);
 
-  std::vector<std::future<Status>> futures;
-  for (int i = 0; i < 10; ++i) {
-    futures.push_back(writer.SubmitCommit(InsertBody(i + 1, i + 1, i)));
-  }
-  writer.Stop();
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
+  // Ten commits queue behind a held leader, then Stop() begins: it must
+  // wait for all ten, written as [0-3] [4-7] [8 9].
+  FailpointGate gate;
+  ScopedFailpoint hold("logwriter.lead", gate.Config());
+  std::vector<std::thread> threads;
+  std::vector<Status> statuses(10);
+  QueueInOrder(&writer, 0, 10, &threads, &statuses);
+  std::thread stopper([&] { writer.Stop(); });
+  while (writer.running()) std::this_thread::yield();
+  gate.Open();
+  stopper.join();
+  JoinAll(&threads);
+  for (const Status& st : statuses) EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(wal.num_records(), 10u);
+  EXPECT_EQ(writer.stats().batches, 3u);
   EXPECT_FALSE(writer.running());
 
-  Status st = writer.SubmitCommit(InsertBody(99, 99, 99)).get();
+  Status st = writer.Commit(InsertBody(99, 99, 99));
   EXPECT_TRUE(st.IsUnavailable());
+}
+
+// Eight committers at max_batch 2 force leadership to change hands: every
+// commit is acked, replays, and is visible.
+TEST_F(LogWriterTest, LeaderHandOffAcksEveryCommit) {
+  Wal wal;
+  Catalog source;
+  ASSERT_TRUE(source.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
+  TransactionManager tm(&source, &wal);
+  Table* table = source.GetTable("t");
+  const size_t ddl_records = wal.num_records();
+
+  LogWriter::Options opts;
+  opts.max_batch = 2;
+  LogWriter writer(&wal, opts);
+  tm.SetLogWriter(&writer);
+
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 40;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kPerThread; ++i) {
+        auto t = tm.Begin();
+        ASSERT_TRUE(t->Insert(table, MakeRow(w * kPerThread + i)).ok());
+        ASSERT_TRUE(tm.Commit(t.get()).ok());
+      }
+    });
+  }
+  JoinAll(&threads);
+  tm.SetLogWriter(nullptr);
+  writer.Stop();
+
+  constexpr size_t kTotal = kThreads * kPerThread;
+  LogWriter::Stats stats = writer.stats();
+  EXPECT_EQ(stats.commits, kTotal);
+  EXPECT_GE(stats.batches, kTotal / 2);
+  EXPECT_EQ(wal.num_records(), ddl_records + kTotal);
+  EXPECT_EQ(table->CountVisible(kFarFuture), kTotal);
+
+  auto catalog = FreshCatalog();
+  auto replay = Wal::Replay(wal.buffer(), catalog.get());
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_EQ(catalog->GetTable("t")->CountVisible(kFarFuture), kTotal);
+  EXPECT_FALSE(replay->truncated_tail);
 }
 
 // The full ack contract through TransactionManager: concurrent committers
@@ -230,7 +376,6 @@ TEST_F(LogWriterTest, ConcurrentCommitsThroughManagerAckDurableAndVisible) {
 
   LogWriter::Options opts;
   opts.max_batch = 16;
-  opts.persist_interval_us = 100;
   LogWriter writer(&wal, opts);
   tm.SetLogWriter(&writer);
 
@@ -270,7 +415,8 @@ TEST_F(LogWriterTest, ConcurrentCommitsThroughManagerAckDurableAndVisible) {
 
 // A torn batch under the manager: every commit in the doomed batch returns
 // the error, applies nothing, and the engine's sealed-log state is
-// surfaced to later commits as kUnavailable.
+// surfaced to later commits as kUnavailable — so both commits fail
+// whether or not they share the torn batch.
 TEST_F(LogWriterTest, TornBatchThroughManagerAppliesNothing) {
   Wal wal;
   Catalog source;
@@ -278,10 +424,7 @@ TEST_F(LogWriterTest, TornBatchThroughManagerAppliesNothing) {
   TransactionManager tm(&source, &wal);
   Table* table = source.GetTable("t");
 
-  LogWriter::Options opts;
-  opts.max_batch = 64;
-  opts.persist_interval_us = 20'000;  // wide window: both commits batch
-  LogWriter writer(&wal, opts);
+  LogWriter writer(&wal);
   tm.SetLogWriter(&writer);
 
   {

@@ -6,7 +6,9 @@
 
 #include "obs/metrics.h"
 #include "storage/catalog.h"
+#include "txn/log_writer.h"
 #include "txn/transaction_manager.h"
+#include "txn/wal.h"
 
 namespace oltap {
 namespace {
@@ -345,6 +347,72 @@ TEST_P(TxnTest, ReadOnlyCommitIsTrivial) {
   EXPECT_TRUE(tm_->Commit(t.get()).ok());
   EXPECT_EQ(tm_->num_commits(), 1u);
 }
+
+#ifndef OLTAP_OBS_DISABLED
+// The commit stage clock: lock wait, validation, log, apply and
+// visibility wait add up exactly to txn.commit_ns — for commits that
+// succeed through group commit, and for commits that abort — while a
+// commit with an empty write set times nothing.
+TEST(TxnStageClockTest, StagesAddUpToCommitTime) {
+  obs::MetricsRegistry* reg = obs::MetricsRegistry::Default();
+  const char* kStages[] = {"txn.commit.lock_ns", "txn.commit.validate_ns",
+                           "txn.commit.log_ns", "txn.commit.apply_ns",
+                           "txn.commit.visible_ns"};
+  auto sum = [&](const char* name) {
+    obs::HistogramSnapshot snap = reg->GetHistogram(name)->Snapshot();
+    return snap.mean * static_cast<double>(snap.count);
+  };
+  auto stage_sum = [&] {
+    double total = 0;
+    for (const char* name : kStages) total += sum(name);
+    return total;
+  };
+  const double stages_before = stage_sum();
+  const double total_before = sum("txn.commit_ns");
+  const uint64_t count_before = reg->GetHistogram("txn.commit_ns")->count();
+
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .CreateTable("t",
+                               SchemaBuilder()
+                                   .AddInt64("id", false)
+                                   .AddInt64("v")
+                                   .SetKey({"id"})
+                                   .Build(),
+                               TableFormat::kRow)
+                  .ok());
+  Table* table = catalog.GetTable("t");
+  Wal wal;
+  TransactionManager tm(&catalog, &wal);
+  LogWriter writer(&wal);
+  tm.SetLogWriter(&writer);
+  for (int64_t i = 0; i < 20; ++i) {
+    auto t = tm.Begin();
+    ASSERT_TRUE(t->Insert(table, Row{Value::Int64(i), Value::Int64(i)}).ok());
+    ASSERT_TRUE(tm.Commit(t.get()).ok());
+  }
+  // A lost first-committer-wins race times its lock and validate stages.
+  auto winner = tm.Begin();
+  auto loser = tm.Begin();
+  ASSERT_TRUE(winner->Update(table, Row{Value::Int64(1), Value::Int64(9)}).ok());
+  ASSERT_TRUE(loser->Update(table, Row{Value::Int64(1), Value::Int64(8)}).ok());
+  ASSERT_TRUE(tm.Commit(winner.get()).ok());
+  ASSERT_TRUE(tm.Commit(loser.get()).IsAborted());
+  // Read-only commits are not timed.
+  for (int i = 0; i < 5; ++i) {
+    auto t = tm.Begin();
+    ASSERT_TRUE(tm.Commit(t.get()).ok());
+  }
+  tm.SetLogWriter(nullptr);
+  writer.Stop();
+
+  EXPECT_EQ(reg->GetHistogram("txn.commit_ns")->count() - count_before, 22u);
+  const double stages = stage_sum() - stages_before;
+  const double total = sum("txn.commit_ns") - total_before;
+  EXPECT_GT(total, 0);
+  EXPECT_NEAR(stages, total, 1e-6 * total + 1);
+}
+#endif
 
 INSTANTIATE_TEST_SUITE_P(AllFormats, TxnTest,
                          ::testing::Values(TableFormat::kRow,
