@@ -154,11 +154,10 @@ BENCHMARK(BM_WalCommitThroughput)
 std::string BuildLog(int64_t txns, int tables) {
   Wal wal;
   for (int64_t i = 0; i < txns; ++i) {
-    WalOp op;
-    op.kind = WalOp::kInsert;
-    op.table = "t" + std::to_string(i % tables);
-    op.row = MakeRow(i);
-    if (!wal.LogCommit(i + 1, i + 1, {op}).ok()) std::abort();
+    Wal::CommitBody body(i + 1, i + 1);
+    body.Add(WalOp::kInsert, "t" + std::to_string(i % tables), /*key=*/"",
+             MakeRow(i));
+    if (!wal.LogCommit(body.Take()).ok()) std::abort();
   }
   return wal.buffer();
 }

@@ -73,18 +73,6 @@ CircuitBreaker::State CircuitBreaker::state() const {
   return state_;
 }
 
-const char* CircuitBreakerStateToString(CircuitBreaker::State s) {
-  switch (s) {
-    case CircuitBreaker::State::kClosed:
-      return "closed";
-    case CircuitBreaker::State::kOpen:
-      return "open";
-    case CircuitBreaker::State::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
-
 CircuitBreakerSet::CircuitBreakerSet(int num_nodes,
                                      const CircuitBreaker::Options& options) {
   OLTAP_CHECK(num_nodes >= 1);

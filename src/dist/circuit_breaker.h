@@ -62,8 +62,6 @@ class CircuitBreaker {
   obs::Counter rejected_;
 };
 
-const char* CircuitBreakerStateToString(CircuitBreaker::State s);
-
 // One breaker per remote node, plus the obs surface: gauge
 // `dist.breaker_open` tracks how many breakers are currently open, and
 // counters `dist.breaker.trips` / `dist.breaker.rejected` make shed

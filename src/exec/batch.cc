@@ -86,14 +86,6 @@ void ColumnVector::AppendValue(const Value& v) {
   ++size_;
 }
 
-ColumnVector ColumnVector::FromValues(ValueType t,
-                                      const std::vector<Value>& vals) {
-  ColumnVector cv(t);
-  cv.Reserve(vals.size());
-  for (const Value& v : vals) cv.AppendValue(v);
-  return cv;
-}
-
 Row Batch::GetRow(size_t i) const {
   Row row;
   row.reserve(columns.size());

@@ -49,12 +49,6 @@ class ColumnVector {
   const std::vector<int64_t>& i64() const { return i64_; }
   const std::vector<double>& f64() const { return f64_; }
   const std::vector<std::string>& str() const { return str_; }
-  std::vector<int64_t>* mutable_i64() { return &i64_; }
-  std::vector<double>* mutable_f64() { return &f64_; }
-
-  // Builds a vector from a slice of per-row Values (all of type t or null).
-  static ColumnVector FromValues(ValueType t, const std::vector<Value>& vals);
-
  private:
   ValueType type_ = ValueType::kInt64;
   size_t size_ = 0;

@@ -1,7 +1,5 @@
 #include "exec/scan_kernels.h"
 
-#include <algorithm>
-
 namespace oltap {
 namespace kernels {
 namespace {
@@ -57,23 +55,6 @@ void CompareInt64(const int64_t* v, size_t n, CompareOp op, int64_t c,
   CompareDispatch(v, n, op, c, out);
 }
 
-void CompareDouble(const double* v, size_t n, CompareOp op, double c,
-                   BitVector* out) {
-  CompareDispatch(v, n, op, c, out);
-}
-
-int64_t SumInt64Selected(const int64_t* v, size_t n, const BitVector* sel) {
-  int64_t sum = 0;
-  if (sel == nullptr) {
-    for (size_t i = 0; i < n; ++i) sum += v[i];
-    return sum;
-  }
-  for (size_t i = sel->FindNextSet(0); i < n; i = sel->FindNextSet(i + 1)) {
-    sum += v[i];
-  }
-  return sum;
-}
-
 double SumDoubleSelected(const double* v, size_t n, const BitVector* sel) {
   double sum = 0;
   if (sel == nullptr) {
@@ -84,28 +65,6 @@ double SumDoubleSelected(const double* v, size_t n, const BitVector* sel) {
     sum += v[i];
   }
   return sum;
-}
-
-bool MinMaxInt64Selected(const int64_t* v, size_t n, const BitVector* sel,
-                         int64_t* min, int64_t* max) {
-  bool any = false;
-  auto consider = [&](int64_t x) {
-    if (!any) {
-      *min = *max = x;
-      any = true;
-    } else {
-      *min = std::min(*min, x);
-      *max = std::max(*max, x);
-    }
-  };
-  if (sel == nullptr) {
-    for (size_t i = 0; i < n; ++i) consider(v[i]);
-    return any;
-  }
-  for (size_t i = sel->FindNextSet(0); i < n; i = sel->FindNextSet(i + 1)) {
-    consider(v[i]);
-  }
-  return any;
 }
 
 }  // namespace kernels

@@ -18,16 +18,9 @@ namespace kernels {
 // out[i] = v[i] <op> c, over raw int64 data (no nulls).
 void CompareInt64(const int64_t* v, size_t n, CompareOp op, int64_t c,
                   BitVector* out);
-void CompareDouble(const double* v, size_t n, CompareOp op, double c,
-                   BitVector* out);
 
 // Sum of v[i] where sel bit set (sel == nullptr means all).
-int64_t SumInt64Selected(const int64_t* v, size_t n, const BitVector* sel);
 double SumDoubleSelected(const double* v, size_t n, const BitVector* sel);
-
-// Min/max over selection; returns false if no row selected.
-bool MinMaxInt64Selected(const int64_t* v, size_t n, const BitVector* sel,
-                         int64_t* min, int64_t* max);
 
 }  // namespace kernels
 }  // namespace oltap

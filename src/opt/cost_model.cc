@@ -6,18 +6,6 @@
 namespace oltap {
 namespace opt {
 
-const char* AccessPathToString(AccessPath p) {
-  switch (p) {
-    case AccessPath::kAuto:
-      return "auto";
-    case AccessPath::kRow:
-      return "row";
-    case AccessPath::kColumn:
-      return "column";
-  }
-  return "?";
-}
-
 namespace {
 
 // Estimated fraction of `main`'s zone-mapped zones that survive the pushed

@@ -15,8 +15,6 @@ namespace opt {
 // wrong side to measure the gap (E16).
 enum class AccessPath : uint8_t { kAuto, kRow, kColumn };
 
-const char* AccessPathToString(AccessPath p);
-
 // Unitless cost model. One unit ~= the work of visiting one key through
 // the row mirror's scan (skip-list step, version-chain visibility check,
 // predicate, projected cells): 27-33 ns per key on a narrow table in the

@@ -62,10 +62,18 @@ Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts,
   // The stream: every record is a commit at `ts`, so restoring the image
   // is ordinary replay.
   Wal stream;
-  std::vector<WalOp> ops;
-  for (const Table* table : tables) ops.push_back(WalOp::CreateTable(*table));
-  Status write_status =
-      ops.empty() ? Status::OK() : stream.LogCommit(/*txn_id=*/0, ts, ops);
+  Status write_status;
+  Wal::CommitBody body(/*txn_id=*/0, ts);
+  // Logs the ops added to `body` as one record (none: nothing); the first
+  // failure sticks.
+  auto flush = [&] {
+    if (body.num_ops() == 0) return;
+    Status st = stream.LogCommit(body.Take());
+    if (write_status.ok()) write_status = st;
+    body = Wal::CommitBody(/*txn_id=*/0, ts);
+  };
+  for (const Table* table : tables) body.Add(WalOp::CreateTable(*table));
+  flush();
 
   // Bulk inserts of every row visible at ts. The per-table scan is the
   // long pole of a checkpoint; the stall failpoint stretches it so tests
@@ -77,13 +85,6 @@ Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts,
     if (!OLTAP_FAILPOINT_STATUS("checkpoint.scan.stall").ok()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
-    Wal::CommitBody body(/*txn_id=*/0, ts);
-    auto flush = [&] {
-      if (body.num_ops() == 0) return;
-      Status st = stream.LogCommitBody(body.Take());
-      if (write_status.ok()) write_status = st;
-      body = Wal::CommitBody(/*txn_id=*/0, ts);
-    };
     table->ScanVisible(ts, [&](const Row& row) {
       body.Add(WalOp::kInsert, table->name(), /*key=*/"", row);
       if (body.num_ops() >= kRowsPerRecord) flush();
@@ -91,8 +92,9 @@ Result<std::string> WriteCheckpoint(const Catalog& catalog, Timestamp ts,
     flush();
   }
   // Views last: recovery creates them once their bases are restored.
-  if (write_status.ok() && !views.empty()) {
-    write_status = stream.LogCommit(/*txn_id=*/0, ts, views);
+  if (write_status.ok()) {
+    for (const WalOp& view : views) body.Add(view);
+    flush();
   }
   if (!write_status.ok()) return write_status;
 

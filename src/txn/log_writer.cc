@@ -119,11 +119,6 @@ bool LogWriter::running() const {
   return running_;
 }
 
-size_t LogWriter::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + writing_.size();
-}
-
 Timestamp LogWriter::MinPendingCommitTs() const {
   std::lock_guard<std::mutex> lock(mu_);
   Timestamp min_ts = kMaxTimestamp;
@@ -134,7 +129,9 @@ Timestamp LogWriter::MinPendingCommitTs() const {
 
 LogWriter::Stats LogWriter::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats stats = stats_;
+  stats.pending = queue_.size() + writing_.size();
+  return stats;
 }
 
 }  // namespace oltap

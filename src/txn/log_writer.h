@@ -67,9 +67,6 @@ class LogWriter {
 
   bool running() const;
 
-  // Commits queued or being written, not yet acknowledged.
-  size_t pending() const;
-
   // Oldest commit timestamp among bodies not yet durable — queued ones
   // and the batch a leader is writing (kMaxTimestamp when none). The
   // checkpoint daemon folds this into its WAL-truncation pin. (Pending
@@ -81,6 +78,7 @@ class LogWriter {
     uint64_t batches = 0;
     uint64_t commits = 0;
     uint64_t crashes = 0;
+    size_t pending = 0;  // commits queued or being written, not yet acked
   };
   Stats stats() const;
 

@@ -229,7 +229,7 @@ Status TransactionManager::LogDurably(std::string body) {
   if (LogWriter* writer = log_writer_.load(std::memory_order_acquire)) {
     return writer->Commit(std::move(body));
   }
-  return wal_->LogCommitBody(std::move(body));
+  return wal_->LogCommit(std::move(body));
 }
 
 Status TransactionManager::CommitDdl(const WalOp& record,
@@ -238,7 +238,9 @@ Status TransactionManager::CommitDdl(const WalOp& record,
   const Timestamp commit_ts = AllocateCommitTs();
   Status st;
   if (wal_ != nullptr) {
-    st = LogDurably(Wal::SerializeCommitBody(id, commit_ts, {record}));
+    Wal::CommitBody body(id, commit_ts);
+    body.Add(record);
+    st = LogDurably(body.Take());
   }
   // The effect lands before the timestamp turns visible, so a snapshot
   // (a checkpoint's, say) that covers the record also sees the effect.
@@ -358,12 +360,19 @@ Status TransactionManager::Commit(Transaction* txn) {
     // anyway. In-flight commits are bounded by the thread count, far
     // below kCommitWindow, so blocking here cannot wedge timestamp
     // allocation.
-    Status wal_st =
-        body.num_ops() == 0 ? Status::OK() : LogDurably(body.Take());
+    Status wal_st;
+    if (body.num_ops() > Wal::CommitBody::kMaxOps) {
+      wal_st = Status::InvalidArgument(
+          "commit writes " + std::to_string(body.num_ops()) +
+          " logged rows; one WAL record holds at most " +
+          std::to_string(Wal::CommitBody::kMaxOps));
+    } else if (body.num_ops() > 0) {
+      wal_st = LogDurably(body.Take());
+    }
     if (!wal_st.ok()) {
       // The commit record never became durable, so the transaction must
       // not apply: retire the timestamp unused (a harmless gap in the
-      // commit sequence) and surface the IO error to the caller.
+      // commit sequence) and surface the error to the caller.
       txn->commit_ts_ = 0;
       FinishCommitTs(commit_ts);
       unlock_all();

@@ -156,6 +156,9 @@ class TransactionManager {
   // made no changes. Read-only transactions always commit trivially.
   // On OK the commit is *visible*: every transaction begun after Commit
   // returns reads it (read-your-writes across a session's transactions).
+  // With a WAL, a failed log append fails the commit and applies nothing,
+  // and so does a write set of more than Wal::CommitBody::kMaxOps logged
+  // rows (kInvalidArgument), which one WAL record cannot hold.
   Status Commit(Transaction* txn);
 
   // Drops the write set. (Nothing was applied, so nothing to undo.)

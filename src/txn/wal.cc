@@ -114,7 +114,7 @@ long FileEnd(std::FILE* f) {
   return std::ftell(f);
 }
 
-// The commit timestamp of a commit body (SerializeCommitBody: u64 txn_id,
+// The commit timestamp of a commit body (CommitBody: u64 txn_id,
 // u64 commit_ts, ...); 0 when the body is too short.
 Timestamp BodyCommitTs(const char* data, size_t len) {
   Reader r{data, data + len};
@@ -403,16 +403,10 @@ void Wal::CommitBody::Add(WalOp::Kind kind, const std::string& table,
 }
 
 std::string Wal::CommitBody::Take() {
+  OLTAP_CHECK(num_ops_ <= kMaxOps) << num_ops_ << " ops in one commit body";
   body_[16] = static_cast<char>(num_ops_ & 0xff);
   body_[17] = static_cast<char>(num_ops_ >> 8);
   return std::move(body_);
-}
-
-std::string Wal::SerializeCommitBody(uint64_t txn_id, Timestamp commit_ts,
-                                     const std::vector<WalOp>& ops) {
-  CommitBody body(txn_id, commit_ts);
-  for (const WalOp& op : ops) body.Add(op.kind, op.table, op.key, op.row);
-  return body.Take();
 }
 
 void Wal::SealLocked() {
@@ -529,12 +523,7 @@ Status Wal::AppendFrameLocked(const std::string& frame, size_t records,
   return Status::OK();
 }
 
-Status Wal::LogCommit(uint64_t txn_id, Timestamp commit_ts,
-                      const std::vector<WalOp>& ops) {
-  return LogCommitBody(SerializeCommitBody(txn_id, commit_ts, ops));
-}
-
-Status Wal::LogCommitBody(std::string body) {
+Status Wal::LogCommit(std::string body) {
   std::vector<std::string> bodies;
   bodies.push_back(std::move(body));
   return AppendBodies(bodies, /*single=*/true);

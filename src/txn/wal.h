@@ -133,9 +133,31 @@ class Wal {
   static Result<std::unique_ptr<Wal>> OpenFile(const std::string& path,
                                                const Options& options);
 
-  // Appends one commit as a frame of its own (a batch of one). Thread-
-  // safe; called by the transaction manager at the durability point
-  // (after validation, before apply).
+  // Builds one commit record *body* (no frame header) op by op, so a
+  // committer serializes straight from its own write set, on its own
+  // thread and without a lock, for LogCommit or LogCommitBatch.
+  class CommitBody {
+   public:
+    // The most ops one body holds: the count is a u16 on disk.
+    static constexpr size_t kMaxOps = 0xFFFF;
+
+    CommitBody(uint64_t txn_id, Timestamp commit_ts);
+    void Add(WalOp::Kind kind, const std::string& table,
+             const std::string& key, const Row& row);
+    void Add(const WalOp& op) { Add(op.kind, op.table, op.key, op.row); }
+    size_t num_ops() const { return num_ops_; }
+    // The finished body; the builder is spent. Checks num_ops() <=
+    // kMaxOps: a larger write set must be refused before it gets here.
+    std::string Take();
+
+   private:
+    std::string body_;
+    size_t num_ops_ = 0;
+  };
+
+  // Appends one commit body as a frame of its own (a batch of one).
+  // Thread-safe; called by the transaction manager at the durability
+  // point (after validation, before apply).
   // On a short write, flush/fsync failure, or injected fault (failpoints
   // "wal.append.torn", "wal.append.error", "wal.fsync.error") the record
   // is not durable and the caller must fail the commit. The failed
@@ -146,33 +168,9 @@ class Wal {
   // instead: every later LogCommit returns kUnavailable, because a
   // commit appended after a tear would be acknowledged yet unreachable
   // by Replay, which stops at the first corrupt record.
-  Status LogCommit(uint64_t txn_id, Timestamp commit_ts,
-                   const std::vector<WalOp>& ops);
-  // LogCommit of an already serialized body (CommitBody).
-  Status LogCommitBody(std::string body);
+  Status LogCommit(std::string body);
 
-  // Builds one commit record *body* (no frame header) op by op, so a
-  // committer serializes straight from its own write set, on its own
-  // thread and without a lock, for LogCommitBody or LogCommitBatch.
-  class CommitBody {
-   public:
-    CommitBody(uint64_t txn_id, Timestamp commit_ts);
-    void Add(WalOp::Kind kind, const std::string& table,
-             const std::string& key, const Row& row);
-    size_t num_ops() const { return num_ops_; }
-    // The finished body; the builder is spent.
-    std::string Take();
-
-   private:
-    std::string body_;
-    uint16_t num_ops_ = 0;
-  };
-
-  // CommitBody over `ops`.
-  static std::string SerializeCommitBody(uint64_t txn_id, Timestamp commit_ts,
-                                         const std::vector<WalOp>& ops);
-
-  // Appends `bodies` (each from SerializeCommitBody) as ONE frame —
+  // Appends `bodies` (each a CommitBody) as ONE frame —
   // one checksum over the whole batch, one flush, one fsync. All-or-
   // nothing: on any failure (short write, flush/fsync error, injected
   // "wal.batch.torn" / "wal.fsync.error") the entire batch is undone or
@@ -228,7 +226,7 @@ class Wal {
   Status TruncateBelow(Timestamp horizon, uint64_t* dropped_bytes = nullptr);
 
   // The commit timestamp a serialized commit body carries (bodies are
-  // what SerializeCommitBody returns and LogCommitBatch consumes). The
+  // what CommitBody builds and LogCommitBatch consumes). The
   // group-commit writer uses this to expose its oldest still-unpersisted
   // commit as a truncation pin.
   static Timestamp PeekBodyCommitTs(const std::string& body);

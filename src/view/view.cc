@@ -1090,14 +1090,6 @@ bool ViewManager::IsView(const std::string& name) const {
   return Find(name) != nullptr;
 }
 
-std::vector<std::string> ViewManager::ViewNames() const {
-  std::shared_lock lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(views_.size());
-  for (const auto& v : views_) names.push_back(v->name);
-  return names;
-}
-
 size_t ViewManager::num_views() const {
   std::shared_lock lock(mu_);
   return views_.size();

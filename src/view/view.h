@@ -135,7 +135,6 @@ class ViewManager {
   Status RebuildAllAfterRecovery();
 
   bool IsView(const std::string& name) const;
-  std::vector<std::string> ViewNames() const;
   size_t num_views() const;
 
   // A CREATE MATERIALIZED VIEW record (WalOp::CreateView) for every

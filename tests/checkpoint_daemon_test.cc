@@ -15,6 +15,7 @@
 #include "sql/session.h"
 #include "txn/checkpoint.h"
 #include "txn/log_writer.h"
+#include "wal_record.h"
 
 namespace oltap {
 namespace {
@@ -284,7 +285,7 @@ TEST_F(CheckpointDaemonTest, UnackedGroupCommitBatchPinsHorizon) {
   ScopedFailpoint hold("logwriter.lead", gate.Config());
   Status pending;
   std::thread committer([&] {
-    pending = writer.Commit(Wal::SerializeCommitBody(
+    pending = writer.Commit(CommitRecord(
         99, pending_ts,
         {WalOp{WalOp::kInsert, "t", "",
                Row{Value::Int64(999), Value::String("p"),

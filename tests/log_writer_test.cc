@@ -11,6 +11,7 @@
 #include "storage/catalog.h"
 #include "txn/transaction_manager.h"
 #include "txn/wal.h"
+#include "wal_record.h"
 
 namespace oltap {
 namespace {
@@ -34,7 +35,7 @@ std::string InsertBody(uint64_t txn_id, Timestamp ts, int64_t id) {
   op.kind = WalOp::kInsert;
   op.table = "t";
   op.row = MakeRow(id);
-  return Wal::SerializeCommitBody(txn_id, ts, {op});
+  return CommitRecord(txn_id, ts, {op});
 }
 
 std::unique_ptr<Catalog> FreshCatalog() {
@@ -63,10 +64,10 @@ void QueueInOrder(LogWriter* writer, int first, int last,
                   std::vector<std::thread>* threads,
                   std::vector<Status>* statuses) {
   for (int i = first; i < last; ++i) {
-    const size_t before = writer->pending();
+    const size_t before = writer->stats().pending;
     threads->push_back(
         CommitAsync(writer, InsertBody(i + 1, i + 1, i), &(*statuses)[i]));
-    while (writer->pending() == before) std::this_thread::yield();
+    while (writer->stats().pending == before) std::this_thread::yield();
   }
 }
 
@@ -252,7 +253,7 @@ TEST_F(LogWriterTest, CrashMidLeaderFailsItsBatchAndTheQueue) {
         << i << ": " << statuses[i].ToString();
   }
   EXPECT_FALSE(writer.running());
-  EXPECT_EQ(writer.pending(), 0u);
+  EXPECT_EQ(writer.stats().pending, 0u);
   EXPECT_EQ(writer.MinPendingCommitTs(), kMaxTimestamp);
   LogWriter::Stats stats = writer.stats();
   EXPECT_EQ(stats.batches, 1u);
@@ -282,7 +283,7 @@ TEST_F(LogWriterTest, MinPendingCommitTsPinsTheBatchBeingWritten) {
   Status status;
   std::thread leader = CommitAsync(&writer, InsertBody(1, 7, 1), &status);
   gate.AwaitArrivals(1);
-  EXPECT_EQ(writer.pending(), 1u);
+  EXPECT_EQ(writer.stats().pending, 1u);
   EXPECT_EQ(writer.MinPendingCommitTs(), 7u);
   gate.Open();
   leader.join();
@@ -413,16 +414,19 @@ TEST_F(LogWriterTest, ConcurrentCommitsThroughManagerAckDurableAndVisible) {
             static_cast<size_t>(kThreads * kPerThread));
 }
 
-// A torn batch under the manager: every commit in the doomed batch returns
-// the error, applies nothing, and the engine's sealed-log state is
-// surfaced to later commits as kUnavailable — so both commits fail
-// whether or not they share the torn batch.
+// A torn batch under the manager: both commits of the doomed batch — the
+// leader's and a follower's — return the error and apply nothing, and the
+// engine's sealed-log state is surfaced to later commits as kUnavailable.
 TEST_F(LogWriterTest, TornBatchThroughManagerAppliesNothing) {
   Wal wal;
   Catalog source;
   ASSERT_TRUE(source.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
   TransactionManager tm(&source, &wal);
   Table* table = source.GetTable("t");
+  Catalog scratch;
+  ASSERT_TRUE(scratch.CreateTable("u", TestSchema(), TableFormat::kRow).ok());
+  auto insert = tm.Begin();
+  ASSERT_TRUE(insert->Insert(table, MakeRow(0)).ok());
 
   LogWriter writer(&wal);
   tm.SetLogWriter(&writer);
@@ -431,17 +435,33 @@ TEST_F(LogWriterTest, TornBatchThroughManagerAppliesNothing) {
     FailpointConfig cfg;
     cfg.status = Status::Unavailable("injected torn batch");
     ScopedFailpoint armed("wal.batch.torn", cfg);
-    std::vector<std::thread> threads;
-    for (int w = 0; w < 2; ++w) {
-      threads.emplace_back([&, w] {
-        auto t = tm.Begin();
-        ASSERT_TRUE(t->Insert(table, MakeRow(w)).ok());
-        Status st = tm.Commit(t.get());
-        EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
-      });
-    }
-    for (auto& t : threads) t.join();
+    // A DDL commit leads and is held before it takes its batch. It holds
+    // no key stripe, so the insert cannot block behind it: the insert
+    // queues as a follower and rides in the same torn batch.
+    FailpointGate gate;
+    ScopedFailpoint hold("logwriter.lead", gate.Config());
+    bool created = false;
+    Status ddl_status;
+    std::thread leader([&] {
+      ddl_status = tm.CommitDdl(WalOp::CreateTable(*scratch.GetTable("u")),
+                                [&] {
+                                  created = true;
+                                  return Status::OK();
+                                });
+    });
+    gate.AwaitArrivals(1);
+    Status insert_status;
+    std::thread follower([&] { insert_status = tm.Commit(insert.get()); });
+    while (writer.stats().pending < 2) std::this_thread::yield();
+    gate.Open();
+    leader.join();
+    follower.join();
+    EXPECT_TRUE(ddl_status.IsUnavailable()) << ddl_status.ToString();
+    EXPECT_FALSE(created) << "failed DDL must not apply";
+    EXPECT_TRUE(insert_status.IsUnavailable()) << insert_status.ToString();
   }
+  LogWriter::Stats stats = writer.stats();
+  EXPECT_EQ(stats.batches, 1u) << "both commits shared the torn batch";
   EXPECT_TRUE(wal.sealed());
   EXPECT_EQ(table->CountVisible(kFarFuture), 0u)
       << "failed batch must not apply";
@@ -453,6 +473,46 @@ TEST_F(LogWriterTest, TornBatchThroughManagerAppliesNothing) {
 
   tm.SetLogWriter(nullptr);
   writer.Stop();
+}
+
+// A write set larger than one WAL record holds (its op count is a u16) is
+// refused before anything is logged or applied — never logged with a
+// wrapped count, which would ack a commit recovery cannot see.
+TEST_F(LogWriterTest, OversizedCommitIsRefusedNotTruncated) {
+  Wal wal;
+  Catalog source;
+  ASSERT_TRUE(source.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
+  TransactionManager tm(&source, &wal);
+  Table* table = source.GetTable("t");
+  LogWriter writer(&wal);
+  tm.SetLogWriter(&writer);
+  const size_t ddl_records = wal.num_records();
+
+  constexpr int64_t kRows = 65536;  // kMaxOps + 1: a u16 count wraps to 0
+  auto t = tm.Begin();
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(t->Insert(table, MakeRow(i)).ok());
+  }
+  Status st = tm.Commit(t.get());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(wal.num_records(), ddl_records);
+  EXPECT_EQ(table->CountVisible(kFarFuture), 0u);
+
+  // The largest write set one record holds commits and replays.
+  auto fit = tm.Begin();
+  for (int64_t i = 0; i < static_cast<int64_t>(Wal::CommitBody::kMaxOps);
+       ++i) {
+    ASSERT_TRUE(fit->Insert(table, MakeRow(i)).ok());
+  }
+  ASSERT_TRUE(tm.Commit(fit.get()).ok());
+  tm.SetLogWriter(nullptr);
+  writer.Stop();
+  auto catalog = FreshCatalog();
+  auto replay = Wal::Replay(wal.buffer(), catalog.get());
+  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+  EXPECT_FALSE(replay->truncated_tail);
+  EXPECT_EQ(catalog->GetTable("t")->CountVisible(kFarFuture),
+            Wal::CommitBody::kMaxOps);
 }
 
 }  // namespace

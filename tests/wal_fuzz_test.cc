@@ -10,6 +10,7 @@
 #include "storage/catalog.h"
 #include "txn/checkpoint.h"
 #include "txn/wal.h"
+#include "wal_record.h"
 
 namespace oltap {
 namespace {
@@ -77,7 +78,7 @@ std::string BuildLog(std::vector<size_t>* boundaries) {
       op.table = records[i].table;
       op.row = MakeRow(records[i].id);
     }
-    EXPECT_TRUE(wal.LogCommit(/*txn_id=*/i + 1, /*commit_ts=*/i + 1, {op})
+    EXPECT_TRUE(LogOps(&wal, /*txn_id=*/i + 1, /*commit_ts=*/i + 1, {op})
                     .ok());
     boundaries->push_back(wal.size());
   }

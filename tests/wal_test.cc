@@ -11,6 +11,7 @@
 #include "storage/catalog.h"
 #include "txn/transaction_manager.h"
 #include "txn/wal.h"
+#include "wal_record.h"
 
 namespace oltap {
 namespace {
@@ -134,9 +135,8 @@ TEST(WalTest, TornTailStopsReplayCleanly) {
 
 TEST(WalTest, CorruptRecordDetectedByChecksum) {
   Wal wal;
-  ASSERT_TRUE(wal.LogCommit(1, 10,
-                            {WalOp{WalOp::kInsert, "t",
-                                   "", MakeRow(1, "x", 0)}})
+  ASSERT_TRUE(LogOps(&wal, 1, 10,
+                     {WalOp{WalOp::kInsert, "t", "", MakeRow(1, "x", 0)}})
                   .ok());
   std::string data = wal.buffer();
   data[data.size() / 2] ^= 0x40;  // flip a bit in the body
@@ -340,7 +340,7 @@ TEST(WalTest, TornAppendLeavesReplayablePrefix) {
 TEST(WalTest, ReplayUnknownTableFails) {
   Wal wal;
   ASSERT_TRUE(
-      wal.LogCommit(1, 10, {WalOp{WalOp::kInsert, "nope", "", Row{}}}).ok());
+      LogOps(&wal, 1, 10, {WalOp{WalOp::kInsert, "nope", "", Row{}}}).ok());
   Catalog empty;
   auto stats = Wal::Replay(wal.buffer(), &empty);
   EXPECT_FALSE(stats.ok());
@@ -354,17 +354,17 @@ TEST(WalTest, CreateTableRecordsReplayIntoEmptyCatalog) {
   ASSERT_TRUE(source.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
   ASSERT_TRUE(source.CreateTable("r", TestSchema(), TableFormat::kRow).ok());
   Wal wal;
-  ASSERT_TRUE(wal.LogCommit(1, 1, {WalOp::CreateTable(*source.GetTable("t"))})
+  ASSERT_TRUE(LogOps(&wal, 1, 1, {WalOp::CreateTable(*source.GetTable("t"))})
                   .ok());
-  ASSERT_TRUE(wal.LogCommit(2, 2, {WalOp{WalOp::kInsert, "t", "",
-                                         MakeRow(1, "a", 1.0)}})
+  ASSERT_TRUE(LogOps(&wal, 2, 2, {WalOp{WalOp::kInsert, "t", "",
+                                        MakeRow(1, "a", 1.0)}})
                   .ok());
-  ASSERT_TRUE(wal.LogCommit(3, 3, {WalOp::CreateTable(*source.GetTable("r"))})
+  ASSERT_TRUE(LogOps(&wal, 3, 3, {WalOp::CreateTable(*source.GetTable("r"))})
                   .ok());
-  ASSERT_TRUE(wal.LogCommit(4, 4, {WalOp{WalOp::kInsert, "r", "",
-                                         MakeRow(2, "b", 2.0)},
-                                   WalOp{WalOp::kInsert, "t", "",
-                                         MakeRow(3, "c", 3.0)}})
+  ASSERT_TRUE(LogOps(&wal, 4, 4, {WalOp{WalOp::kInsert, "r", "",
+                                        MakeRow(2, "b", 2.0)},
+                                  WalOp{WalOp::kInsert, "t", "",
+                                        MakeRow(3, "c", 3.0)}})
                   .ok());
 
   Catalog empty;
@@ -397,15 +397,15 @@ TEST(WalTest, CreateTableSchemaMismatchFailsBeforeAnyData) {
   ASSERT_TRUE(source.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
   ASSERT_TRUE(source.CreateTable("u", TestSchema(), TableFormat::kRow).ok());
   Wal wal;
-  ASSERT_TRUE(wal.LogCommit(1, 1, {WalOp::CreateTable(*source.GetTable("u"))})
+  ASSERT_TRUE(LogOps(&wal, 1, 1, {WalOp::CreateTable(*source.GetTable("u"))})
                   .ok());
-  ASSERT_TRUE(wal.LogCommit(2, 2, {WalOp{WalOp::kInsert, "u", "",
-                                         MakeRow(1, "a", 1.0)}})
+  ASSERT_TRUE(LogOps(&wal, 2, 2, {WalOp{WalOp::kInsert, "u", "",
+                                        MakeRow(1, "a", 1.0)}})
                   .ok());
-  ASSERT_TRUE(wal.LogCommit(3, 3, {WalOp::CreateTable(*source.GetTable("t"))})
+  ASSERT_TRUE(LogOps(&wal, 3, 3, {WalOp::CreateTable(*source.GetTable("t"))})
                   .ok());
-  ASSERT_TRUE(wal.LogCommit(4, 4, {WalOp{WalOp::kInsert, "t", "",
-                                         MakeRow(2, "b", 2.0)}})
+  ASSERT_TRUE(LogOps(&wal, 4, 4, {WalOp{WalOp::kInsert, "t", "",
+                                        MakeRow(2, "b", 2.0)}})
                   .ok());
 
   ThreadPool pool(2);
@@ -560,10 +560,10 @@ TEST(WalTest, RecoveryIsIdempotentSerialAndParallel) {
 TEST(WalTest, ParallelReplayUnknownTableAppliesNothing) {
   Wal wal;
   ASSERT_TRUE(
-      wal.LogCommit(1, 10, {WalOp{WalOp::kInsert, "t", "", MakeRow(1, "x", 0)}})
+      LogOps(&wal, 1, 10, {WalOp{WalOp::kInsert, "t", "", MakeRow(1, "x", 0)}})
           .ok());
   ASSERT_TRUE(
-      wal.LogCommit(2, 11, {WalOp{WalOp::kInsert, "nope", "", Row{}}}).ok());
+      LogOps(&wal, 2, 11, {WalOp{WalOp::kInsert, "nope", "", Row{}}}).ok());
   Catalog catalog;
   ASSERT_TRUE(catalog.CreateTable("t", TestSchema(), TableFormat::kColumn).ok());
   // The decode pass rejects before the apply pass runs, at any DOP.
@@ -582,19 +582,18 @@ TEST(WalTest, BatchFramesInterleaveWithRecordFrames) {
   Wal wal;
   const std::vector<WalOp> first = {
       WalOp{WalOp::kInsert, "t", "", MakeRow(1, "a", 0)}};
-  ASSERT_TRUE(wal.LogCommit(1, 1, first).ok());
+  ASSERT_TRUE(LogOps(&wal, 1, 1, first).ok());
   Wal single;
-  ASSERT_TRUE(
-      single.LogCommitBatch({Wal::SerializeCommitBody(1, 1, first)}).ok());
+  ASSERT_TRUE(single.LogCommitBatch({CommitRecord(1, 1, first)}).ok());
   EXPECT_EQ(wal.buffer(), single.buffer());
   std::vector<std::string> bodies;
   for (int i = 2; i <= 4; ++i) {
-    bodies.push_back(Wal::SerializeCommitBody(
+    bodies.push_back(CommitRecord(
         i, i, {WalOp{WalOp::kInsert, "t", "", MakeRow(i, "b", 0)}}));
   }
   ASSERT_TRUE(wal.LogCommitBatch(bodies).ok());
   ASSERT_TRUE(
-      wal.LogCommit(5, 5, {WalOp{WalOp::kInsert, "t", "", MakeRow(5, "c", 0)}})
+      LogOps(&wal, 5, 5, {WalOp{WalOp::kInsert, "t", "", MakeRow(5, "c", 0)}})
           .ok());
   EXPECT_EQ(wal.num_records(), 5u);
 
@@ -612,11 +611,11 @@ TEST(WalTest, SizeTracksBufferWithoutCopying) {
   Wal wal;
   EXPECT_EQ(wal.size(), 0u);
   ASSERT_TRUE(
-      wal.LogCommit(1, 1, {WalOp{WalOp::kInsert, "t", "", MakeRow(1, "a", 0)}})
+      LogOps(&wal, 1, 1, {WalOp{WalOp::kInsert, "t", "", MakeRow(1, "a", 0)}})
           .ok());
   EXPECT_EQ(wal.size(), wal.buffer().size());
   ASSERT_TRUE(
-      wal.LogCommit(2, 2, {WalOp{WalOp::kInsert, "t", "", MakeRow(2, "b", 0)}})
+      LogOps(&wal, 2, 2, {WalOp{WalOp::kInsert, "t", "", MakeRow(2, "b", 0)}})
           .ok());
   EXPECT_EQ(wal.size(), wal.buffer().size());
 }
@@ -639,10 +638,10 @@ TEST(WalTest, AbortedTransactionsNeverLogged) {
 void AppendCommits(Wal* wal, int64_t n, int64_t first_id = 1) {
   for (int64_t i = 0; i < n; ++i) {
     int64_t id = first_id + i;
-    ASSERT_TRUE(wal->LogCommit(static_cast<uint64_t>(id),
-                               static_cast<Timestamp>(id),
-                               {WalOp{WalOp::kInsert, "t", "",
-                                      MakeRow(id, "seg", 0.5)}})
+    ASSERT_TRUE(LogOps(wal, static_cast<uint64_t>(id),
+                       static_cast<Timestamp>(id),
+                       {WalOp{WalOp::kInsert, "t", "",
+                              MakeRow(id, "seg", 0.5)}})
                     .ok());
   }
 }
@@ -756,8 +755,8 @@ TEST(WalTest, ExplicitSealStopsAppends) {
   EXPECT_FALSE(wal.sealed());
   wal.Seal();
   EXPECT_TRUE(wal.sealed());
-  Status st = wal.LogCommit(
-      9, 9, {WalOp{WalOp::kInsert, "t", "", MakeRow(9, "late", 0)}});
+  Status st = LogOps(
+      &wal, 9, 9, {WalOp{WalOp::kInsert, "t", "", MakeRow(9, "late", 0)}});
   EXPECT_TRUE(st.IsUnavailable()) << st.ToString();
   // The sealed log still replays its pre-seal contents.
   Catalog catalog;
@@ -869,7 +868,7 @@ TEST(WalTest, IdempotentReplayAppliesNetOfDuplicateKeyWrites) {
   // A table created by the log's own record replays directly; one that
   // already existed replays idempotently.
   Wal ddl;
-  ASSERT_TRUE(ddl.LogCommit(0, 0, {WalOp::CreateTable(*table)}).ok());
+  ASSERT_TRUE(LogOps(&ddl, 0, 0, {WalOp::CreateTable(*table)}).ok());
   for (bool idempotent : {false, true}) {
     Catalog catalog;
     std::string log = wal.buffer();
@@ -897,7 +896,7 @@ TEST(WalTest, IdempotentReplayAppliesNetOfDuplicateKeyWrites) {
 }
 
 TEST(WalTest, PeekBodyCommitTsReadsSerializedBody) {
-  std::string body = Wal::SerializeCommitBody(
+  std::string body = CommitRecord(
       7, 42, {WalOp{WalOp::kInsert, "t", "", MakeRow(1, "x", 0)}});
   EXPECT_EQ(Wal::PeekBodyCommitTs(body), 42u);
   EXPECT_EQ(Wal::PeekBodyCommitTs(std::string()), 0u);
